@@ -213,27 +213,26 @@ pub fn shift_down_one(words: &[u64]) -> Vec<u64> {
 
 /// Builds a mask with bits `lo..hi` set, `len_words` words long.
 pub fn range_mask(len_words: usize, lo: usize, hi: usize) -> Vec<u64> {
-    let hi = hi.min(len_words * WORD_BITS);
-    let mut m = vec![0u64; len_words];
-    if lo >= hi {
-        return m;
+    (0..len_words).map(|i| range_word(i, lo, hi)).collect()
+}
+
+/// Word `index` of the mask with bits `lo..hi` set, computed without
+/// building the whole mask.
+///
+/// ```
+/// assert_eq!(qrm_core::bitline::range_word(0, 60, 66), 0b1111 << 60);
+/// assert_eq!(qrm_core::bitline::range_word(1, 60, 66), 0b11);
+/// ```
+#[inline]
+pub fn range_word(index: usize, lo: usize, hi: usize) -> u64 {
+    let base = index * WORD_BITS;
+    let clip = |pos: usize| pos.clamp(base, base + WORD_BITS) - base;
+    let (start, end) = (clip(lo), clip(hi));
+    if start >= end {
+        0
+    } else {
+        low_mask(end) & !low_mask(start)
     }
-    for (i, word) in m.iter_mut().enumerate() {
-        let word_lo = i * WORD_BITS;
-        let word_hi = word_lo + WORD_BITS;
-        if hi <= word_lo || lo >= word_hi {
-            continue;
-        }
-        let start = lo.max(word_lo) - word_lo;
-        let end = hi.min(word_hi) - word_lo;
-        let upper = if end == WORD_BITS {
-            u64::MAX
-        } else {
-            (1u64 << end) - 1
-        };
-        *word = upper & !((1u64 << start) - 1);
-    }
-    m
 }
 
 #[cfg(test)]
@@ -377,6 +376,16 @@ mod tests {
         let m = range_mask(2, 60, 70);
         assert_eq!(ones(&m, 128), (60..70).collect::<Vec<_>>());
         assert_eq!(count_ones(&m), 10);
+    }
+
+    #[test]
+    fn range_word_edges() {
+        assert_eq!(range_word(0, 0, 64), u64::MAX);
+        assert_eq!(range_word(1, 0, 200), u64::MAX);
+        assert_eq!(range_word(1, 5, 64), 0);
+        assert_eq!(range_word(0, 9, 9), 0);
+        assert_eq!(range_word(0, 70, 60), 0);
+        assert_eq!(range_word(2, 130, 131), 0b100);
     }
 
     #[test]

@@ -50,7 +50,19 @@
 //! (grid word buffers and pass vectors, recycled through
 //! [`KernelScratch::reclaim`] / [`ShiftKernel::start_in`]), so a long-lived
 //! engine — e.g. the one inside `Pipeline::run_batch` planning round
-//! after round — stops allocating on the hot path once warm.
+//! after round — does not grow those buffers again once warm.
+//!
+//! Planning still allocates. A warm one-shot 50x50 `plan_batch` under
+//! [`QrmConfig::paper`] makes about 820 heap allocations:
+//!
+//! * about 300 in the merge: two per emitted move (its row and column
+//!   lists; ≈145 moves) plus a constant ≈10 buffers per call, a budget
+//!   `crates/core/tests/merge_alloc.rs` pins;
+//! * about 130 in each of the four quadrant kernels, from the `Vec`s
+//!   each pass builds (its waves, one shift list per non-empty wave, the
+//!   hole windows);
+//! * a handful in decomposition and validation (the four quadrant
+//!   `Arc`s, the plan).
 //!
 //! ## Determinism
 //!

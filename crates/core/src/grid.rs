@@ -52,8 +52,8 @@ impl Clone for AtomGrid {
 
     /// Clones into an existing grid, reusing its word buffer when the
     /// capacity suffices — the planning engine's
-    /// [`PlanContext`](crate::engine::PlanContext) leans on this to keep
-    /// repeated `plan_batch` rounds allocation-free on the hot path.
+    /// [`PlanContext`](crate::engine::PlanContext) leans on this to
+    /// recycle quadrant grids across `plan_batch` rounds.
     fn clone_from(&mut self, source: &Self) {
         self.height = source.height;
         self.width = source.width;
@@ -413,28 +413,36 @@ impl AtomGrid {
     /// "interpreting columns as rows").
     pub fn transpose(&self) -> Self {
         let mut out = AtomGrid::new(self.width, self.height).expect("same dims");
-        for r in 0..self.height {
-            for c in 0..self.width {
-                if self.get_unchecked(r, c) {
-                    out.set_unchecked(c, r, true);
-                }
-            }
-        }
+        self.transpose_into(&mut out);
         out
     }
 
     /// In-place variant of [`transpose`](Self::transpose): writes the
     /// transposed grid into `out`, reshaping it and reusing its word
-    /// buffer. The planning kernel's column passes lean on this to stay
-    /// allocation-free once their scratch is warm; contents of `out`
-    /// are discarded. Produces exactly the grid
-    /// [`transpose`](Self::transpose) returns.
+    /// buffer; contents of `out` are discarded. The kernel's column
+    /// passes and the merge's axis switches use it.
+    ///
+    /// Works on 64x64 bit blocks: each block of up to 64 row words is
+    /// transposed in six rounds of word swaps and stored as up to 64
+    /// column words, so a 50x50 grid costs one block instead of 2,500
+    /// bit reads.
     pub fn transpose_into(&self, out: &mut AtomGrid) {
         out.reshape(self.width, self.height);
-        for r in 0..self.height {
-            for c in 0..self.width {
-                if self.get_unchecked(r, c) {
-                    out.set_unchecked(c, r, true);
+        let mut block = [0u64; WORD_BITS];
+        for br in 0..out.stride {
+            let rows = (self.height - br * WORD_BITS).min(WORD_BITS);
+            for bc in 0..self.stride {
+                for (i, word) in block.iter_mut().enumerate() {
+                    *word = if i < rows {
+                        self.words[(br * WORD_BITS + i) * self.stride + bc]
+                    } else {
+                        0
+                    };
+                }
+                transpose_block(&mut block);
+                let cols = (self.width - bc * WORD_BITS).min(WORD_BITS);
+                for (j, &word) in block.iter().enumerate().take(cols) {
+                    out.words[(bc * WORD_BITS + j) * out.stride + br] = word;
                 }
             }
         }
@@ -552,6 +560,25 @@ impl AtomGrid {
     }
 }
 
+/// Transposes a 64x64 bit matrix in place: bit `c` of `block[r]` moves
+/// to bit `r` of `block[c]`. Six rounds each swap the off-diagonal
+/// sub-blocks of size 32, 16, ..., 1 (Hacker's Delight §7-3).
+fn transpose_block(block: &mut [u64; WORD_BITS]) {
+    let mut size = WORD_BITS / 2;
+    let mut low = u64::MAX >> size;
+    while size != 0 {
+        let mut k = 0;
+        while k < WORD_BITS {
+            let swap = ((block[k] >> size) ^ block[k + size]) & low;
+            block[k] ^= swap << size;
+            block[k + size] ^= swap;
+            k = (k + size + 1) & !size;
+        }
+        size >>= 1;
+        low ^= low << size;
+    }
+}
+
 impl fmt::Display for AtomGrid {
     /// Renders `'#'` for occupied and `'.'` for empty sites, one row per
     /// line (north row first).
@@ -640,15 +667,46 @@ mod tests {
         assert!(g.get_unchecked(1, 89));
     }
 
+    /// The bit-by-bit definition the word-level transpose must match.
+    fn transpose_bits(g: &AtomGrid) -> AtomGrid {
+        let mut out = AtomGrid::new(g.width(), g.height()).unwrap();
+        for p in g.occupied() {
+            out.set_unchecked(p.col, p.row, true);
+        }
+        out
+    }
+
     #[test]
-    fn transpose_into_matches_transpose_for_any_scratch_shape() {
+    fn transpose_into_matches_bit_transpose_for_any_scratch_shape() {
         let mut rng = StdRng::seed_from_u64(12);
         // Deliberately mis-shaped scratch with stale contents.
         let mut out = AtomGrid::random(3, 70, 0.5, &mut rng);
-        for (h, w) in [(9, 14), (70, 3), (1, 1), (5, 64), (2, 65)] {
+        for (h, w) in [
+            (9, 14),
+            (70, 3),
+            (1, 1),
+            (5, 64),
+            (2, 65),
+            (64, 64),
+            (65, 129),
+            (130, 66),
+        ] {
             let g = AtomGrid::random(h, w, 0.4, &mut rng);
             g.transpose_into(&mut out);
-            assert_eq!(out, g.transpose(), "{h}x{w}");
+            assert_eq!(out, transpose_bits(&g), "{h}x{w}");
+            assert_eq!(g.transpose(), out, "{h}x{w}");
+        }
+    }
+
+    #[test]
+    fn transpose_block_moves_each_bit_to_its_mirror() {
+        for (r, c) in [(0, 0), (0, 63), (63, 0), (5, 40), (31, 32), (63, 63)] {
+            let mut block = [0u64; WORD_BITS];
+            block[r] = 1 << c;
+            transpose_block(&mut block);
+            let mut expect = [0u64; WORD_BITS];
+            expect[c] = 1 << r;
+            assert_eq!(block, expect, "bit ({r}, {c})");
         }
     }
 

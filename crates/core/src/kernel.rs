@@ -234,11 +234,15 @@ impl KernelScratch {
 }
 
 /// Recycled per-pass working buffer: the transposed view a column pass
-/// scans in place of the grid. A warm `PassScratch` makes
-/// [`run_pass_in`] (and therefore [`ShiftKernel::step`]) allocation-free
-/// in steady state; results are bit-identical to a cold one. Recovered
-/// from a finished run with [`ShiftKernel::finish_split`] and fed back
-/// in through [`ShiftKernel::start_with`] — the engine's
+/// scans in place of the grid. A warm `PassScratch` saves that view's
+/// allocation on every column pass of [`run_pass_in`] (and therefore of
+/// [`ShiftKernel::step`]); results are bit-identical to a cold one. It
+/// does not make a pass allocation-free: each pass still allocates its
+/// hole windows, its wave vector and one shift list per non-empty wave,
+/// about 130 allocations per quadrant kernel on a 50x50 shot under the
+/// paper configuration. Recovered from a finished run with
+/// [`ShiftKernel::finish_split`] and fed back in through
+/// [`ShiftKernel::start_with`] — the engine's
 /// [`PlanContext`](crate::engine::PlanContext) pools these alongside
 /// [`KernelScratch`].
 #[derive(Debug, Clone)]
@@ -343,9 +347,10 @@ impl ShiftKernel {
     }
 
     /// [`start_in`](Self::start_in) that additionally accepts a recycled
-    /// per-pass working buffer (see [`PassScratch`]), completing the
-    /// allocation-free steady state: with both scratches warm, the whole
-    /// start/step/finish cycle reuses previously allocated memory.
+    /// per-pass working buffer (see [`PassScratch`]). With both
+    /// scratches warm, the start/step/finish cycle reuses the grid, the
+    /// pass vector and the column-pass view; the waves and shift lists
+    /// each pass emits are still allocated fresh (see [`PassScratch`]).
     /// Behaviour is bit-identical regardless of which scratches are
     /// supplied.
     ///
@@ -636,10 +641,12 @@ pub fn run_pass(
     run_pass_in(grid, axis, limits, enable, &mut PassScratch::new())
 }
 
-/// [`run_pass`] with a caller-owned [`PassScratch`]: a warm scratch makes
-/// the pass allocation-free (row passes mutate the grid's rows in place;
-/// column passes transpose into the scratch view and back, reusing both
-/// word buffers). Bit-identical to [`run_pass`] for any scratch state.
+/// [`run_pass`] with a caller-owned [`PassScratch`]: row passes mutate
+/// the grid's rows in place; column passes transpose into the scratch
+/// view and back with the word-level [`AtomGrid::transpose_into`],
+/// reusing both word buffers. The returned [`LocalPass`] still allocates
+/// its waves and their shift lists. Bit-identical to [`run_pass`] for
+/// any scratch state.
 pub fn run_pass_in(
     grid: &mut AtomGrid,
     axis: Axis,

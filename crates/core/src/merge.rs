@@ -8,12 +8,24 @@
 //! * NW and SW waves merge (both compress **east** toward the centre
 //!   column "from the west"), NE with SE (west), NW with NE (south), and
 //!   SW with SE (north);
-//! * merged line sets are split into cross-product-legal batches by the
-//!   [`AodBatcher`];
+//! * a wave group moves as one cross-product selection: every shift of
+//!   wave `k` has its hole at scan position `k`, so the group's movers
+//!   all lie in one suffix range and their union traps no atom that
+//!   stays;
 //! * empty shifts are elided from the final schedule.
+//!
+//! The merge works on words. It keeps one live grid whose rows are the
+//! lines of the current pass axis (the grid itself for row passes, its
+//! transpose for column passes) and switches representation once per
+//! pass with the 64x64 block [`AtomGrid::transpose_into`]. A wave
+//! group's mover masks are OR-ed into one reused union buffer and its
+//! lines into a reused bit set; the move's row and column lists come
+//! straight from those, and each line's movers shift in place on the
+//! live grid's words. Past a constant set of buffers per call, the only
+//! allocations are each emitted move's two lists and the schedule's
+//! growth.
 
-use crate::aod::AodBatcher;
-use crate::bitline;
+use crate::bitline::{self, WORD_BITS};
 use crate::error::Error;
 use crate::geometry::{Axis, Direction, QuadrantId};
 use crate::grid::AtomGrid;
@@ -21,6 +33,9 @@ use crate::kernel::KernelOutcome;
 use crate::moves::ParallelMove;
 use crate::quadrant::QuadrantMap;
 use crate::schedule::Schedule;
+
+#[cfg(test)]
+mod reference;
 
 /// Merge options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,27 +64,40 @@ pub struct MergeOutput {
 }
 
 /// Merges the four quadrant kernel outcomes (in [`QuadrantId::ALL`] order)
-/// into one global [`Schedule`], maintaining a simulated global grid so
-/// every produced move is validated as it is emitted.
+/// into one global [`Schedule`], tracking the global occupancy so every
+/// mover mask is sampled from the grid as it stands when its wave runs.
+///
+/// The outcomes must come from a scan, as [`ShiftKernel`] and the FPGA
+/// shift unit produce them: wave `k` of a pass holds only shifts whose
+/// hole is at position `k`. Legality then holds by construction — a
+/// wave group's movers are its lines' atoms in one suffix range, so the
+/// cross product of its lines and their union traps exactly the movers
+/// — and the executor is not re-run per move here (the test suite
+/// executes every merged schedule through the validating
+/// [`Executor`](crate::executor::Executor) instead). Debug builds assert
+/// the shared hole and that every shifted line keeps its atoms.
+///
+/// [`ShiftKernel`]: crate::kernel::ShiftKernel
 ///
 /// # Errors
 ///
-/// Propagates executor validation failures — these indicate planner bugs
-/// and are turned into hard errors rather than silent schedule corruption.
+/// Propagates move-construction failures; these would indicate a merge
+/// bug and are turned into hard errors rather than silent schedule
+/// corruption.
 pub fn merge_outcomes(
     grid: &AtomGrid,
     map: &QuadrantMap,
     outcomes: &[KernelOutcome; 4],
     config: &MergeConfig,
 ) -> Result<MergeOutput, Error> {
-    let mut working = grid.clone();
-    let mut working_t = grid.transpose();
-    let mut schedule = Schedule::new(grid.height(), grid.width());
-    let batcher = AodBatcher::new();
-    // Precomputed suffix-range masks per hole position (hot path).
-    let h_masks = SuffixMasks::build(map.quadrant_width(), bitline::words_for(grid.width()));
-    let v_masks = SuffixMasks::build(map.quadrant_height(), bitline::words_for(grid.height()));
-
+    let mut merge = Merge {
+        live: grid.clone(),
+        spare: AtomGrid::new(grid.width(), grid.height())?,
+        axis: Axis::Row,
+        schedule: Schedule::new(grid.height(), grid.width()),
+        union: Vec::new(),
+        line_set: Vec::new(),
+    };
     let npasses = outcomes.iter().map(|o| o.passes.len()).max().unwrap_or(0);
     for p in 0..npasses {
         let axis = if p % 2 == 0 { Axis::Row } else { Axis::Col };
@@ -78,260 +106,189 @@ pub fn merge_outcomes(
             .map(|o| o.passes.get(p).map_or(0, |pass| pass.waves.len()))
             .max()
             .unwrap_or(0);
+        if nwaves > 0 {
+            merge.switch_to(axis);
+        }
+        let groups: [(Direction, [QuadrantId; 2]); 2] = match axis {
+            Axis::Row => [
+                (Direction::East, [QuadrantId::Nw, QuadrantId::Sw]),
+                (Direction::West, [QuadrantId::Ne, QuadrantId::Se]),
+            ],
+            Axis::Col => [
+                (Direction::South, [QuadrantId::Nw, QuadrantId::Ne]),
+                (Direction::North, [QuadrantId::Sw, QuadrantId::Se]),
+            ],
+        };
         for w in 0..nwaves {
-            let groups: [(Direction, [QuadrantId; 2]); 2] = match axis {
-                Axis::Row => [
-                    (Direction::East, [QuadrantId::Nw, QuadrantId::Sw]),
-                    (Direction::West, [QuadrantId::Ne, QuadrantId::Se]),
-                ],
-                Axis::Col => [
-                    (Direction::South, [QuadrantId::Nw, QuadrantId::Ne]),
-                    (Direction::North, [QuadrantId::Sw, QuadrantId::Se]),
-                ],
-            };
             for (direction, members) in groups {
                 if config.merge_quadrants {
-                    let movers = collect_movers(
-                        &working, &working_t, map, outcomes, &members, p, w, axis, &h_masks,
-                        &v_masks,
-                    );
-                    emit_batches(
-                        &mut working,
-                        &mut working_t,
-                        &mut schedule,
-                        &batcher,
-                        axis,
-                        direction,
-                        &movers,
-                    )?;
+                    merge.collect(map, outcomes, &members, p, w);
+                    merge.emit(direction)?;
                 } else {
                     for q in members {
-                        let movers = collect_movers(
-                            &working,
-                            &working_t,
-                            map,
-                            outcomes,
-                            &[q],
-                            p,
-                            w,
-                            axis,
-                            &h_masks,
-                            &v_masks,
-                        );
-                        emit_batches(
-                            &mut working,
-                            &mut working_t,
-                            &mut schedule,
-                            &batcher,
-                            axis,
-                            direction,
-                            &movers,
-                        )?;
+                        merge.collect(map, outcomes, &[q], p, w);
+                        merge.emit(direction)?;
                     }
                 }
             }
         }
     }
-
+    merge.switch_to(Axis::Row);
     Ok(MergeOutput {
-        schedule,
-        final_grid: working,
+        schedule: merge.schedule,
+        final_grid: merge.live,
     })
 }
 
-/// Precomputed "canonical positions > hole" range masks for each hole
-/// position, for both quadrant orientations along one axis.
-struct SuffixMasks {
-    /// Toward-low quadrants (west / north): global range `[0, half-1-hole)`.
-    low: Vec<Vec<u64>>,
-    /// Toward-high quadrants (east / south): global range `(half+hole, 2*half)`.
-    high: Vec<Vec<u64>>,
+/// The merge's working state: every buffer it reuses from wave to wave.
+struct Merge {
+    /// Global occupancy with the lines of `axis` as rows.
+    live: AtomGrid,
+    /// The other representation's buffer, overwritten at each switch.
+    spare: AtomGrid,
+    axis: Axis,
+    schedule: Schedule,
+    /// Union of the current group's mover masks, one line long.
+    union: Vec<u64>,
+    /// The current group's lines that hold a mover, as a bit set.
+    line_set: Vec<u64>,
 }
 
-impl SuffixMasks {
-    fn build(half: usize, words: usize) -> Self {
-        SuffixMasks {
-            low: (0..half)
-                .map(|hole| bitline::range_mask(words, 0, half - 1 - hole))
-                .collect(),
-            high: (0..half)
-                .map(|hole| bitline::range_mask(words, half + hole + 1, 2 * half))
-                .collect(),
+impl Merge {
+    /// Makes the rows of `live` the lines of `axis`.
+    fn switch_to(&mut self, axis: Axis) {
+        if self.axis != axis {
+            self.live.transpose_into(&mut self.spare);
+            std::mem::swap(&mut self.live, &mut self.spare);
+            self.axis = axis;
         }
     }
-}
 
-/// Gathers `(global_line, mover_mask)` pairs for wave `w` of pass `p`
-/// restricted to `members`.
-#[allow(clippy::too_many_arguments)]
-fn collect_movers(
-    working: &AtomGrid,
-    working_t: &AtomGrid,
-    map: &QuadrantMap,
-    outcomes: &[KernelOutcome; 4],
-    members: &[QuadrantId],
-    p: usize,
-    w: usize,
-    axis: Axis,
-    h_masks: &SuffixMasks,
-    v_masks: &SuffixMasks,
-) -> Vec<(usize, Vec<u64>)> {
-    let mut movers = Vec::new();
-    for &q in members {
-        let idx = QuadrantId::ALL.iter().position(|&x| x == q).expect("valid");
-        let Some(pass) = outcomes[idx].passes.get(p) else {
-            continue;
-        };
-        debug_assert_eq!(pass.axis, axis, "pass axis misalignment");
-        let Some(wave) = pass.waves.get(w) else {
-            continue;
-        };
-        for shift in &wave.shifts {
-            let (global_line, occ, table) = match axis {
-                Axis::Row => (
-                    map.global_row(q, shift.line),
-                    working.row_bits(map.global_row(q, shift.line)),
-                    if q.is_west() {
-                        &h_masks.low
-                    } else {
-                        &h_masks.high
-                    },
-                ),
-                Axis::Col => (
-                    map.global_col(q, shift.line),
-                    working_t.row_bits(map.global_col(q, shift.line)),
-                    if q.is_north() {
-                        &v_masks.low
-                    } else {
-                        &v_masks.high
-                    },
-                ),
+    /// Gathers wave `w` of pass `p` restricted to `members`: for each
+    /// shift, the atoms of its global line that lie beyond the hole,
+    /// away from the array centre, go into `union` and the line into
+    /// `line_set`.
+    fn collect(
+        &mut self,
+        map: &QuadrantMap,
+        outcomes: &[KernelOutcome; 4],
+        members: &[QuadrantId],
+        p: usize,
+        w: usize,
+    ) {
+        let axis = self.axis;
+        // Lines span the whole array: two quadrant extents.
+        let half = self.live.width() / 2;
+        self.union.clear();
+        self.union.resize(bitline::words_for(self.live.width()), 0);
+        self.line_set.clear();
+        self.line_set
+            .resize(bitline::words_for(self.live.height()), 0);
+        for &q in members {
+            // `QuadrantId::ALL` order is declaration order.
+            let Some(pass) = outcomes[q as usize].passes.get(p) else {
+                continue;
             };
-            let range = &table[shift.hole];
-            let mask: Vec<u64> = occ.iter().zip(range.iter()).map(|(o, m)| o & m).collect();
-            if bitline::count_ones(&mask) > 0 {
-                movers.push((global_line, mask));
+            debug_assert_eq!(pass.axis, axis, "pass axis misalignment");
+            let Some(wave) = pass.waves.get(w) else {
+                continue;
+            };
+            let toward_low = match axis {
+                Axis::Row => q.is_west(),
+                Axis::Col => q.is_north(),
+            };
+            for shift in &wave.shifts {
+                debug_assert_eq!(shift.hole, w, "wave {w} holds a shift at another hole");
+                let line = match axis {
+                    Axis::Row => map.global_row(q, shift.line),
+                    Axis::Col => map.global_col(q, shift.line),
+                };
+                // Canonical positions > hole, in global coordinates.
+                let (lo, hi) = if toward_low {
+                    (0, half - 1 - shift.hole)
+                } else {
+                    (half + shift.hole + 1, 2 * half)
+                };
+                let mut any = 0;
+                for (i, (u, &o)) in self
+                    .union
+                    .iter_mut()
+                    .zip(self.live.row_bits(line))
+                    .enumerate()
+                {
+                    let movers = o & bitline::range_word(i, lo, hi);
+                    *u |= movers;
+                    any |= movers;
+                }
+                if any != 0 {
+                    bitline::set(&mut self.line_set, line, true);
+                }
             }
         }
     }
-    movers
-}
 
-/// Batches the movers and emits moves into the schedule, updating both
-/// grid representations with direct bit-level application.
-///
-/// Legality holds by construction — mover masks are sampled from the
-/// live working grid and the [`AodBatcher`] guarantees the cross product
-/// traps exactly the movers — so the executor is not re-run per move
-/// here (the test suite executes every merged schedule through the
-/// validating [`Executor`](crate::executor::Executor) instead). Debug
-/// builds still assert collision-freedom per line.
-#[allow(clippy::too_many_arguments)]
-fn emit_batches(
-    working: &mut AtomGrid,
-    working_t: &mut AtomGrid,
-    schedule: &mut Schedule,
-    batcher: &AodBatcher,
-    axis: Axis,
-    direction: Direction,
-    movers: &[(usize, Vec<u64>)],
-) -> Result<(), Error> {
-    if movers.is_empty() {
-        return Ok(());
-    }
-    // Occupancy per line along the pass axis.
-    let occ_grid = match axis {
-        Axis::Row => &*working,
-        Axis::Col => &*working_t,
-    };
-    let occ: Vec<&[u64]> = (0..occ_grid.height())
-        .map(|l| occ_grid.row_bits(l))
-        .collect();
-    let width = occ_grid.width();
-    let (dr, dc) = direction.delta();
-    // Position delta along the pass axis: east/south increase indices.
-    let sign = match direction {
-        Direction::East | Direction::South => 1isize,
-        Direction::West | Direction::North => -1,
-    };
-
-    let batches = batcher.batch(&occ, movers);
-    for batch in batches {
-        let positions = batch.positions(width);
+    /// Appends the collected group as one move and applies it to the
+    /// live grid's words.
+    fn emit(&mut self, direction: Direction) -> Result<(), Error> {
+        let width = self.live.width();
+        let positions = bitline::ones(&self.union, width);
         if positions.is_empty() {
-            continue;
+            return Ok(());
         }
-        let (rows, cols) = match axis {
-            Axis::Row => (batch.lines.clone(), positions),
-            Axis::Col => (positions, batch.lines.clone()),
+        // Ascending, so the move's sort is a linear check.
+        let lines = bitline::ones(&self.line_set, self.live.height());
+        let toward_high = matches!(direction, Direction::East | Direction::South);
+        for &line in &lines {
+            shift_selected(
+                self.live.row_bits_mut(line),
+                &self.union,
+                width,
+                toward_high,
+            );
+        }
+        let (rows, cols) = match self.axis {
+            Axis::Row => (lines, positions),
+            Axis::Col => (positions, lines),
         };
-        let mv = ParallelMove::new(rows, cols, dr, dc)?;
-        apply_batch(
-            working,
-            working_t,
-            axis,
-            sign,
-            &batch.lines,
-            &batch.union_mask,
-        );
-        schedule.push(mv);
+        let (dr, dc) = direction.delta();
+        self.schedule.push(ParallelMove::new(rows, cols, dr, dc)?);
+        Ok(())
     }
-    Ok(())
 }
 
-/// Applies one batch to the primary and transposed grids.
-fn apply_batch(
-    working: &mut AtomGrid,
-    working_t: &mut AtomGrid,
-    axis: Axis,
-    sign: isize,
-    lines: &[usize],
-    union: &[u64],
-) {
-    let (primary, mirror) = match axis {
-        Axis::Row => (&mut *working, &mut *working_t),
-        Axis::Col => (&mut *working_t, &mut *working),
-    };
-    let width = primary.width();
-    for &line in lines {
-        let bits = primary.row_bits(line);
-        let movers: Vec<u64> = bits.iter().zip(union.iter()).map(|(b, u)| b & u).collect();
-        let shifted = if sign > 0 {
-            bitline::shift_up_one(&movers, width)
-        } else {
-            bitline::shift_down_one(&movers)
-        };
-        let stay: Vec<u64> = bits
-            .iter()
-            .zip(movers.iter())
-            .map(|(b, m)| b & !m)
-            .collect();
-        debug_assert!(
-            stay.iter().zip(shifted.iter()).all(|(s, m)| s & m == 0),
-            "merge emitted a colliding move"
-        );
-        debug_assert_eq!(
-            bitline::count_ones(&movers),
-            bitline::count_ones(&shifted),
-            "merge pushed an atom out of bounds"
-        );
-        let new_bits: Vec<u64> = stay
-            .iter()
-            .zip(shifted.iter())
-            .map(|(s, m)| s | m)
-            .collect();
-        primary.set_row_bits(line, &new_bits);
-        // Mirror each moved atom on the orthogonal representation: all
-        // clears before all sets, so chains of adjacent movers do not
-        // erase each other's destinations.
-        let moved = bitline::ones(&movers, width);
-        for &pos in &moved {
-            mirror.set_unchecked(pos, line, false);
+/// Moves the atoms of `line` under `select` one site toward higher
+/// (`toward_high`) or lower positions, in place; the other atoms stay.
+/// Merged moves are legal, so a moved atom never lands on a staying one
+/// or leaves the `width`-site line.
+fn shift_selected(line: &mut [u64], select: &[u64], width: usize, toward_high: bool) {
+    #[cfg(debug_assertions)]
+    let before = bitline::count_ones(line);
+    let mut carry = 0u64;
+    if toward_high {
+        for (word, &sel) in line.iter_mut().zip(select) {
+            let moving = *word & sel;
+            *word = (*word & !moving) | (moving << 1) | carry;
+            carry = moving >> (WORD_BITS - 1);
         }
-        for &pos in &moved {
-            mirror.set_unchecked(pos.wrapping_add_signed(sign), line, true);
+        let tail = width % WORD_BITS;
+        if tail != 0 {
+            if let Some(last) = line.last_mut() {
+                *last &= (1u64 << tail) - 1;
+            }
+        }
+    } else {
+        for (word, &sel) in line.iter_mut().zip(select).rev() {
+            let moving = *word & sel;
+            *word = (*word & !moving) | (moving >> 1) | carry;
+            carry = moving << (WORD_BITS - 1);
         }
     }
+    #[cfg(debug_assertions)]
+    debug_assert_eq!(
+        bitline::count_ones(line),
+        before,
+        "merge emitted a colliding or out-of-bounds move"
+    );
 }
 
 #[cfg(test)]
@@ -340,6 +297,176 @@ mod tests {
     use crate::executor::Executor;
     use crate::kernel::{KernelConfig, KernelStrategy, ShiftKernel};
     use crate::loading::seeded_rng;
+    use proptest::prelude::*;
+
+    const STRATEGIES: [KernelStrategy; 3] = [
+        KernelStrategy::Greedy,
+        KernelStrategy::GreedyTargetOnly,
+        KernelStrategy::Balanced,
+    ];
+
+    /// Plans a random `height x width` grid with a `th x tw` quadrant
+    /// target, merges it with both merges, and checks they agree move
+    /// for move and on the final grid, which the executor must also
+    /// reach.
+    #[allow(clippy::too_many_arguments)]
+    fn assert_matches_reference(
+        height: usize,
+        width: usize,
+        fill: f64,
+        seed: u64,
+        (th, tw): (usize, usize),
+        strategy: KernelStrategy,
+        static_iterations: bool,
+        merge_quadrants: bool,
+    ) -> Result<(), String> {
+        let case = format!(
+            "{height}x{width} fill {fill:.2} seed {seed} target {th}x{tw} {strategy:?} \
+             static {static_iterations} merge {merge_quadrants}"
+        );
+        let grid = AtomGrid::random(height, width, fill, &mut seeded_rng(seed));
+        let map = QuadrantMap::new(height, width).unwrap();
+        let kernel = ShiftKernel::new(
+            KernelConfig::new(th, tw)
+                .with_strategy(strategy)
+                .with_static_iterations(static_iterations)
+                .with_max_iterations(4),
+        );
+        let outcomes: Vec<KernelOutcome> = map
+            .split(&grid)
+            .unwrap()
+            .iter()
+            .map(|q| kernel.run(q).unwrap())
+            .collect();
+        let outcomes: [KernelOutcome; 4] = outcomes.try_into().unwrap();
+        let config = MergeConfig { merge_quadrants };
+        let new = merge_outcomes(&grid, &map, &outcomes, &config).unwrap();
+        let old = reference::merge_outcomes(&grid, &map, &outcomes, &config).unwrap();
+        if new.schedule != old.schedule {
+            let first = new
+                .schedule
+                .iter()
+                .zip(old.schedule.iter())
+                .position(|(a, b)| a != b);
+            return Err(format!(
+                "{case}: schedules differ ({} vs {} moves, first difference at {first:?})",
+                new.schedule.len(),
+                old.schedule.len()
+            ));
+        }
+        if new.final_grid != old.final_grid {
+            return Err(format!("{case}: final grids differ"));
+        }
+        let executed = Executor::new().run(&grid, &new.schedule).unwrap();
+        if executed.final_grid != new.final_grid {
+            return Err(format!(
+                "{case}: schedule does not execute to the final grid"
+            ));
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn multi_word_lines_match_reference_for_every_configuration() {
+        // Sides above 64 so lines span two or three words, square and
+        // not, in both orientations.
+        for (height, width) in [(130, 70), (70, 130), (66, 66), (98, 40), (2, 140)] {
+            let target = (height / 4, width / 4);
+            for strategy in STRATEGIES {
+                for static_iterations in [false, true] {
+                    for merge_quadrants in [true, false] {
+                        let seed = (height * 1000 + width) as u64;
+                        assert_matches_reference(
+                            height,
+                            width,
+                            0.5,
+                            seed,
+                            (target.0.max(1), target.1.max(1)),
+                            strategy,
+                            static_iterations,
+                            merge_quadrants,
+                        )
+                        .unwrap();
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn word_level_merge_matches_reference(
+            half_height in 1usize..50,
+            half_width in 1usize..50,
+            fill in 0.2f64..0.9,
+            seed in any::<u64>(),
+            target in (0.1f64..1.0, 0.1f64..1.0),
+            strategy in 0usize..3,
+            static_iterations in any::<bool>(),
+            merge_quadrants in any::<bool>(),
+        ) {
+            let th = ((half_height as f64 * target.0) as usize).clamp(1, half_height);
+            let tw = ((half_width as f64 * target.1) as usize).clamp(1, half_width);
+            let checked = assert_matches_reference(
+                2 * half_height,
+                2 * half_width,
+                fill,
+                seed,
+                (th, tw),
+                STRATEGIES[strategy],
+                static_iterations,
+                merge_quadrants,
+            );
+            prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+        }
+    }
+
+    #[test]
+    fn shift_selected_all_ones_round_trips_across_words() {
+        let mut rng = seeded_rng(5);
+        for width in [130, 140] {
+            let all = bitline::range_mask(bitline::words_for(width), 0, width);
+            // Atoms on both sides of each word boundary, then random lines.
+            let mut lines = vec![AtomGrid::new(1, width).unwrap()];
+            for pos in [0, 62, 63, 64, 65, 127, 128, width - 2] {
+                lines[0].set_unchecked(0, pos, true);
+            }
+            lines.extend((0..8).map(|_| AtomGrid::random(1, width, 0.5, &mut rng)));
+            for grid in lines {
+                let mut line = grid.row_bits(0).to_vec();
+                // The top site must be clear or going up drops its atom.
+                bitline::set(&mut line, width - 1, false);
+                let original = line.clone();
+                shift_selected(&mut line, &all, width, true);
+                assert_eq!(
+                    line,
+                    bitline::shift_up_one(&original, width),
+                    "up, width {width}"
+                );
+                shift_selected(&mut line, &all, width, false);
+                assert_eq!(line, original, "up then down, width {width}");
+            }
+        }
+    }
+
+    #[test]
+    fn shift_selected_moves_only_selected_atoms_across_a_word_boundary() {
+        let width = 130;
+        let line_of = |bits: &[usize]| {
+            let mut line = vec![0u64; bitline::words_for(width)];
+            for &b in bits {
+                bitline::set(&mut line, b, true);
+            }
+            line
+        };
+        let mut line = line_of(&[10, 63, 127]);
+        shift_selected(&mut line, &line_of(&[63, 127]), width, true);
+        assert_eq!(line, line_of(&[10, 64, 128]));
+        shift_selected(&mut line, &line_of(&[64, 128]), width, false);
+        assert_eq!(line, line_of(&[10, 63, 127]));
+    }
 
     fn merge_random(
         size: usize,

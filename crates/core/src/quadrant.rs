@@ -193,8 +193,8 @@ impl QuadrantMap {
     /// filled with the canonically-oriented quadrant, skipping the four
     /// intermediate `subgrid`/`flip_*` allocations per quadrant. The
     /// engine's [`PlanContext`](crate::engine::PlanContext) feeds
-    /// retired quadrant grids back through here, which makes steady-state
-    /// batch decomposition allocation-free. Produces exactly the grids
+    /// retired quadrant grids back through here, so a steady-state split
+    /// allocates nothing. Produces exactly the grids
     /// [`split`](Self::split) returns.
     ///
     /// # Errors

@@ -1,0 +1,114 @@
+//! Allocation budget of the cross-quadrant merge.
+//!
+//! `merge_outcomes` may allocate the two lists of each move it emits
+//! (its rows and columns), plus a constant set of buffers it reuses from
+//! wave to wave and the schedule's amortised growth. This binary counts
+//! the calling thread's heap allocations with a counting global
+//! allocator, so it lives in a test binary of its own.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use qrm_core::grid::AtomGrid;
+use qrm_core::kernel::{KernelConfig, KernelOutcome, KernelStrategy, ShiftKernel};
+use qrm_core::loading::seeded_rng;
+use qrm_core::merge::{merge_outcomes, MergeConfig};
+use qrm_core::quadrant::QuadrantMap;
+
+thread_local! {
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Counts `alloc`, `alloc_zeroed` and `realloc` calls per thread.
+struct Counting;
+
+fn bump() {
+    // `try_with`: the slot is gone while the thread tears down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call forwards unchanged to `System`; counting touches
+// only a const-initialised thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
+
+/// Buffers a merge call may allocate besides its moves: the live and
+/// spare grids, the union and line-set buffers and the schedule vector,
+/// each with a few growth steps.
+const CONSTANT: usize = 64;
+
+#[test]
+fn merge_allocates_two_lists_per_move_plus_a_constant() {
+    for (size, strategy, iterations) in [
+        (16, KernelStrategy::Greedy, 4),
+        (50, KernelStrategy::Greedy, 4),
+        (50, KernelStrategy::Balanced, 12),
+        (90, KernelStrategy::Greedy, 4),
+        (90, KernelStrategy::Balanced, 12),
+    ] {
+        for seed in [1, 2] {
+            let grid = AtomGrid::random(size, size, 0.55, &mut seeded_rng(seed));
+            let map = QuadrantMap::new(size, size).unwrap();
+            let half_target = (size * 3 / 5) / 2;
+            let kernel = ShiftKernel::new(
+                KernelConfig::new(half_target, half_target)
+                    .with_strategy(strategy)
+                    .with_max_iterations(iterations),
+            );
+            let outcomes: Vec<KernelOutcome> = map
+                .split(&grid)
+                .unwrap()
+                .iter()
+                .map(|q| kernel.run(q).unwrap())
+                .collect();
+            let outcomes: [KernelOutcome; 4] = outcomes.try_into().unwrap();
+            for merge_quadrants in [true, false] {
+                let config = MergeConfig { merge_quadrants };
+                let before = allocations();
+                let merged = merge_outcomes(&grid, &map, &outcomes, &config).unwrap();
+                let spent = allocations() - before;
+                let moves = merged.schedule.len();
+                assert!(moves > 0, "{size}x{size} seed {seed}: nothing to merge");
+                assert!(
+                    spent <= 2 * moves + CONSTANT,
+                    "{size}x{size} {strategy:?} seed {seed} merge {merge_quadrants}: \
+                     {spent} allocations for {moves} moves (budget {})",
+                    2 * moves + CONSTANT
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn the_counter_sees_this_threads_allocations() {
+    let before = allocations();
+    let v: Vec<u64> = Vec::with_capacity(8);
+    assert_eq!(allocations() - before, 1);
+    drop(v);
+}

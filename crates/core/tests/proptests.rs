@@ -7,11 +7,21 @@ use qrm_core::grid::AtomGrid;
 use qrm_core::quadrant::QuadrantMap;
 use rand::SeedableRng;
 
+/// Even-sided grids, up to 30 sites on one side and 94 on the other in
+/// either orientation, so rows or columns reach a second `u64` word.
 fn arb_grid() -> impl Strategy<Value = AtomGrid> {
-    (1usize..16, 1usize..16, 0.0f64..1.0, any::<u64>()).prop_map(|(h, w, fill, seed)| {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        AtomGrid::random(h * 2, w * 2, fill, &mut rng)
-    })
+    (
+        1usize..16,
+        1usize..48,
+        any::<bool>(),
+        0.0f64..1.0,
+        any::<u64>(),
+    )
+        .prop_map(|(short, long, tall, fill, seed)| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let (h, w) = if tall { (long, short) } else { (short, long) };
+            AtomGrid::random(h * 2, w * 2, fill, &mut rng)
+        })
 }
 
 fn arb_line() -> impl Strategy<Value = (Vec<u64>, usize)> {
@@ -46,6 +56,19 @@ proptest! {
         prop_assert_eq!(grid.transpose().transpose(), grid.clone());
         prop_assert_eq!(grid.flip_horizontal().atom_count(), grid.atom_count());
         prop_assert_eq!(grid.transpose().atom_count(), grid.atom_count());
+    }
+
+    #[test]
+    fn word_transpose_matches_bit_definition(grid in arb_grid()) {
+        let mut expect = AtomGrid::new(grid.width(), grid.height()).unwrap();
+        for p in grid.occupied() {
+            expect.set(Position::new(p.col, p.row), true).unwrap();
+        }
+        // A mis-shaped scratch with stale contents.
+        let mut out = AtomGrid::parse("#.#").unwrap();
+        grid.transpose_into(&mut out);
+        prop_assert_eq!(&out, &expect);
+        prop_assert_eq!(grid.transpose(), expect);
     }
 
     #[test]
