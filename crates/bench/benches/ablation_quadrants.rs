@@ -5,7 +5,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qrm_bench::paper_instance;
-use qrm_core::scheduler::{QrmConfig, QrmScheduler, Rearranger};
+use qrm_core::planner::Planner;
+use qrm_core::scheduler::{QrmConfig, QrmScheduler};
 use qrm_core::typical::TypicalScheduler;
 
 fn bench_quadrants(c: &mut Criterion) {

@@ -38,7 +38,7 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use qrm_baselines::{HybridScheduler, Mta1Scheduler, PscaScheduler, TetrisScheduler};
-use qrm_control::pipeline::{Pipeline, PipelineConfig, PipelineReport, PlannerChoice};
+use qrm_control::pipeline::{Pipeline, PipelineConfig, PipelineReport, PlannerChoice, Shot};
 use qrm_control::system::{Architecture, SystemModel};
 use qrm_core::engine::PlanEngine;
 use qrm_core::geometry::Rect;
@@ -51,6 +51,7 @@ use qrm_core::typical::TypicalScheduler;
 use qrm_fpga::accelerator::{AcceleratorConfig, QrmAccelerator};
 use qrm_fpga::latency::LatencyModel;
 use qrm_fpga::resources::ResourceModel;
+use qrm_wire::ToJson;
 
 /// Every planner of the workspace as a `dyn Planner` trait object — QRM
 /// (software, paper config), the typical §III-A procedure, the three
@@ -145,7 +146,7 @@ impl Default for SweepConfig {
 }
 
 /// Runs one planner end-to-end over a batch of shots through
-/// [`Pipeline::run_batch`] — imaging, detection, batched planning, and
+/// [`Pipeline::run`] — imaging, detection, batched planning, and
 /// schedule execution all as jobs on the persistent worker pool — and
 /// aggregates the reports. The workload is `shots` random `size x size`
 /// arrays at 55 % fill against a centred ~60 % target.
@@ -154,20 +155,20 @@ pub fn pipeline_sweep(name: &'static str, choice: &PlannerChoice, sweep: &SweepC
     // a sweep row and a `SubmitBatch` with the same (shots, size, seed)
     // plan bit-identical batches.
     let spec = qrm_server::BatchSpec::new(sweep.shots, sweep.size, sweep.seed);
-    let truths = spec.workload().expect("valid sweep workload").truths;
-    let target = spec.target().expect("valid sweep target");
+    let shots = spec.workload().expect("valid sweep workload").into_shots();
     let pipeline = Pipeline::new(PipelineConfig {
-        planner: choice.clone(),
         workers: sweep.workers,
         loss_prob: sweep.loss_prob,
         max_rounds: sweep.rounds,
         ..PipelineConfig::default()
     });
+    let planner = choice.resolve(sweep.workers);
     let pool_before = rayon::global_pool_stats();
     let t0 = Instant::now();
     let reports = pipeline
-        .run_batch(&truths, &target, sweep.seed)
-        .expect("sweep batch");
+        .run(&*planner, &shots, sweep.seed)
+        .expect("sweep batch")
+        .reports;
     let wall_us = t0.elapsed().as_secs_f64() * 1e6;
     let pool = rayon::global_pool_stats().since(&pool_before);
     let total = reports.len();
@@ -593,15 +594,15 @@ pub fn engine_workload(size: usize, shots: usize) -> Vec<(AtomGrid, Rect)> {
 /// A deliberately *skewed* batch for the dataflow-scheduler benchmark:
 /// every fourth shot (starting with shot 0, so the straggler leads the
 /// batch) is a `large x large` instance, the rest are `small x small`.
-/// Under the old stage barriers every small shot's round waited for
-/// the stragglers; the shot-level dataflow scheduler lets small shots
-/// run ahead, which `bench-trajectory` measures as the median per-shot
-/// completion time (`pipeline_skewed` vs `pipeline_skewed_barriered`).
-pub fn skewed_workload(shots: usize, small: usize, large: usize) -> Vec<(AtomGrid, Rect)> {
+/// The shot-level dataflow scheduler lets small shots run ahead of the
+/// stragglers, which `bench-trajectory` measures as the median
+/// per-shot completion time (`pipeline_skewed`).
+pub fn skewed_workload(shots: usize, small: usize, large: usize) -> Vec<Shot> {
     (0..shots)
         .map(|i| {
             let size = if i % 4 == 0 { large } else { small };
-            paper_instance(size, 8100 + i as u64)
+            let (truth, target) = paper_instance(size, 8100 + i as u64);
+            Shot::new(truth, target)
         })
         .collect()
 }
@@ -769,6 +770,10 @@ pub struct DigestRow {
     /// Physical tweezer time across all rounds (µs; exact f64 sum in
     /// fixed submission order).
     pub motion_us: f64,
+    /// FNV-1a 64 over every served batch's canonical report JSON, folded
+    /// in fixed submission order — two runs print the same value only
+    /// if every report matches byte for byte.
+    pub payload: u64,
 }
 
 impl DigestRow {
@@ -777,7 +782,7 @@ impl DigestRow {
     /// payloads render byte-identically.
     pub fn line(&self) -> String {
         format!(
-            "digest planner={} batches={} shots={} filled={} rounds={} moves={} lost={} motion_us={}",
+            "digest planner={} batches={} shots={} filled={} rounds={} moves={} lost={} motion_us={} payload={:016x}",
             self.planner,
             self.batches,
             self.shots,
@@ -785,7 +790,8 @@ impl DigestRow {
             self.rounds,
             self.moves,
             self.lost,
-            self.motion_us
+            self.motion_us,
+            self.payload
         )
     }
 }
@@ -871,11 +877,23 @@ where
                     row.moves += partial.moves;
                     row.lost += partial.lost;
                     row.motion_us += partial.motion_us;
+                    row.payload = fnv1a(&partial.payload.to_le_bytes(), row.payload);
                 }
             }
         }
     }
     (rows.into_values().collect(), wall_us)
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues an FNV-1a 64 hash over `bytes`.
+fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0100_0000_01b3);
+    }
+    hash
 }
 
 /// Folds one served report into a client's per-planner partial rows.
@@ -895,8 +913,10 @@ fn fold_report(
             moves: 0,
             lost: 0,
             motion_us: 0.0,
+            payload: FNV_OFFSET,
         });
     row.batches += 1;
+    row.payload = fnv1a(report.reports.to_json().as_bytes(), row.payload);
     row.shots += report.shots();
     row.filled += report.filled();
     for shot in &report.reports {

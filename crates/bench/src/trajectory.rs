@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use criterion::Criterion;
-use qrm_control::pipeline::{Pipeline, PipelineConfig, PlannerChoice};
+use qrm_control::pipeline::{Pipeline, PipelineConfig};
 use qrm_core::engine::PlanEngine;
 use qrm_core::planner::Planner;
 use qrm_core::scheduler::{QrmConfig, QrmScheduler};
@@ -105,7 +105,7 @@ pub struct Trajectory {
     pub kernel_us: f64,
     /// Median µs for a `PlanEngine::plan_batch` of 4 shots at size 16.
     pub engine_us: f64,
-    /// Median µs for a `Pipeline::run_batch` of 4 shots at size 16.
+    /// Median µs for a `Pipeline::run` of 4 shots at size 16.
     pub pipeline_us: f64,
     /// Median µs for one in-process `PlanService::submit`.
     pub service_us: f64,
@@ -132,9 +132,6 @@ pub struct Trajectory {
     /// ([`crate::skewed_workload`]) under the shot-level dataflow
     /// scheduler.
     pub pipeline_skewed_us: f64,
-    /// The same workload, same run, through the preserved stage-barrier
-    /// baseline (`Pipeline::run_shots_barriered`).
-    pub pipeline_skewed_barriered_us: f64,
     /// Per-hand-off cost (ns) of a 256-deep spawn chain on the pool —
     /// the primitive a dataflow shot's observe→plan→execute task chain
     /// is built from.
@@ -184,12 +181,13 @@ pub fn measure(config: &TrajectoryConfig) -> Trajectory {
             .expect("engine median");
 
     // Pipeline layer: full closed-loop rounds (imaging, planning,
-    // execution, loss) with per-item sharded stages.
-    let spec = qrm_server::BatchSpec::new(4, 16, 606);
-    let truths = spec.workload().expect("pipeline workload").truths;
-    let rect = spec.target().expect("pipeline target");
+    // execution, loss) as per-shot dataflow chains.
+    let planner = QrmScheduler::new(QrmConfig::paper());
+    let shots = qrm_server::BatchSpec::new(4, 16, 606)
+        .workload()
+        .expect("pipeline workload")
+        .into_shots();
     let pipeline = Pipeline::new(PipelineConfig {
-        planner: PlannerChoice::Software(QrmConfig::paper()),
         workers: 0,
         max_rounds: 2,
         ..PipelineConfig::default()
@@ -197,11 +195,7 @@ pub fn measure(config: &TrajectoryConfig) -> Trajectory {
     let pipeline_us = 1e6
         * group
             .bench_median("pipeline", |b| {
-                b.iter(|| {
-                    pipeline
-                        .run_batch(&truths, &rect, 606)
-                        .expect("pipeline batch")
-                });
+                b.iter(|| pipeline.run(&planner, &shots, 606).expect("pipeline batch"));
             })
             .expect("pipeline median");
 
@@ -213,27 +207,22 @@ pub fn measure(config: &TrajectoryConfig) -> Trajectory {
         qrm_server::BatchSpec::new(4, 16, 606).with_scenario(qrm_server::Scenario::DefectMap {
             dead_fraction: 0.08,
         });
-    let hostile = hostile_spec.workload().expect("hostile workload");
-    let hostile_config = PipelineConfig {
-        planner: PlannerChoice::Software(QrmConfig::paper()),
+    let hostile = hostile_spec
+        .workload()
+        .expect("hostile workload")
+        .into_shots();
+    let hostile_pipeline = Pipeline::new(PipelineConfig {
         workers: 0,
         max_rounds: 2,
         loss_prob: 0.02,
         ..PipelineConfig::default()
-    };
-    let hostile_planner = hostile_config.planner.resolve(hostile_config.workers);
-    let hostile_pipeline = Pipeline::new(hostile_config);
+    });
     let pipeline_hostile_us = 1e6
         * group
             .bench_median("pipeline_hostile", |b| {
                 b.iter(|| {
                     hostile_pipeline
-                        .run_batch_zones_tracked(
-                            &*hostile_planner,
-                            &hostile.truths,
-                            &hostile.zones,
-                            606,
-                        )
+                        .run(&planner, &hostile, 606)
                         .expect("hostile batch")
                 });
             })
@@ -361,40 +350,27 @@ pub fn measure(config: &TrajectoryConfig) -> Trajectory {
     streamed_server.shutdown();
     drop(streamed_client);
 
-    // Skewed-pipeline layer: the dataflow scheduler vs the preserved
-    // stage-barrier baseline, same workload, same planner, same run.
-    // The metric is the median *per-shot completion* time — on a
-    // one-core host total wall time cannot improve, but small shots no
-    // longer wait for the straggler's rounds, so their completion
-    // distribution does.
-    let skewed_config = PipelineConfig {
-        planner: PlannerChoice::Software(QrmConfig::paper()),
+    // Skewed-pipeline layer: a few large shots among many small ones.
+    // The metric is the median *per-shot completion* time — small shots
+    // never wait for the stragglers' rounds, so their completion
+    // distribution shows what the dataflow schedule buys.
+    let skewed_planner = QrmScheduler::new(QrmConfig::paper()).with_workers(4);
+    let skewed_pipeline = Pipeline::new(PipelineConfig {
         workers: 4,
         max_rounds: 3,
         ..PipelineConfig::default()
-    };
-    let skewed_planner = skewed_config.planner.resolve(skewed_config.workers);
-    let skewed_pipeline = Pipeline::new(skewed_config);
-    let skewed_jobs = crate::skewed_workload(SKEWED_SHOTS, 12, 24);
+    });
+    let skewed_shots = crate::skewed_workload(SKEWED_SHOTS, 12, 24);
     let reps = config.sample_size.max(2);
-    let mut dataflow_completions = Vec::new();
-    let mut barriered_completions = Vec::new();
+    let mut completions = Vec::new();
     for _ in 0..reps {
         let run = skewed_pipeline
-            .run_shots_with(&*skewed_planner, &skewed_jobs, 4242)
-            .expect("skewed dataflow batch");
-        dataflow_completions.extend(run.completion_us);
-        let run = skewed_pipeline
-            .run_shots_barriered(&*skewed_planner, &skewed_jobs, 4242)
-            .expect("skewed barriered batch");
-        barriered_completions.extend(run.completion_us);
+            .run(&skewed_planner, &skewed_shots, 4242)
+            .expect("skewed batch");
+        completions.extend(run.completion_us);
     }
-    let pipeline_skewed_us = median(dataflow_completions);
-    let pipeline_skewed_barriered_us = median(barriered_completions);
-    println!(
-        "trajectory/pipeline_skewed: median shot completion {pipeline_skewed_us:.1} us \
-         (dataflow) vs {pipeline_skewed_barriered_us:.1} us (barriered)"
-    );
+    let pipeline_skewed_us = median(completions);
+    println!("trajectory/pipeline_skewed: median shot completion {pipeline_skewed_us:.1} us");
 
     // Spawn-chain hand-off cost: the scheduling primitive under every
     // dataflow shot's observe→plan→execute chain.
@@ -421,7 +397,6 @@ pub fn measure(config: &TrajectoryConfig) -> Trajectory {
         http_cached_us,
         http_streamed_us,
         pipeline_skewed_us,
-        pipeline_skewed_barriered_us,
         spawn_chain_ns,
         chase_lev,
         mutex,
@@ -539,10 +514,6 @@ pub fn to_json(trajectory: &Trajectory, quick: bool) -> String {
                 // Added in PR 7; optional for the validator so older
                 // snapshots (BENCH_6 and before) keep validating.
                 ("pipeline_skewed", Value::F64(trajectory.pipeline_skewed_us)),
-                (
-                    "pipeline_skewed_barriered",
-                    Value::F64(trajectory.pipeline_skewed_barriered_us),
-                ),
                 // Added in PR 8 (the response cache); optional for the
                 // same reason.
                 ("service_cached", Value::F64(trajectory.service_cached_us)),
@@ -581,6 +552,8 @@ pub const LAYER_KEYS: [&str; 5] = ["kernel", "engine", "pipeline", "service", "h
 /// finite and positive when present. `pipeline_skewed*` arrived in
 /// PR 7, the cached-path medians in PR 8, the streamed-response
 /// median in PR 9, the hostile-array median in PR 10.
+/// `pipeline_skewed_barriered` is no longer measured (the barriered
+/// baseline is gone) but still validates in BENCH_7–10.
 pub const OPTIONAL_LAYER_KEYS: [&str; 6] = [
     "pipeline_skewed",
     "pipeline_skewed_barriered",
@@ -676,7 +649,7 @@ pub fn summary(trajectory: &Trajectory) -> String {
          hostile pipeline us: {:.1} (vs {:.1} uniform)\n\
          cached-path us: service {:.1} (vs {:.1} uncached) | http {:.1} (vs {:.1} uncached)\n\
          streamed http us: {:.1} (vs {:.1} whole-body)\n\
-         skewed shot completion us (median): dataflow {:.1} vs barriered {:.1}\n\
+         skewed shot completion us (median): {:.1}\n\
          spawn chain hand-off ns: {:.1}\n\
          pool steal/s (1 thief): chase_lev {:.0} vs mutex {:.0}\n\
          pool steal/s (4 thieves): chase_lev {:.0} vs mutex {:.0}\n\
@@ -695,7 +668,6 @@ pub fn summary(trajectory: &Trajectory) -> String {
         trajectory.http_streamed_us,
         trajectory.http_us,
         trajectory.pipeline_skewed_us,
-        trajectory.pipeline_skewed_barriered_us,
         trajectory.spawn_chain_ns,
         trajectory.chase_lev.steal_per_s_1_thief,
         trajectory.mutex.steal_per_s_1_thief,

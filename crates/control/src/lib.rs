@@ -19,30 +19,38 @@
 //!
 //! ## Quick example
 //!
-//! One full image→detect→plan→move cycle (with re-imaging rounds) on a
-//! simulated trap array:
+//! A batch of full image→detect→plan→move cycles (with re-imaging
+//! rounds) on simulated trap arrays. [`Pipeline::run`] is the one entry
+//! point: it takes the planner, the shots and a base seed, and runs every
+//! shot as its own observe → plan → execute chain on the worker pool.
 //!
 //! ```
-//! use qrm_control::pipeline::{Pipeline, PipelineConfig, PlannerChoice};
+//! use qrm_control::pipeline::{Pipeline, PipelineConfig, PlannerChoice, Shot};
 //! use qrm_core::geometry::Rect;
 //! use qrm_core::grid::AtomGrid;
 //! use qrm_core::loading::seeded_rng;
 //!
 //! # fn main() -> Result<(), qrm_core::Error> {
 //! let mut rng = seeded_rng(40);
-//! let truth = AtomGrid::random(16, 16, 0.6, &mut rng);
 //! let target = Rect::centered(16, 16, 8, 8)?;
+//! let shots: Vec<Shot> = (0..2)
+//!     .map(|_| Shot::new(AtomGrid::random(16, 16, 0.6, &mut rng), target))
+//!     .collect();
 //!
 //! let pipeline = Pipeline::new(PipelineConfig {
 //!     loss_prob: 0.01, // 1 % per-move transport loss
 //!     max_rounds: 3,   // re-image and repair up to twice
 //!     ..PipelineConfig::default()
 //! });
-//! let report = pipeline.run(&truth, &target, &mut rng)?;
-//! assert!(report.rounds.len() <= 3);
+//! let planner = PlannerChoice::default().resolve(pipeline.config().workers);
+//! let run = pipeline.run(&*planner, &shots, 40)?;
+//! assert_eq!(run.reports.len(), 2);
+//! assert!(run.reports.iter().all(|report| report.rounds.len() <= 3));
 //! # Ok(())
 //! # }
 //! ```
+//!
+//! [`Pipeline::run`]: pipeline::Pipeline::run
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -13,7 +13,7 @@ use rand::Rng;
 
 use qrm_baselines::{HybridScheduler, Mta1Scheduler, PscaScheduler, TetrisScheduler};
 use qrm_core::engine::dataflow::{DataflowStats, ShotProgram, ShotScheduler};
-use qrm_core::engine::{resolve_workers, shard_map_granular, ShardGranularity};
+use qrm_core::engine::resolve_workers;
 use qrm_core::error::Error;
 use qrm_core::executor::{CollisionPolicy, Executor};
 use qrm_core::geometry::Rect;
@@ -29,11 +29,15 @@ use qrm_vision::prelude::*;
 
 use crate::awg::{AodCalibration, ToneProgram};
 
-/// Which planner drives the cycle — the pipeline's config surface over
-/// the workspace's planners. Every variant resolves to a
-/// `Box<dyn Planner>` ([`resolve`](PlannerChoice::resolve)); the
-/// pipeline itself dispatches only through the trait, so adding a
-/// planner here is a one-line construction, not a new code path.
+#[cfg(any(test, feature = "test-hooks"))]
+pub mod reference;
+
+/// Which planner drives the cycle — the config surface (CLI names,
+/// service registrations) over the workspace's planners. Every variant
+/// resolves to a `Box<dyn Planner>` ([`resolve`](PlannerChoice::resolve))
+/// that callers hand to [`Pipeline::run`]; the pipeline itself
+/// dispatches only through the trait, so adding a planner here is a
+/// one-line construction, not a new code path.
 ///
 /// (Previously named `Planner`; that name now refers to the trait in
 /// [`qrm_core::planner`].)
@@ -195,12 +199,11 @@ pub struct PipelineConfig {
     pub detector: Detector,
     /// Trap-to-pixel geometry pitch (pixels).
     pub pitch_px: f64,
-    /// Planner choice.
-    pub planner: PlannerChoice,
-    /// Batch worker count for planners with a parallel core (`0` =
-    /// automatic, one per core). Workers are jobs on the persistent
-    /// global pool — raising this spawns no OS threads after pool
-    /// initialisation.
+    /// Worker count of the dataflow schedule (`0` = automatic, one per
+    /// core), and the count callers pass to
+    /// [`PlannerChoice::resolve`] for the planner they run with.
+    /// Workers are jobs on the persistent global pool — raising this
+    /// spawns no OS threads after pool initialisation.
     pub workers: usize,
     /// Physical motion model for AWG compilation.
     pub motion: MotionModel,
@@ -226,7 +229,6 @@ impl Default for PipelineConfig {
             imaging: ImagingConfig::default(),
             detector: Detector::default(),
             pitch_px: 6.0,
-            planner: PlannerChoice::default(),
             workers: 0,
             motion: MotionModel::typical(),
             loss_prob: 0.0,
@@ -280,23 +282,18 @@ impl PipelineReport {
     }
 }
 
-/// A batched run's reports plus its schedule diagnostics — what the
-/// instrumented entry points ([`Pipeline::run_batch_tracked`],
-/// [`Pipeline::run_shots_with`], [`Pipeline::run_shots_barriered`])
-/// return. The reports are bit-identical across entry points and worker
-/// counts; the diagnostics describe the particular schedule that
-/// produced them.
+/// A batched run's reports plus its schedule diagnostics — what
+/// [`Pipeline::run`] returns. The reports are bit-identical across
+/// worker counts and schedules; the diagnostics describe the particular
+/// schedule that produced them.
 #[derive(Debug, Clone)]
 pub struct BatchRun {
     /// Per-shot reports, in input order.
     pub reports: Vec<PipelineReport>,
-    /// Dataflow-scheduler counters (all zero for the barriered
-    /// baseline, which never overlaps rounds).
+    /// Dataflow-scheduler counters.
     pub stats: DataflowStats,
     /// Per-shot completion time in µs from batch start — the moment the
-    /// runner knew the shot's report was final. The tail-latency
-    /// quantity the skewed-workload benchmark compares between the
-    /// dataflow schedule and the barriered baseline.
+    /// scheduler knew the shot's report was final.
     pub completion_us: Vec<f64>,
     /// Per-shot replayable move traces, in input order — present iff
     /// the pipeline ran with
@@ -371,6 +368,26 @@ impl Zone {
     }
 }
 
+/// One shot of a batch: the true occupancy of one trap array and the
+/// target zones its rounds assemble, in fill-priority order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Shot {
+    /// True occupancy before the first round.
+    pub truth: AtomGrid,
+    /// Target zones: each round plans against the first one not yet
+    /// defect-free. Empty means trivially filled (no rounds run).
+    pub zones: Vec<Zone>,
+}
+
+impl Shot {
+    /// A shot assembling one `target` with the whole array as its tile
+    /// — the classic single-target shape.
+    pub fn new(truth: AtomGrid, target: Rect) -> Self {
+        let zones = vec![Zone::full_array(truth.height(), truth.width(), target)];
+        Shot { truth, zones }
+    }
+}
+
 /// The first zone of `zones` whose target is not yet defect-free in
 /// `state` — the zone the next round plans against. `None` means the
 /// whole multi-zone pattern is assembled. With a single full-array
@@ -423,17 +440,8 @@ impl Pipeline {
         &self.config
     }
 
-    /// The configured planner as a trait object, so single-shot and
-    /// batched paths share one construction. The returned planner is
-    /// long-lived for a whole run, so its internal plan context (QRM,
-    /// FPGA) recycles scratch across rounds.
-    fn planner(&self) -> Box<dyn Planner> {
-        self.config.planner.resolve(self.config.workers)
-    }
-
     /// The observation half of one round: synthesise a frame from the
-    /// true occupancy and detect atoms. Shared by [`run`](Self::run) and
-    /// [`run_batch`](Self::run_batch) so the two stay report-identical.
+    /// true occupancy and detect atoms.
     fn observe<R: Rng + ?Sized>(
         &self,
         state: &AtomGrid,
@@ -449,8 +457,7 @@ impl Pipeline {
     /// The actuation half of one round: compile the plan for the AWG
     /// (validates the move encoding) and execute it on the true
     /// occupancy with transport loss, advancing `state` and producing
-    /// the round report. Shared by [`run`](Self::run) and
-    /// [`run_batch`](Self::run_batch).
+    /// the round report.
     ///
     /// Detection errors can make a planned move land on an atom the
     /// detector missed; physically that light-assisted collision ejects
@@ -493,133 +500,41 @@ impl Pipeline {
         })
     }
 
-    /// Runs up to `max_rounds` image→detect→plan→move rounds on the true
-    /// occupancy `truth`, stopping early once `target` is defect-free.
-    ///
-    /// # Errors
-    ///
-    /// Propagates planner and executor failures; detection errors cannot
-    /// occur for matching layouts.
-    pub fn run<R: Rng + ?Sized>(
-        &self,
-        truth: &AtomGrid,
-        target: &Rect,
-        rng: &mut R,
-    ) -> Result<PipelineReport, Error> {
-        let zones = [Zone::full_array(truth.height(), truth.width(), *target)];
-        self.run_zones(truth, &zones, rng).map(|(report, _)| report)
-    }
-
-    /// [`run`](Self::run) against a **multi-zone** target pattern: each
-    /// round plans against the first [`Zone`] whose target is not yet
-    /// defect-free (earlier zones are repaired before later ones are
-    /// attempted), and the run is `filled` once every zone is. A single
-    /// full-array zone is byte-identical to [`run`](Self::run). Also
-    /// returns the shot's replayable trace when the pipeline records
-    /// traces ([`PipelineConfig::record_trace`]).
-    ///
-    /// An empty `zones` slice is trivially filled: no rounds run.
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`run`](Self::run).
-    pub fn run_zones<R: Rng + ?Sized>(
-        &self,
-        truth: &AtomGrid,
-        zones: &[Zone],
-        rng: &mut R,
-    ) -> Result<(PipelineReport, Option<ShotTrace>), Error> {
-        let mut state = truth.clone();
-        let mut rounds = Vec::new();
-        let mut trace = self.config.record_trace.then(ShotTrace::default);
-        let layout = TrapLayout::new(state.height(), state.width(), self.config.pitch_px, 4.0);
-        let planner = self.planner();
-        // The planner's transport contract (strict AOD sweeps, or
-        // endpoints-only for single-tweezer planners) plus the control
-        // loop's eject-on-collision recovery policy.
-        let executor = planner
-            .executor()
-            .with_collision_policy(CollisionPolicy::Eject);
-
-        for _ in 0..self.config.max_rounds {
-            let Some(zone) = first_unfilled(&state, zones)? else {
-                break;
-            };
-            // Image + detect, plan on the *detected* occupancy (in the
-            // zone's tile frame), execute on the true one.
-            let (detection, detection_fidelity) = self.observe(&state, &layout, rng)?;
-            let covers = zone.covers(&detection.grid);
-            let (plan_grid, plan_target) = zone.plan_job(detection.grid)?;
-            let plan = planner.plan(&plan_grid, &plan_target)?;
-            let translated;
-            let schedule = if covers {
-                &plan.schedule
-            } else {
-                translated =
-                    translate_schedule(&plan.schedule, &zone.tile, state.height(), state.width());
-                &translated
-            };
-            let round = self.execute_round(
-                &executor,
-                &mut state,
-                zones,
-                schedule,
-                detection_fidelity,
-                rng,
-                trace.as_mut(),
-            )?;
-            let filled = round.filled;
-            rounds.push(round);
-            if filled {
-                break;
-            }
-        }
-
-        let filled = first_unfilled(&state, zones)?.is_none();
-        Ok((
-            PipelineReport {
-                rounds,
-                final_state: state,
-                filled,
-            },
-            trace,
-        ))
-    }
-
-    /// The RNG driving shot `index` of a batched run with `base_seed`.
-    ///
-    /// Exposed so callers can reproduce any single shot of
-    /// [`run_batch`](Self::run_batch) through [`run`](Self::run): the two
-    /// are report-identical for the same shot.
+    /// The RNG driving shot `index` of a [`run`](Self::run) with base
+    /// `seed`. A one-shot run with base seed `s` draws from
+    /// `seeded_rng(s)`.
     pub fn shot_rng(base_seed: u64, index: usize) -> StdRng {
         seeded_rng(base_seed ^ (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
     }
 
     /// Runs a batch of independent shots (one camera frame / trap array
-    /// each) against a common target, scheduling rounds as **shot-level
-    /// dataflow** on the persistent worker pool
-    /// ([`qrm_core::engine::dataflow`]): every shot advances through
-    /// its own observe → plan → execute task chain, each task spawning
-    /// its successor, so a fast shot can be executing round *k + 1*
-    /// while a slow shot is still planning round *k* — no stage
-    /// barriers, no straggler stalls.
+    /// each, every shot with its own truth and zones) through up to
+    /// `max_rounds` image → detect → plan → move rounds, stopping each
+    /// shot early once all its zones are defect-free. Each round plans
+    /// against the shot's first [`Zone`] not yet filled, so earlier
+    /// zones are repaired before later ones are attempted.
     ///
-    /// Planning stays batched: shots reaching the plan stage within the
-    /// pool's natural drain window are planned together through the
-    /// planner's batched entry point ([`Planner::plan_batch`]) and its
-    /// warm context pool. Because `plan_batch` is observationally equal
-    /// to per-job planning (the workspace planner contract), group
-    /// membership is invisible in the results: each shot draws from its
-    /// own deterministic RNG ([`shot_rng`](Self::shot_rng)) and lands
-    /// in its own result slot, so reports are **bit-identical** for any
-    /// `workers` setting and any straggler schedule, independent of
-    /// batch composition, and equal to running the shot alone through
-    /// [`run`](Self::run). With `workers <= 1` (counting the automatic
-    /// policy on a 1-core host) the whole batch runs inline, shot by
-    /// shot in index order — the reference schedule the parallel ones
-    /// reproduce. All scheduling only *enqueues* onto the
-    /// process-global pool; no OS threads are spawned after pool
-    /// initialisation.
+    /// Rounds run as **shot-level dataflow** on the persistent worker
+    /// pool ([`qrm_core::engine::dataflow`]): every shot advances
+    /// through its own observe → plan → execute task chain, so a fast
+    /// shot can be executing round *k + 1* while a slow shot is still
+    /// planning round *k*. Shots reaching the plan stage together are
+    /// planned as one group through [`Planner::plan_batch`] and the
+    /// planner's warm context pool. `planner` is the caller's: a
+    /// long-lived service resolves each registered [`PlannerChoice`]
+    /// once and passes the same instance to every call, so batches plan
+    /// warm. `config.workers` sizes the schedule (`0` = one per core).
+    ///
+    /// Because `plan_batch` is observationally equal to per-job
+    /// planning (the workspace planner contract), group membership is
+    /// invisible in the results: shot `i` draws from its own stream
+    /// ([`shot_rng(seed, i)`](Self::shot_rng)) and lands in its own
+    /// result slot, so reports are **bit-identical** for any `workers`
+    /// setting and any straggler schedule, and independent of batch
+    /// composition. With `workers <= 1` (counting the automatic policy
+    /// on a 1-core host) the batch runs inline, shot by shot in index
+    /// order. All scheduling only *enqueues* onto the process-global
+    /// pool; no OS threads are spawned after pool initialisation.
     ///
     /// # Errors
     ///
@@ -627,165 +542,30 @@ impl Pipeline {
     /// shot index among the failures the schedule observed (a
     /// plan-group failure counts against the group's lowest-indexed
     /// shot), after which remaining work is abandoned.
-    pub fn run_batch(
-        &self,
-        truths: &[AtomGrid],
-        target: &Rect,
-        base_seed: u64,
-    ) -> Result<Vec<PipelineReport>, Error> {
-        self.run_batch_with(&*self.planner(), truths, target, base_seed)
-    }
-
-    /// [`run_batch`](Self::run_batch) with a caller-owned planner
-    /// instead of resolving one from the configuration. Only
-    /// `config.planner` is ignored — everything else applies unchanged:
-    /// imaging, loss, and rounds as configured, and the dataflow
-    /// schedule still uses `config.workers` (the planner's own batch
-    /// worker count is whatever the caller resolved it with).
-    ///
-    /// This is the long-lived service entry point: a planning server
-    /// (`qrm_server`) resolves each registered [`PlannerChoice`] **once**
-    /// and reuses the instance across submissions, so every call plans
-    /// warm through the planner's internal context pool instead of
-    /// re-constructing planner state per batch. Reports are
-    /// bit-identical to [`run_batch`](Self::run_batch) with an
-    /// equivalently configured pipeline — planners carry no mutable
-    /// planning state across calls, only recycled allocations.
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`run_batch`](Self::run_batch).
-    pub fn run_batch_with(
-        &self,
-        planner: &dyn Planner,
-        truths: &[AtomGrid],
-        target: &Rect,
-        base_seed: u64,
-    ) -> Result<Vec<PipelineReport>, Error> {
-        self.run_batch_tracked(planner, truths, target, base_seed)
-            .map(|run| run.reports)
-    }
-
-    /// [`run_batch_with`](Self::run_batch_with) returning the
-    /// schedule's diagnostics and per-shot completion times alongside
-    /// the reports — the planning service's entry point, which
-    /// aggregates the [`DataflowStats`] counters into its `/v1/stats`
-    /// wire surface.
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`run_batch`](Self::run_batch).
-    pub fn run_batch_tracked(
-        &self,
-        planner: &dyn Planner,
-        truths: &[AtomGrid],
-        target: &Rect,
-        base_seed: u64,
-    ) -> Result<BatchRun, Error> {
-        self.run_shots_iter(
-            planner,
-            truths.iter().map(|truth| {
-                (
-                    truth,
-                    vec![Zone::full_array(truth.height(), truth.width(), *target)],
-                )
-            }),
-            base_seed,
-        )
-    }
-
-    /// [`run_batch_tracked`](Self::run_batch_tracked) against a
-    /// **multi-zone** target shared by every shot: the batched
-    /// counterpart of [`run_zones`](Self::run_zones), bit-identical to
-    /// running each shot alone through it. This is the scenario-aware
-    /// service entry point — zone lists and trace recording both flow
-    /// through here.
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`run_batch`](Self::run_batch).
-    pub fn run_batch_zones_tracked(
-        &self,
-        planner: &dyn Planner,
-        truths: &[AtomGrid],
-        zones: &[Zone],
-        base_seed: u64,
-    ) -> Result<BatchRun, Error> {
-        self.run_shots_iter(
-            planner,
-            truths.iter().map(|truth| (truth, zones.to_vec())),
-            base_seed,
-        )
-    }
-
-    /// Runs a **heterogeneous** batch: each shot brings its own true
-    /// occupancy *and its own target*, so deliberately imbalanced
-    /// workloads (the skewed benchmark: a few large arrays among many
-    /// small ones) go through the same dataflow schedule. Reports are
-    /// bit-identical to running each shot alone through
-    /// [`run`](Self::run) with its own target and derived RNG.
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`run_batch`](Self::run_batch).
-    pub fn run_shots(
-        &self,
-        jobs: &[(AtomGrid, Rect)],
-        base_seed: u64,
-    ) -> Result<Vec<PipelineReport>, Error> {
-        self.run_shots_with(&*self.planner(), jobs, base_seed)
-            .map(|run| run.reports)
-    }
-
-    /// [`run_shots`](Self::run_shots) with a caller-owned planner,
-    /// returning schedule diagnostics and per-shot completion times.
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`run_batch`](Self::run_batch).
-    pub fn run_shots_with(
-        &self,
-        planner: &dyn Planner,
-        jobs: &[(AtomGrid, Rect)],
-        base_seed: u64,
-    ) -> Result<BatchRun, Error> {
-        self.run_shots_iter(
-            planner,
-            jobs.iter().map(|(truth, target)| {
-                (
-                    truth,
-                    vec![Zone::full_array(truth.height(), truth.width(), *target)],
-                )
-            }),
-            base_seed,
-        )
-    }
-
-    /// The shared dataflow run: build one [`DataflowShot`] program per
-    /// shot and hand the batch to the [`ShotScheduler`].
-    fn run_shots_iter<'a>(
-        &self,
-        planner: &dyn Planner,
-        jobs: impl Iterator<Item = (&'a AtomGrid, Vec<Zone>)>,
-        base_seed: u64,
-    ) -> Result<BatchRun, Error> {
+    pub fn run(&self, planner: &dyn Planner, shots: &[Shot], seed: u64) -> Result<BatchRun, Error> {
         let executor = planner
             .executor()
             .with_collision_policy(CollisionPolicy::Eject);
         let started = Instant::now();
-        let shots: Vec<DataflowShot<'_>> = jobs
+        let programs: Vec<DataflowShot<'_>> = shots
+            .iter()
             .enumerate()
-            .map(|(i, (truth, zones))| DataflowShot {
+            .map(|(i, shot)| DataflowShot {
                 pipeline: self,
                 executor: &executor,
-                zones,
+                zones: &shot.zones,
                 // Grid dimensions never change across rounds, so the
                 // trap-to-pixel layout is per-shot, not per-round.
-                layout: TrapLayout::new(truth.height(), truth.width(), self.config.pitch_px, 4.0),
-                state: truth.clone(),
+                layout: TrapLayout::new(
+                    shot.truth.height(),
+                    shot.truth.width(),
+                    self.config.pitch_px,
+                    4.0,
+                ),
+                state: shot.truth.clone(),
                 rounds: Vec::new(),
                 trace: self.config.record_trace.then(ShotTrace::default),
-                rng: Self::shot_rng(base_seed, i),
+                rng: Self::shot_rng(seed, i),
                 fidelity: 0.0,
                 pending_zone: None,
                 rounds_left: self.config.max_rounds,
@@ -795,16 +575,16 @@ impl Pipeline {
                 index: i,
             })
             .collect();
-        let scheduler = ShotScheduler::new(resolve_workers(self.config.workers, shots.len()));
-        let (shots, stats) = scheduler.run(shots, |group| planner.plan_batch(group))?;
-        let mut reports = Vec::with_capacity(shots.len());
-        let mut completion_us = Vec::with_capacity(shots.len());
+        let scheduler = ShotScheduler::new(resolve_workers(self.config.workers, programs.len()));
+        let (programs, stats) = scheduler.run(programs, |group| planner.plan_batch(group))?;
+        let mut reports = Vec::with_capacity(programs.len());
+        let mut completion_us = Vec::with_capacity(programs.len());
         let mut traces = self
             .config
             .record_trace
-            .then(|| Vec::with_capacity(shots.len()));
-        for shot in shots {
-            let filled = first_unfilled(&shot.state, &shot.zones)?.is_none();
+            .then(|| Vec::with_capacity(programs.len()));
+        for shot in programs {
+            let filled = first_unfilled(&shot.state, shot.zones)?.is_none();
             completion_us.push(shot.completed_us);
             if let Some(traces) = traces.as_mut() {
                 traces.push(shot.trace.unwrap_or_default());
@@ -822,242 +602,16 @@ impl Pipeline {
             traces,
         })
     }
-
-    /// The pre-dataflow baseline, preserved for measurement: the same
-    /// batch with the original **three stage barriers** per round —
-    /// observe all unfinished shots, plan them as one group, execute
-    /// them all — so a single slow shot stalls the whole round. Reports
-    /// are bit-identical to [`run_shots_with`](Self::run_shots_with)
-    /// (both equal the serial per-shot path); only the completion times
-    /// differ, which is exactly what the skewed-workload benchmark
-    /// measures. A shot's completion stamp is taken at the end of the
-    /// round barrier that finished it — the earliest a barriered runner
-    /// could have emitted the report — so the comparison is generous to
-    /// the baseline. The returned [`BatchRun::stats`] are zero: a
-    /// barriered schedule never overlaps rounds.
-    ///
-    /// # Errors
-    ///
-    /// Propagates planner and executor failures; among shots failing in
-    /// the same round and stage, the lowest-indexed shot's error is
-    /// returned.
-    pub fn run_shots_barriered(
-        &self,
-        planner: &dyn Planner,
-        jobs: &[(AtomGrid, Rect)],
-        base_seed: u64,
-    ) -> Result<BatchRun, Error> {
-        self.run_shots_zones_barriered(
-            planner,
-            jobs.iter().map(|(truth, target)| {
-                (
-                    truth,
-                    vec![Zone::full_array(truth.height(), truth.width(), *target)],
-                )
-            }),
-            base_seed,
-        )
-    }
-
-    /// The barriered baseline against a **multi-zone** target shared by
-    /// every shot — the barriered counterpart of
-    /// [`run_batch_zones_tracked`](Self::run_batch_zones_tracked), with
-    /// the same report (and trace) bit-identity contract.
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`run_shots_barriered`](Self::run_shots_barriered).
-    pub fn run_batch_zones_barriered(
-        &self,
-        planner: &dyn Planner,
-        truths: &[AtomGrid],
-        zones: &[Zone],
-        base_seed: u64,
-    ) -> Result<BatchRun, Error> {
-        self.run_shots_zones_barriered(
-            planner,
-            truths.iter().map(|truth| (truth, zones.to_vec())),
-            base_seed,
-        )
-    }
-
-    fn run_shots_zones_barriered<'a>(
-        &self,
-        planner: &dyn Planner,
-        jobs: impl Iterator<Item = (&'a AtomGrid, Vec<Zone>)>,
-        base_seed: u64,
-    ) -> Result<BatchRun, Error> {
-        struct ShotState {
-            state: AtomGrid,
-            zones: Vec<Zone>,
-            rounds: Vec<RoundReport>,
-            trace: Option<ShotTrace>,
-            rng: StdRng,
-            layout: TrapLayout,
-            completed_us: Option<f64>,
-        }
-
-        let executor = planner
-            .executor()
-            .with_collision_policy(CollisionPolicy::Eject);
-        let workers = self.config.workers;
-        let started = Instant::now();
-        let stamp = |started: &Instant| started.elapsed().as_secs_f64() * 1e6;
-        let mut shots: Vec<ShotState> = jobs
-            .enumerate()
-            .map(|(i, (truth, zones))| ShotState {
-                layout: TrapLayout::new(truth.height(), truth.width(), self.config.pitch_px, 4.0),
-                state: truth.clone(),
-                zones,
-                rounds: Vec::new(),
-                trace: self.config.record_trace.then(ShotTrace::default),
-                rng: Self::shot_rng(base_seed, i),
-                completed_us: None,
-            })
-            .collect();
-
-        for _ in 0..self.config.max_rounds {
-            // Select the unfinished shots (cheap, serial) together with
-            // the zone each plans against this round, then image +
-            // detect each of them as a slot-indexed pool job.
-            let mut active: Vec<usize> = Vec::new();
-            let mut round_zones: Vec<(Zone, bool)> = Vec::new();
-            let mut to_observe: Vec<&mut ShotState> = Vec::new();
-            for (i, shot) in shots.iter_mut().enumerate() {
-                let Some(zone) = first_unfilled(&shot.state, &shot.zones)? else {
-                    if shot.completed_us.is_none() {
-                        shot.completed_us = Some(stamp(&started));
-                    }
-                    continue;
-                };
-                active.push(i);
-                round_zones.push((zone, zone.covers(&shot.state)));
-                to_observe.push(shot);
-            }
-            if active.is_empty() {
-                break;
-            }
-            let observed =
-                shard_map_granular(to_observe, workers, ShardGranularity::PerItem, |shot| {
-                    self.observe(&shot.state, &shot.layout, &mut shot.rng)
-                });
-            let mut round_jobs: Vec<(AtomGrid, Rect)> = Vec::with_capacity(active.len());
-            let mut fidelities: Vec<f64> = Vec::with_capacity(active.len());
-            for (result, &(zone, _)) in observed.into_iter().zip(&round_zones) {
-                let (detection, fidelity) = result?;
-                round_jobs.push(zone.plan_job(detection.grid)?);
-                fidelities.push(fidelity);
-            }
-
-            // One batched planning call covers the whole round.
-            let plans = planner.plan_batch(&round_jobs)?;
-
-            // Translate tile-frame schedules back to array coordinates
-            // (identity — and no copy — for full-array zones).
-            let translated: Vec<Option<qrm_core::schedule::Schedule>> = plans
-                .iter()
-                .zip(&round_zones)
-                .zip(&active)
-                .map(|((plan, &(zone, covers)), &i)| {
-                    (!covers).then(|| {
-                        translate_schedule(
-                            &plan.schedule,
-                            &zone.tile,
-                            shots[i].state.height(),
-                            shots[i].state.width(),
-                        )
-                    })
-                })
-                .collect();
-
-            // Execute per shot, again as slot-indexed pool jobs. The
-            // shots were only borrowed for observation, so re-borrow the
-            // active ones (in index order) alongside their schedules.
-            let mut to_execute: Vec<(&mut ShotState, &qrm_core::schedule::Schedule, f64)> =
-                Vec::with_capacity(active.len());
-            let mut round_inputs = plans
-                .iter()
-                .zip(&translated)
-                .map(|(plan, translated)| translated.as_ref().unwrap_or(&plan.schedule))
-                .zip(fidelities);
-            let mut remaining = active.iter().copied().peekable();
-            for (i, shot) in shots.iter_mut().enumerate() {
-                if remaining.peek() == Some(&i) {
-                    remaining.next();
-                    let (schedule, fidelity) =
-                        round_inputs.next().expect("one plan per active shot");
-                    to_execute.push((shot, schedule, fidelity));
-                }
-            }
-            let executed = shard_map_granular(
-                to_execute,
-                workers,
-                ShardGranularity::PerItem,
-                |(shot, schedule, detection_fidelity)| {
-                    let round = self.execute_round(
-                        &executor,
-                        &mut shot.state,
-                        &shot.zones,
-                        schedule,
-                        detection_fidelity,
-                        &mut shot.rng,
-                        shot.trace.as_mut(),
-                    )?;
-                    shot.rounds.push(round);
-                    Ok::<(), Error>(())
-                },
-            );
-            for result in executed {
-                result?;
-            }
-            // The execute barrier just closed: every shot this round
-            // finished is final now, so that is its completion time.
-            let round_end = stamp(&started);
-            for shot in shots.iter_mut() {
-                if shot.completed_us.is_none() && shot.rounds.last().is_some_and(|r| r.filled) {
-                    shot.completed_us = Some(round_end);
-                }
-            }
-        }
-
-        // Shots that exhausted the round budget complete with the batch.
-        let batch_end = stamp(&started);
-        let mut reports = Vec::with_capacity(shots.len());
-        let mut completion_us = Vec::with_capacity(shots.len());
-        let mut traces = self
-            .config
-            .record_trace
-            .then(|| Vec::with_capacity(shots.len()));
-        for shot in shots {
-            let filled = first_unfilled(&shot.state, &shot.zones)?.is_none();
-            completion_us.push(shot.completed_us.unwrap_or(batch_end));
-            if let Some(traces) = traces.as_mut() {
-                traces.push(shot.trace.unwrap_or_default());
-            }
-            reports.push(PipelineReport {
-                rounds: shot.rounds,
-                final_state: shot.state,
-                filled,
-            });
-        }
-        Ok(BatchRun {
-            reports,
-            stats: DataflowStats::default(),
-            completion_us,
-            traces,
-        })
-    }
 }
 
 /// One shot's program for the dataflow scheduler: owns the shot's true
 /// occupancy, RNG stream, and accumulated round reports; borrows the
-/// pipeline (configuration) and the run's shared executor. The stage
-/// methods reproduce [`Pipeline::run`]'s loop body exactly, so the
-/// scheduler's per-shot chains are report-identical to the serial path.
+/// pipeline (configuration), the shot's zones and the run's shared
+/// executor.
 struct DataflowShot<'a> {
     pipeline: &'a Pipeline,
     executor: &'a Executor,
-    zones: Vec<Zone>,
+    zones: &'a [Zone],
     layout: TrapLayout,
     state: AtomGrid,
     rounds: Vec<RoundReport>,
@@ -1099,7 +653,7 @@ impl ShotProgram for DataflowShot<'_> {
         let zone = if self.rounds_left == 0 {
             None
         } else {
-            first_unfilled(&self.state, &self.zones)?
+            first_unfilled(&self.state, self.zones)?
         };
         let Some(zone) = zone else {
             self.completed_us = self.started.elapsed().as_secs_f64() * 1e6;
@@ -1136,7 +690,7 @@ impl ShotProgram for DataflowShot<'_> {
         let round = self.pipeline.execute_round(
             self.executor,
             &mut self.state,
-            &self.zones,
+            self.zones,
             schedule,
             self.fidelity,
             &mut self.rng,
@@ -1151,7 +705,20 @@ impl ShotProgram for DataflowShot<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qrm_core::loading::seeded_rng;
+
+    /// Runs one shot through [`Pipeline::run`] and returns its report.
+    fn run_one(
+        pipeline: &Pipeline,
+        choice: &PlannerChoice,
+        truth: &AtomGrid,
+        target: Rect,
+        seed: u64,
+    ) -> PipelineReport {
+        let planner = choice.resolve(pipeline.config().workers);
+        let shots = [Shot::new(truth.clone(), target)];
+        let mut run = pipeline.run(&*planner, &shots, seed).unwrap();
+        run.reports.remove(0)
+    }
 
     #[test]
     fn planner_choice_display_parse_round_trips() {
@@ -1175,26 +742,27 @@ mod tests {
     #[test]
     fn single_round_fills_at_high_snr_no_loss() {
         let mut rng = seeded_rng(40);
+        let target = Rect::centered(20, 20, 12, 12).unwrap();
+        let shots: Vec<Shot> = (0..5)
+            .map(|_| AtomGrid::random(20, 20, 0.5, &mut rng))
+            .filter(|truth| truth.atom_count() >= 170)
+            .map(|truth| Shot::new(truth, target))
+            .collect();
+        let tried = shots.len();
+        assert!(tried >= 3);
+        let planner = PlannerChoice::default().resolve(0);
+        let run = Pipeline::default().run(&*planner, &shots, 40).unwrap();
         let mut done = 0;
-        let mut tried = 0;
-        for _ in 0..5 {
-            let truth = AtomGrid::random(20, 20, 0.5, &mut rng);
-            if truth.atom_count() < 170 {
-                continue;
-            }
-            tried += 1;
-            let target = Rect::centered(20, 20, 12, 12).unwrap();
-            let report = Pipeline::default().run(&truth, &target, &mut rng).unwrap();
+        for (shot, report) in shots.iter().zip(&run.reports) {
             assert_eq!(
                 report.final_state.atom_count(),
-                truth.atom_count(),
+                shot.truth.atom_count(),
                 "no loss configured"
             );
             if report.filled && report.rounds.len() == 1 {
                 done += 1;
             }
         }
-        assert!(tried >= 3);
         assert!(done * 10 >= tried * 7, "done {done}/{tried}");
     }
 
@@ -1208,9 +776,13 @@ mod tests {
             max_rounds: 5,
             ..PipelineConfig::default()
         };
-        let report = Pipeline::new(config)
-            .run(&truth, &target, &mut rng)
-            .unwrap();
+        let report = run_one(
+            &Pipeline::new(config),
+            &PlannerChoice::default(),
+            &truth,
+            target,
+            41,
+        );
         // with 2% per-move loss some atoms vanish...
         assert!(report.total_lost() > 0);
         // ...and the pipeline still assembles the target by retrying
@@ -1222,13 +794,13 @@ mod tests {
         let mut rng = seeded_rng(42);
         let truth = AtomGrid::random(20, 20, 0.55, &mut rng);
         let target = Rect::centered(20, 20, 12, 12).unwrap();
-        let config = PipelineConfig {
-            planner: PlannerChoice::Fpga(AcceleratorConfig::balanced()),
-            ..PipelineConfig::default()
-        };
-        let report = Pipeline::new(config)
-            .run(&truth, &target, &mut rng)
-            .unwrap();
+        let report = run_one(
+            &Pipeline::default(),
+            &PlannerChoice::Fpga(AcceleratorConfig::balanced()),
+            &truth,
+            target,
+            42,
+        );
         assert!(!report.rounds.is_empty());
         assert!(report.rounds[0].detection_fidelity > 0.99);
     }
@@ -1240,70 +812,89 @@ mod tests {
         for p in target.positions() {
             truth.set_unchecked(p.row, p.col, true);
         }
-        let mut rng = seeded_rng(43);
-        let report = Pipeline::default().run(&truth, &target, &mut rng).unwrap();
+        let report = run_one(
+            &Pipeline::default(),
+            &PlannerChoice::default(),
+            &truth,
+            target,
+            43,
+        );
         assert!(report.filled);
         assert!(report.rounds.is_empty());
         assert_eq!(report.total_motion_us(), 0.0);
     }
 
     #[test]
-    fn run_batch_matches_single_shot_runs() {
-        // Batched rounds must be observationally identical per shot to
-        // running each shot alone with its derived RNG — for both the
-        // software and FPGA planners.
+    fn run_matches_the_serial_reference() {
+        // Every shot of a batched run must be observationally identical
+        // to running it alone through the serial loop with its derived
+        // RNG — for both the software and FPGA planners.
         let mut rng = seeded_rng(50);
-        let truths: Vec<AtomGrid> = (0..3)
-            .map(|_| AtomGrid::random(16, 16, 0.6, &mut rng))
-            .collect();
         let target = Rect::centered(16, 16, 8, 8).unwrap();
-        for config in [
-            PipelineConfig {
-                loss_prob: 0.02,
-                max_rounds: 4,
-                ..PipelineConfig::default()
-            },
-            PipelineConfig {
-                planner: PlannerChoice::Fpga(AcceleratorConfig::balanced()),
-                ..PipelineConfig::default()
-            },
+        let shots: Vec<Shot> = (0..3)
+            .map(|_| Shot::new(AtomGrid::random(16, 16, 0.6, &mut rng), target))
+            .collect();
+        for (config, choice) in [
+            (
+                PipelineConfig {
+                    loss_prob: 0.02,
+                    max_rounds: 4,
+                    ..PipelineConfig::default()
+                },
+                PlannerChoice::default(),
+            ),
+            (
+                PipelineConfig::default(),
+                PlannerChoice::Fpga(AcceleratorConfig::balanced()),
+            ),
         ] {
+            let planner = choice.resolve(config.workers);
             let pipeline = Pipeline::new(config);
-            let batched = pipeline.run_batch(&truths, &target, 777).unwrap();
-            assert_eq!(batched.len(), truths.len());
-            for (i, truth) in truths.iter().enumerate() {
+            let batched = pipeline.run(&*planner, &shots, 777).unwrap();
+            assert_eq!(batched.reports.len(), shots.len());
+            for (i, shot) in shots.iter().enumerate() {
                 let mut shot_rng = Pipeline::shot_rng(777, i);
-                let single = pipeline.run(truth, &target, &mut shot_rng).unwrap();
-                assert_eq!(single, batched[i], "shot {i}");
+                let (single, _) =
+                    reference::run_serial(&pipeline, &*planner, shot, &mut shot_rng).unwrap();
+                assert_eq!(single, batched.reports[i], "shot {i}");
             }
         }
     }
 
     #[test]
-    fn run_batch_handles_empty_and_prefilled() {
+    fn run_handles_empty_and_prefilled() {
         let pipeline = Pipeline::default();
+        let planner = PlannerChoice::default().resolve(0);
         let target = Rect::centered(8, 8, 2, 2).unwrap();
-        assert!(pipeline.run_batch(&[], &target, 1).unwrap().is_empty());
+        assert!(pipeline.run(&*planner, &[], 1).unwrap().reports.is_empty());
 
         let mut full = AtomGrid::new(8, 8).unwrap();
         for p in target.positions() {
             full.set_unchecked(p.row, p.col, true);
         }
-        let reports = pipeline.run_batch(&[full], &target, 1).unwrap();
-        assert!(reports[0].filled);
-        assert!(reports[0].rounds.is_empty());
+        let run = pipeline
+            .run(&*planner, &[Shot::new(full, target)], 1)
+            .unwrap();
+        assert!(run.reports[0].filled);
+        assert!(run.reports[0].rounds.is_empty());
+
+        let empty = Shot {
+            truth: AtomGrid::new(8, 8).unwrap(),
+            zones: Vec::new(),
+        };
+        let run = pipeline.run(&*planner, &[empty], 1).unwrap();
+        assert!(run.reports[0].filled, "no zones is trivially filled");
+        assert!(run.reports[0].rounds.is_empty());
     }
 
     #[test]
-    fn run_zones_single_zone_matches_run_and_trace_replays() {
-        // A single-zone `run_zones` call is byte-identical to `run`,
-        // tracing does not perturb the run, and the recorded trace
-        // replays to the report's final occupancy.
+    fn tracing_does_not_perturb_the_run_and_the_trace_replays() {
         use qrm_core::trace::TraceReplayer;
         let mut rng = seeded_rng(45);
         let truth = AtomGrid::random(16, 16, 0.6, &mut rng);
         let target = Rect::centered(16, 16, 8, 8).unwrap();
-        let plain = Pipeline::default();
+        let shots = [Shot::new(truth.clone(), target)];
+        let planner = PlannerChoice::default().resolve(0);
         let traced = Pipeline::new(PipelineConfig {
             loss_prob: 0.02,
             record_trace: true,
@@ -1314,23 +905,17 @@ mod tests {
             ..PipelineConfig::default()
         });
 
-        let zones = [Zone::full_array(16, 16, target)];
-        let mut a = seeded_rng(9);
-        let mut b = seeded_rng(9);
-        let single = plain.run(&truth, &target, &mut a).unwrap();
-        let (zoned, no_trace) = plain.run_zones(&truth, &zones, &mut b).unwrap();
-        assert_eq!(single, zoned);
-        assert!(no_trace.is_none());
-
-        let mut c = seeded_rng(9);
-        let mut d = seeded_rng(9);
-        let (with_trace, trace) = traced.run_zones(&truth, &zones, &mut c).unwrap();
-        let (without, _) = lossy.run_zones(&truth, &zones, &mut d).unwrap();
-        assert_eq!(with_trace, without, "tracing must not perturb the run");
-        let trace = trace.unwrap();
+        let with_trace = traced.run(&*planner, &shots, 9).unwrap();
+        let without = lossy.run(&*planner, &shots, 9).unwrap();
         assert_eq!(
-            TraceReplayer::replay(&truth, &trace).unwrap(),
-            with_trace.final_state
+            with_trace.reports, without.reports,
+            "tracing must not perturb the run"
+        );
+        assert!(without.traces.is_none());
+        let trace = &with_trace.traces.unwrap()[0];
+        assert_eq!(
+            TraceReplayer::replay(&truth, trace).unwrap(),
+            with_trace.reports[0].final_state
         );
     }
 
@@ -1340,7 +925,7 @@ mod tests {
         let truth = AtomGrid::random(20, 20, 0.6, &mut rng);
         // Three quadrant tiles, each with a 4x4 target centred in its
         // 10x10 tile — the QRM-compatible multi-zone shape.
-        let zones = [
+        let zones = vec![
             Zone {
                 tile: Rect::new(0, 0, 10, 10),
                 target: Rect::new(3, 3, 4, 4),
@@ -1354,33 +939,25 @@ mod tests {
                 target: Rect::new(13, 3, 4, 4),
             },
         ];
-        let config = PipelineConfig {
-            max_rounds: 9,
-            ..PipelineConfig::default()
-        };
-        let (report, _) = Pipeline::new(config)
-            .run_zones(&truth, &zones, &mut rng)
-            .unwrap();
-        assert!(report.filled, "rounds {}", report.rounds.len());
-        for zone in &zones {
-            assert!(report.final_state.is_filled(&zone.target).unwrap());
-        }
-        // The batched entry point reproduces the serial shot.
+        let shot = Shot { truth, zones };
         let pipeline = Pipeline::new(PipelineConfig {
             max_rounds: 9,
             ..PipelineConfig::default()
         });
-        let batch = pipeline
-            .run_batch_zones_tracked(
-                &*pipeline.planner(),
-                std::slice::from_ref(&truth),
-                &zones,
-                31,
-            )
+        let planner = PlannerChoice::default().resolve(0);
+        let run = pipeline
+            .run(&*planner, std::slice::from_ref(&shot), 46)
             .unwrap();
-        let mut shot_rng = Pipeline::shot_rng(31, 0);
-        let (single, _) = pipeline.run_zones(&truth, &zones, &mut shot_rng).unwrap();
-        assert_eq!(batch.reports[0], single);
+        let report = &run.reports[0];
+        assert!(report.filled, "rounds {}", report.rounds.len());
+        for zone in &shot.zones {
+            assert!(report.final_state.is_filled(&zone.target).unwrap());
+        }
+        // The serial reference reproduces the scheduled shot.
+        let mut shot_rng = Pipeline::shot_rng(46, 0);
+        let (single, _) =
+            reference::run_serial(&pipeline, &*planner, &shot, &mut shot_rng).unwrap();
+        assert_eq!(*report, single);
     }
 
     #[test]
@@ -1388,7 +965,13 @@ mod tests {
         let mut rng = seeded_rng(44);
         let truth = AtomGrid::random(16, 16, 0.6, &mut rng);
         let target = Rect::centered(16, 16, 8, 8).unwrap();
-        let report = Pipeline::default().run(&truth, &target, &mut rng).unwrap();
+        let report = run_one(
+            &Pipeline::default(),
+            &PlannerChoice::default(),
+            &truth,
+            target,
+            44,
+        );
         if !report.rounds.is_empty() && report.rounds[0].moves > 0 {
             assert!(report.total_motion_us() > 0.0);
         }

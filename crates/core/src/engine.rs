@@ -49,8 +49,8 @@
 //! the slot-indexed result buffers and the per-quadrant kernel scratch
 //! (grid word buffers and pass vectors, recycled through
 //! [`KernelScratch::reclaim`] / [`ShiftKernel::start_in`]), so a long-lived
-//! engine — e.g. the one inside `Pipeline::run_batch` planning round
-//! after round — does not grow those buffers again once warm.
+//! engine — e.g. the one inside `Pipeline::run` planning round after
+//! round — does not grow those buffers again once warm.
 //!
 //! Planning still allocates. A warm one-shot 50x50 `plan_batch` under
 //! [`QrmConfig::paper`] makes about 820 heap allocations:
@@ -621,84 +621,6 @@ pub fn resolve_workers(configured: usize, shots: usize) -> usize {
     }
 }
 
-/// Runs `f` over `items` as slot-indexed jobs on the persistent worker
-/// pool and returns the results in input order — the sharding primitive
-/// behind the pipeline's parallel rounds (per-shot imaging/detection and
-/// per-shot schedule execution).
-///
-/// `workers` follows the engine policy (`0` = one per core), capped by
-/// the item count. With `workers <= 1` (or fewer than two items) the map
-/// runs inline on the caller with zero queueing overhead. Otherwise
-/// `workers` loop-jobs are spawned on the pool; each repeatedly pulls
-/// the next `(index, item)` from a shared queue and writes `f(item)`
-/// into slot `index`, so the output order — and, for per-item
-/// deterministic `f`, every output value — is independent of thread
-/// interleaving and worker count. Jobs spawned from the calling thread
-/// land on its scope-local deque, where idle pool workers steal them
-/// (see `vendor/rayon`).
-///
-/// Fallibility is the caller's: use `R = Result<_, _>` and sequence the
-/// slots afterwards. A panic in `f` propagates to the caller once the
-/// scope closes (remaining items still run — each loop-job's panic only
-/// kills that job).
-///
-/// This is the engine's worker-count policy layered over the vendored
-/// pool's one scheduling loop (`rayon::par_map_with`) — the same loop
-/// the parallel iterators use, so there is exactly one place that
-/// distributes slot-indexed items over pool jobs.
-pub fn shard_map<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    shard_map_granular(items, workers, ShardGranularity::LoopJobs, f)
-}
-
-/// How [`shard_map_granular`] carves a batch into pool jobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardGranularity {
-    /// `workers` long-lived loop-jobs pulling `(index, item)` pairs from
-    /// a shared queue (`rayon::par_map_with`): minimal spawn overhead,
-    /// but a loop-job that landed on a slow item holds its worker.
-    #[default]
-    LoopJobs,
-    /// One job per item (`rayon::par_map_items`): every item is
-    /// independently stealable, so the pool's work-stealing deques do
-    /// all load balancing — the right shape for coarse, uneven items
-    /// (e.g. whole pipeline shots). Slightly more spawn overhead per
-    /// item.
-    PerItem,
-}
-
-/// [`shard_map`] with an explicit job [`ShardGranularity`]. Output order
-/// and values are identical for either granularity (results are
-/// slot-indexed; `f` runs per item either way) — only the scheduling
-/// shape differs. With `workers <= 1` or fewer than two items both
-/// granularities run inline on the caller.
-pub fn shard_map_granular<T, R, F>(
-    items: Vec<T>,
-    workers: usize,
-    granularity: ShardGranularity,
-    f: F,
-) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let workers = if workers == 0 {
-        rayon::current_num_threads()
-    } else {
-        workers
-    };
-    match granularity {
-        ShardGranularity::LoopJobs => rayon::par_map_with(items, workers, f),
-        ShardGranularity::PerItem if workers <= 1 => items.into_iter().map(f).collect(),
-        ShardGranularity::PerItem => rayon::par_map_items(items, f),
-    }
-}
-
 /// Reusable scratch for repeated batched planning: the slot-indexed
 /// result buffer of [`run_task_graph_in`] plus a pool of recycled
 /// per-quadrant kernel scratch (grid word buffers and pass vectors —
@@ -706,7 +628,7 @@ where
 ///
 /// A [`PlanEngine`] owns one internally, so consecutive
 /// [`plan_batch`](PlanEngine::plan_batch) calls through the same engine
-/// (e.g. the per-round calls inside `Pipeline::run_batch`) reuse
+/// (e.g. the per-round calls inside `Pipeline::run`) reuse
 /// allocations automatically; [`plan_batch_in`](PlanEngine::plan_batch_in)
 /// takes an explicit context for callers that manage their own. Reuse is
 /// purely an allocation optimisation — plans are bit-identical whether a
@@ -1072,7 +994,8 @@ impl PlanEngine {
 mod tests {
     use super::*;
     use crate::loading::seeded_rng;
-    use crate::scheduler::{QrmScheduler, Rearranger};
+    use crate::planner::Planner;
+    use crate::scheduler::QrmScheduler;
 
     fn jobs(n: usize, size: usize, seed: u64) -> Vec<(AtomGrid, Rect)> {
         let mut rng = seeded_rng(seed);
@@ -1140,17 +1063,6 @@ mod tests {
                 "round {round}: steady-state batch grew or leaked a scratch pool"
             );
         }
-    }
-
-    #[test]
-    fn per_item_granularity_matches_loop_jobs() {
-        let items: Vec<usize> = (0..37).collect();
-        let f = |x: usize| x * 3 + 1;
-        let loops = shard_map_granular(items.clone(), 4, ShardGranularity::LoopJobs, f);
-        let per_item = shard_map_granular(items.clone(), 4, ShardGranularity::PerItem, f);
-        assert_eq!(loops, per_item);
-        let inline = shard_map_granular(items, 1, ShardGranularity::PerItem, f);
-        assert_eq!(inline, per_item);
     }
 
     #[test]

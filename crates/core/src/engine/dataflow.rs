@@ -1,10 +1,8 @@
-//! Shot-level dataflow scheduling for batched multi-round runs.
+//! Shot-level dataflow scheduling for batched multi-round runs — the
+//! round loop under `Pipeline::run`.
 //!
-//! The batched pipeline used to run each round as three stage barriers
-//! — observe **all** shots, plan **all** shots, execute **all** shots —
-//! so one slow shot stalled every other shot in the batch at every
-//! barrier. This module replaces the barriers with a per-shot
-//! `(round, stage)` cursor: every shot advances through its own
+//! Every shot keeps a `(round, stage)` cursor and advances through its
+//! own
 //!
 //! ```text
 //!            ┌─────────────────────────────────────────────┐
@@ -105,8 +103,7 @@ pub struct DataflowStats {
     /// plan_groups` is the mean readiness-window group size).
     pub planned_shots: u64,
     /// Observations that started round *r* while some other live shot
-    /// was still below round *r* — the overlap the barriered design
-    /// forbids.
+    /// was still below round *r*.
     pub rounds_overlapped: u64,
     /// Largest round gap observed between the fastest and the slowest
     /// live shot.

@@ -132,7 +132,7 @@ pub mod prelude {
     pub use crate::moves::ParallelMove;
     pub use crate::planner::{plan_and_execute, Planner};
     pub use crate::schedule::{MotionModel, Schedule, ScheduleStats};
-    pub use crate::scheduler::{Plan, QrmConfig, QrmScheduler, Rearranger};
+    pub use crate::scheduler::{Plan, QrmConfig, QrmScheduler};
     pub use crate::target::TargetSpec;
     pub use crate::typical::TypicalScheduler;
 }

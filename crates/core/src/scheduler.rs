@@ -1,8 +1,7 @@
 //! The top-level QRM planner and the [`Plan`] it produces.
 //!
 //! The common planner interface lives in [`crate::planner`]; this module
-//! re-exports it (and its historical `Rearranger` alias) for
-//! compatibility.
+//! re-exports it for compatibility.
 
 use std::fmt;
 
@@ -16,10 +15,6 @@ use crate::quadrant::QuadrantMap;
 use crate::schedule::Schedule;
 
 pub use crate::planner::{plan_and_execute, Planner};
-
-/// Historical name of the [`Planner`] trait, kept as an alias for older
-/// call sites.
-pub use crate::planner::Planner as Rearranger;
 
 /// A computed rearrangement plan.
 #[derive(Debug, Clone, PartialEq, Eq)]

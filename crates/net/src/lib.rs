@@ -45,7 +45,7 @@
 //!
 //! The transport adds no behaviour: a report fetched over HTTP is
 //! **bit-identical** to the same submission served in-process, which
-//! is in turn bit-identical to a direct `Pipeline::run_batch` — the
+//! is in turn bit-identical to a direct `Pipeline::run` — the
 //! fourth leg of the workspace's determinism contract, pinned for all
 //! seven planners in `tests/net_service.rs`.
 //!

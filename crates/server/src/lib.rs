@@ -2,7 +2,7 @@
 //!
 //! The workspace's request-level concurrency layer, closing the
 //! ROADMAP's "batch-level service API" item. Below this crate, the
-//! stack parallelises *calls* (a `plan_batch`, a `run_batch` round);
+//! stack parallelises *calls* (a `plan_batch`, a `Pipeline::run` batch);
 //! this crate serves *requests*: a [`PlanService`] owns one long-lived,
 //! already-resolved planner per registered
 //! [`PlannerChoice`](qrm_control::pipeline::PlannerChoice) + pipeline
@@ -19,7 +19,7 @@
 //!   clients (threads)          qrm_server::PlanService
 //!   ───────────────────►  registry ─ admission gate ─ stats
 //!                                   │
-//!                          qrm_control::Pipeline::run_batch_with
+//!                          qrm_control::Pipeline::run
 //!                          (image → detect → plan → execute rounds)
 //!                                   │
 //!                          qrm_core::engine  (batched task graph,
@@ -32,7 +32,7 @@
 //!
 //! A [`BatchSpec`] expands deterministically to its workload, and a
 //! submission's [`BatchReport::reports`] is **bit-identical** to running
-//! that workload directly through `Pipeline::run_batch` — at any pool
+//! that workload directly through `Pipeline::run` — at any pool
 //! size, any `max_inflight`, and under any concurrent submission mix
 //! (`tests/service.rs` pins this for all seven planners). The service
 //! adds throughput and observability, never behaviour.

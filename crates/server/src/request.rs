@@ -6,9 +6,8 @@
 //! and pipeline overrides on every machine ([`BatchSpec::workload`]),
 //! which is what makes the service testable end to end: a client, the
 //! service, and a direct
-//! [`Pipeline::run_batch`](qrm_control::pipeline::Pipeline) call
-//! can all materialise the identical batch and compare reports
-//! bit-for-bit.
+//! [`Pipeline::run`](qrm_control::pipeline::Pipeline::run) call can all
+//! materialise the identical batch and compare reports bit-for-bit.
 //!
 //! [`Scenario`] extends the spec beyond uniform loading: dead-trap
 //! defect maps, in-transit atom loss, multi-zone target patterns and
@@ -24,7 +23,7 @@ use qrm_core::loading::seeded_rng;
 use qrm_core::trace::ShotTrace;
 use rand::Rng;
 
-use qrm_control::pipeline::{PipelineConfig, PipelineReport, Zone};
+use qrm_control::pipeline::{PipelineConfig, PipelineReport, Shot, Zone};
 
 /// Salt applied to [`BatchSpec::seed`] for the defect-map stream, so
 /// dead-trap placement is independent of the loading stream (the truth
@@ -93,8 +92,9 @@ pub enum Scenario {
 /// Deterministic — every call, on any machine, yields bit-identical
 /// grids — so the equivalence contract between
 /// [`submit`](crate::PlanService::submit) and a direct
-/// [`run_batch_zones_tracked`](qrm_control::pipeline::Pipeline::run_batch_zones_tracked)
-/// is checkable by anyone holding the spec.
+/// [`Pipeline::run`](qrm_control::pipeline::Pipeline::run) over
+/// [`into_shots`](Workload::into_shots) is checkable by anyone holding
+/// the spec.
 #[derive(Debug, Clone)]
 pub struct Workload {
     /// True occupancy grids, one per shot.
@@ -121,6 +121,20 @@ impl Workload {
         }
         config.max_rounds *= self.rounds_factor.max(1);
         config
+    }
+
+    /// The workload as pipeline shots: one per truth grid, in order,
+    /// each carrying the zone list.
+    #[must_use]
+    pub fn into_shots(self) -> Vec<Shot> {
+        let zones = self.zones;
+        self.truths
+            .into_iter()
+            .map(|truth| Shot {
+                truth,
+                zones: zones.clone(),
+            })
+            .collect()
     }
 }
 
@@ -522,11 +536,12 @@ impl serde::Deserialize for SubmitBatch {
 /// The service's response to one [`SubmitBatch`].
 ///
 /// `reports` is the deterministic payload: it is **bit-identical** to
-/// calling `Pipeline::run_batch` directly with the same configuration
-/// and the spec's workload, regardless of how many submissions the
-/// service was handling concurrently (the integration suite pins this
-/// for every planner). `wall_us` is measurement, not payload — it
-/// varies run to run and is excluded from the equivalence contract.
+/// calling [`Pipeline::run`](qrm_control::pipeline::Pipeline::run)
+/// directly with the same configuration and the spec's workload,
+/// regardless of how many submissions the service was handling
+/// concurrently (the integration suite pins this for every planner).
+/// `wall_us` is measurement, not payload — it varies run to run and is
+/// excluded from the equivalence contract.
 /// `trace`, when requested, is payload too: replaying shot `i`'s trace
 /// on the spec's truth grid `i` reproduces `reports[i].final_state`
 /// bit-exactly.

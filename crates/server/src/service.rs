@@ -100,20 +100,18 @@ impl PlanServiceBuilder {
     }
 
     /// Registers `choice` under `name` with an explicitly configured
-    /// pipeline (imaging, loss, rounds, workers…). The config's own
-    /// `planner` field is overwritten with `choice` so the registration
-    /// cannot be internally inconsistent, and the planner is resolved
-    /// immediately — construction cost is paid here, never on the
-    /// submit path. Registering an existing name replaces it.
+    /// pipeline (imaging, loss, rounds, workers…). The planner is
+    /// resolved immediately at the pipeline's worker count —
+    /// construction cost is paid here, never on the submit path.
+    /// Registering an existing name replaces it.
     #[must_use]
     pub fn register(
         mut self,
         name: impl Into<String>,
         choice: PlannerChoice,
-        mut pipeline: PipelineConfig,
+        pipeline: PipelineConfig,
     ) -> Self {
-        pipeline.planner = choice;
-        let planner = pipeline.planner.resolve(pipeline.workers);
+        let planner = choice.resolve(pipeline.workers);
         self.regs.insert(
             name.into(),
             Registration {
@@ -257,8 +255,8 @@ impl Drop for Permit<'_> {
 ///
 /// Determinism contract: a submission's [`BatchReport::reports`] is
 /// bit-identical to running the spec's workload directly through
-/// `Pipeline::run_batch` with the same configuration, at any pool size
-/// and under any submission concurrency. See `tests/service.rs`.
+/// [`Pipeline::run`] with the same configuration, at any pool size and
+/// under any submission concurrency. See `tests/service.rs`.
 pub struct PlanService {
     regs: BTreeMap<String, Registration>,
     gate: Gate,
@@ -350,15 +348,11 @@ impl PlanService {
         let mut config = workload.configure(reg.pipeline.config());
         config.record_trace = request.trace;
         let pipeline = Pipeline::new(config);
+        let shots = workload.into_shots();
 
         let _permit = self.gate.admit();
         let t0 = Instant::now();
-        let run = pipeline.run_batch_zones_tracked(
-            &*reg.planner,
-            &workload.truths,
-            &workload.zones,
-            request.spec.seed,
-        )?;
+        let run = pipeline.run(&*reg.planner, &shots, request.spec.seed)?;
         let wall_us = t0.elapsed().as_secs_f64() * 1e6;
 
         if let Some(traces) = &run.traces {

@@ -178,7 +178,7 @@ pub struct SchedulerTotals {
     /// Shots planned across all groups.
     pub planned_shots: u64,
     /// Observations that started a round while a slower live shot was
-    /// still behind — the overlap a barriered schedule forbids.
+    /// still behind.
     pub rounds_overlapped: u64,
     /// Largest round gap ever observed between the fastest and the
     /// slowest live shot of a batch.

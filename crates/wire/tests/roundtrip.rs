@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use qrm_control::pipeline::{Pipeline, PipelineConfig, PlannerChoice};
+use qrm_control::pipeline::{Pipeline, PipelineConfig, PlannerChoice, Shot};
 use qrm_core::scheduler::QrmConfig;
 use qrm_server::{BatchSpec, PlanService, SubmitBatch};
 use qrm_wire::json::{self, JsonErrorKind, JsonLimits};
@@ -230,17 +230,25 @@ fn batch_report_round_trips_bit_identically() {
 
     // And the same workload through the pipeline directly equals the
     // decoded wire copy — codec and service add nothing.
-    let truths = request.spec.workload().expect("workload").truths;
     let target = request.spec.target().expect("target");
+    let shots: Vec<Shot> = request
+        .spec
+        .workload()
+        .expect("workload")
+        .truths
+        .into_iter()
+        .map(|truth| Shot::new(truth, target))
+        .collect();
+    let planner = PlannerChoice::Software(QrmConfig::default()).resolve(1);
     let direct = Pipeline::new(PipelineConfig {
         loss_prob: 0.02,
         max_rounds: 4,
         workers: 1,
         ..PipelineConfig::default()
     })
-    .run_batch(&truths, &target, request.spec.seed)
+    .run(&*planner, &shots, request.spec.seed)
     .expect("direct run");
-    assert_eq!(back.reports, direct);
+    assert_eq!(back.reports, direct.reports);
 }
 
 #[test]

@@ -19,13 +19,14 @@ fn main() -> Result<(), qrm_core::Error> {
         target.area()
     );
 
-    let config = PipelineConfig {
-        planner: PlannerChoice::Fpga(AcceleratorConfig::balanced()),
+    let pipeline = Pipeline::new(PipelineConfig {
         loss_prob: 0.01, // 1% per-move transport loss
         max_rounds: 4,
         ..PipelineConfig::default()
-    };
-    let report = Pipeline::new(config).run(&truth, &target, &mut rng)?;
+    });
+    let planner = QrmAccelerator::new(AcceleratorConfig::balanced());
+    let run = pipeline.run(&planner, &[Shot::new(truth, target)], 2025)?;
+    let report = &run.reports[0];
 
     for (i, round) in report.rounds.iter().enumerate() {
         println!(

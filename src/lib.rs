@@ -53,11 +53,12 @@
 //! queue served by the **persistent work-stealing worker pool**
 //! (threads are spawned once per process, never per batch; jobs fan
 //! out via per-worker deques). The end-to-end pipeline goes further:
-//! every stage of a `Pipeline::run_batch` round — per-shot imaging +
-//! detection, batched planning, per-shot execution — is pool jobs.
+//! [`Pipeline::run`](qrm_control::pipeline::Pipeline::run) drives every
+//! shot through its own image → detect → plan → execute chain of pool
+//! jobs, planning the shots that are ready together in one batch.
 //! Results are bit-identical to per-shot
-//! [`Planner::plan`](qrm_core::planner::Planner::plan) /
-//! `Pipeline::run` calls at any worker count (`tests/determinism.rs`).
+//! [`Planner::plan`](qrm_core::planner::Planner::plan) calls and to a
+//! serial round loop at any worker count (`tests/determinism.rs`).
 //!
 //! ```
 //! use atom_rearrange::prelude::*;
@@ -77,12 +78,13 @@
 //! let plans2 = PlanEngine::new(QrmConfig::default()).with_workers(4).plan_batch(&jobs)?;
 //! assert_eq!(plans, plans2);
 //!
-//! // The end-to-end pipeline batches whole rounds the same way.
-//! let truths: Vec<AtomGrid> = (0..4)
-//!     .map(|_| AtomGrid::random(20, 20, 0.55, &mut rng))
+//! // The end-to-end pipeline plans ready shots the same way.
+//! let shots: Vec<Shot> = (0..4)
+//!     .map(|_| Shot::new(AtomGrid::random(20, 20, 0.55, &mut rng), target))
 //!     .collect();
-//! let reports = Pipeline::default().run_batch(&truths, &target, 42)?;
-//! assert_eq!(reports.len(), 4);
+//! let planner = QrmScheduler::new(QrmConfig::default());
+//! let run = Pipeline::default().run(&planner, &shots, 42)?;
+//! assert_eq!(run.reports.len(), 4);
 //! # Ok(())
 //! # }
 //! ```
@@ -100,7 +102,7 @@ pub use qrm_wire;
 pub mod prelude {
     pub use qrm_baselines::{Mta1Scheduler, PscaScheduler, TetrisScheduler};
     pub use qrm_control::awg::{AodCalibration, ToneProgram};
-    pub use qrm_control::pipeline::{Pipeline, PipelineConfig, PlannerChoice};
+    pub use qrm_control::pipeline::{Pipeline, PipelineConfig, PlannerChoice, Shot};
     pub use qrm_control::system::{Architecture, SystemModel};
     pub use qrm_core::prelude::*;
     pub use qrm_fpga::accelerator::{AcceleratorConfig, QrmAccelerator};

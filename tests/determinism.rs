@@ -1,14 +1,14 @@
-//! The cross-worker determinism contract of the fully sharded pipeline.
+//! The cross-worker determinism contract of the pipeline.
 //!
-//! Every stage of a `Pipeline::run_batch` round — per-shot imaging and
+//! Every stage of a `Pipeline::run` round — per-shot imaging and
 //! detection, batched planning, per-shot schedule execution — runs as
 //! jobs on the persistent work-stealing pool, with each shot driven by
 //! its own derived RNG (`Pipeline::shot_rng`). This suite pins the
 //! resulting contract for **all seven planners**:
 //!
-//! * reports are **bit-identical** for workers ∈ {1, 2, 4, 8} (the
-//!   acceptance criterion of the sharding work) and equal to running
-//!   each shot alone through `Pipeline::run`;
+//! * reports are **bit-identical** for workers ∈ {1, 2, 4, 8} and equal
+//!   to running each shot alone through the serial round loop
+//!   (`qrm_control::pipeline::reference`);
 //! * consecutive rounds at `workers >= 2` spawn **zero** OS threads
 //!   (jobs only), while the pool's steal counter is live.
 //!
@@ -22,17 +22,17 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use atom_rearrange::prelude::*;
 use proptest::prelude::*;
 use qrm_bench::planner_choices;
+use qrm_control::pipeline::{reference, PipelineReport};
 
-fn truths(shots: usize, size: usize, fill: f64, seed: u64) -> Vec<AtomGrid> {
+fn shots(count: usize, size: usize, fill: f64, seed: u64, target: Rect) -> Vec<Shot> {
     let mut rng = qrm_core::loading::seeded_rng(seed);
-    (0..shots)
-        .map(|_| AtomGrid::random(size, size, fill, &mut rng))
+    (0..count)
+        .map(|_| Shot::new(AtomGrid::random(size, size, fill, &mut rng), target))
         .collect()
 }
 
-fn pipeline_for(choice: &PlannerChoice, workers: usize) -> Pipeline {
+fn pipeline_for(workers: usize) -> Pipeline {
     Pipeline::new(PipelineConfig {
-        planner: choice.clone(),
         workers,
         // Transport loss exercises the executor's RNG draws, the part
         // of a round most sensitive to per-shot stream mixups.
@@ -42,13 +42,31 @@ fn pipeline_for(choice: &PlannerChoice, workers: usize) -> Pipeline {
     })
 }
 
+/// The batch's reports at `workers`, planned by `choice` resolved at
+/// the same worker count.
+fn run(choice: &PlannerChoice, workers: usize, shots: &[Shot], seed: u64) -> Vec<PipelineReport> {
+    pipeline_for(workers)
+        .run(&*choice.resolve(workers), shots, seed)
+        .unwrap()
+        .reports
+}
+
+/// Shot `index` alone through the serial round loop, on the stream
+/// `Pipeline::run` gives it.
+fn serial(choice: &PlannerChoice, shot: &Shot, seed: u64, index: usize) -> PipelineReport {
+    let mut rng = Pipeline::shot_rng(seed, index);
+    reference::run_serial(&pipeline_for(1), &*choice.resolve(1), shot, &mut rng)
+        .unwrap()
+        .0
+}
+
 /// Forces at least one deterministic steal on the global pool: job A
 /// spawns job B onto the deque of whichever thread runs A (worker or
 /// helping caller alike own one) and then spins in the scope *body*
 /// until B has run. A's thread is busy spinning, so B can only execute
 /// via a **steal** by another pool participant — and one always exists
 /// (the pool has >= 1 worker and the outermost caller helps). On
-/// multi-core hosts the sharded rounds steal on their own; this makes
+/// multi-core hosts the dataflow rounds steal on their own; this makes
 /// the counter assertion below deterministic on a 1-core runner too.
 fn force_one_steal() {
     rayon::scope(|outer| {
@@ -64,29 +82,22 @@ fn force_one_steal() {
     });
 }
 
-/// Acceptance criterion: `run_batch` output is bit-identical across
-/// workers ∈ {1, 2, 4, 8} for all seven planners, and equal to per-shot
-/// `run` with the derived RNG.
+/// Batched output is bit-identical across workers ∈ {1, 2, 4, 8} for
+/// all seven planners, and equal to the serial round loop per shot with
+/// the derived RNG.
 #[test]
-fn run_batch_is_bit_identical_across_worker_counts_for_all_planners() {
-    let truths = truths(3, 12, 0.6, 501);
+fn run_is_bit_identical_across_worker_counts_for_all_planners() {
     let target = Rect::centered(12, 12, 6, 6).unwrap();
+    let shots = shots(3, 12, 0.6, 501, target);
     let base_seed = 4242;
     for (name, choice) in planner_choices() {
-        let baseline = pipeline_for(&choice, 1)
-            .run_batch(&truths, &target, base_seed)
-            .unwrap();
-        for (i, truth) in truths.iter().enumerate() {
-            let mut rng = Pipeline::shot_rng(base_seed, i);
-            let single = pipeline_for(&choice, 1)
-                .run(truth, &target, &mut rng)
-                .unwrap();
+        let baseline = run(&choice, 1, &shots, base_seed);
+        for (i, shot) in shots.iter().enumerate() {
+            let single = serial(&choice, shot, base_seed, i);
             assert_eq!(single, baseline[i], "{name}: shot {i} != batched shot");
         }
         for workers in [2usize, 4, 8] {
-            let batched = pipeline_for(&choice, workers)
-                .run_batch(&truths, &target, base_seed)
-                .unwrap();
+            let batched = run(&choice, workers, &shots, base_seed);
             assert_eq!(batched, baseline, "{name}: workers={workers} diverged");
         }
     }
@@ -97,13 +108,12 @@ fn run_batch_is_bit_identical_across_worker_counts_for_all_planners() {
 /// absent entirely.
 #[test]
 fn shot_reports_are_independent_of_batch_composition() {
-    let all = truths(4, 12, 0.6, 777);
     let target = Rect::centered(12, 12, 6, 6).unwrap();
+    let all = shots(4, 12, 0.6, 777, target);
     let (_, choice) = planner_choices().remove(0);
-    let pipeline = pipeline_for(&choice, 4);
-    let full = pipeline.run_batch(&all, &target, 99).unwrap();
+    let full = run(&choice, 4, &all, 99);
     // Same truth at the same index, different neighbours.
-    let trimmed = pipeline.run_batch(&all[..2], &target, 99).unwrap();
+    let trimmed = run(&choice, 4, &all[..2], 99);
     assert_eq!(
         full[..2],
         trimmed[..],
@@ -111,27 +121,27 @@ fn shot_reports_are_independent_of_batch_composition() {
     );
 }
 
-/// Acceptance criterion: consecutive sharded rounds at `workers >= 2`
-/// spawn zero extra OS threads while `global_pool_stats()` shows
-/// nonzero steals.
+/// Consecutive dataflow runs at `workers >= 2` spawn zero extra OS
+/// threads while `global_pool_stats()` shows nonzero steals.
 #[test]
 fn sharded_rounds_spawn_no_threads_and_stealing_is_live() {
     let init = rayon::global_pool_stats(); // forces pool initialisation
-    let truths = truths(3, 16, 0.6, 600);
     let target = Rect::centered(16, 16, 8, 8).unwrap();
+    let shots = shots(3, 16, 0.6, 600, target);
     let (_, choice) = planner_choices().remove(0);
-    let pipeline = pipeline_for(&choice, 2);
+    let pipeline = pipeline_for(2);
+    let planner = choice.resolve(2);
 
-    let first = pipeline.run_batch(&truths, &target, 314).unwrap();
+    let first = pipeline.run(&*planner, &shots, 314).unwrap().reports;
     force_one_steal();
     let mid = rayon::global_pool_stats();
-    let second = pipeline.run_batch(&truths, &target, 314).unwrap();
+    let second = pipeline.run(&*planner, &shots, 314).unwrap().reports;
     let after = rayon::global_pool_stats();
 
     assert_eq!(first, second, "same seed, same reports");
     assert_eq!(
         init.threads_spawned, after.threads_spawned,
-        "sharded rounds must only enqueue pool jobs, never spawn threads"
+        "dataflow rounds must only enqueue pool jobs, never spawn threads"
     );
     assert!(
         after.jobs_executed > mid.jobs_executed,
@@ -147,36 +157,31 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Property form of the worker-count contract: for random array
-    /// sizes, fills, seeds, and batch sizes, `run_batch` reports
-    /// (plans, fidelities, round counts, final grids) are bit-identical
-    /// across workers ∈ {1, 2, 4} and equal to per-shot `run`, for all
-    /// seven planners of `qrm_bench::planner_choices()` (the config
-    /// twin of `planner_matrix()`).
+    /// sizes, fills, seeds, and batch sizes, batched reports (plans,
+    /// fidelities, round counts, final grids) are bit-identical across
+    /// workers ∈ {1, 2, 4} and equal to the serial round loop per shot,
+    /// for all seven planners of `qrm_bench::planner_choices()` (the
+    /// config twin of `planner_matrix()`).
     #[test]
-    fn run_batch_reports_match_run_for_every_planner(
+    fn run_reports_match_the_serial_loop_for_every_planner(
         half in 6usize..9,
         fill in 0.45f64..0.65,
         seed in any::<u64>(),
-        shots in 1usize..4,
+        count in 1usize..4,
     ) {
         let size = half * 2;
         let side = ((size * 3 / 5) & !1).max(2);
         let target = Rect::centered(size, size, side, side).unwrap();
-        let truths = truths(shots, size, fill, seed);
+        let batch = shots(count, size, fill, seed, target);
         let base_seed = seed ^ 0xa5a5;
         for (name, choice) in planner_choices() {
-            let baseline = pipeline_for(&choice, 1)
-                .run_batch(&truths, &target, base_seed)
-                .unwrap();
-            for (i, truth) in truths.iter().enumerate() {
-                let mut rng = Pipeline::shot_rng(base_seed, i);
-                let single = pipeline_for(&choice, 1).run(truth, &target, &mut rng).unwrap();
+            let baseline = run(&choice, 1, &batch, base_seed);
+            for (i, shot) in batch.iter().enumerate() {
+                let single = serial(&choice, shot, base_seed, i);
                 prop_assert_eq!(&single, &baseline[i], "{}: shot {}", name, i);
             }
             for workers in [2usize, 4] {
-                let batched = pipeline_for(&choice, workers)
-                    .run_batch(&truths, &target, base_seed)
-                    .unwrap();
+                let batched = run(&choice, workers, &batch, base_seed);
                 prop_assert_eq!(&batched, &baseline, "{}: workers={}", name, workers);
             }
         }

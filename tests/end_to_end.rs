@@ -2,6 +2,7 @@
 //! assembly runs.
 
 use atom_rearrange::prelude::*;
+use qrm_control::pipeline::PipelineReport;
 
 #[test]
 fn image_detect_plan_execute_defect_free() {
@@ -90,6 +91,17 @@ fn assembly_success_across_sizes() {
     }
 }
 
+/// One shot through `Pipeline::run` with the default software QRM
+/// planner and base seed `seed`.
+fn run_one(config: PipelineConfig, truth: AtomGrid, target: Rect, seed: u64) -> PipelineReport {
+    let planner = PlannerChoice::default().resolve(config.workers);
+    Pipeline::new(config)
+        .run(&*planner, &[Shot::new(truth, target)], seed)
+        .unwrap()
+        .reports
+        .remove(0)
+}
+
 #[test]
 fn pipeline_recovers_from_transport_loss() {
     // High-SNR imaging, 1% per-move transport loss: the multi-round loop
@@ -104,9 +116,7 @@ fn pipeline_recovers_from_transport_loss() {
         max_rounds: 6,
         ..PipelineConfig::default()
     };
-    let report = Pipeline::new(config)
-        .run(&truth, &target, &mut rng)
-        .unwrap();
+    let report = run_one(config, truth, target, 103);
     assert!(
         report.filled,
         "pipeline failed after {} rounds",
@@ -132,9 +142,7 @@ fn pipeline_degrades_gracefully_at_low_snr() {
         max_rounds: 6,
         ..PipelineConfig::default()
     };
-    let report = Pipeline::new(config)
-        .run(&truth, &target, &mut rng)
-        .unwrap();
+    let report = run_one(config, truth, target, 103);
     assert_eq!(report.rounds.len(), 6, "no convergence expected");
     for round in &report.rounds {
         assert!(round.detection_fidelity > 0.9);

@@ -2,7 +2,7 @@
 //! loopback HTTP: a `BatchReport` fetched through `qrm_net` is
 //! bit-identical to the same submission served in-process by
 //! `PlanService::submit`, which is bit-identical to a direct
-//! `Pipeline::run_batch` — for all seven planners, at batch workers
+//! `Pipeline::run` — for all seven planners, at batch workers
 //! ∈ {1, 4}, on one connection or many.
 //!
 //! The suite also exercises every documented endpoint and the HTTP
@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use qrm_bench::{build_service, planner_choices, ServeConfig};
-use qrm_control::pipeline::{Pipeline, PipelineConfig};
+use qrm_control::pipeline::{Pipeline, PipelineConfig, Shot};
 use qrm_net::{raw_roundtrip, Client, NetConfig, Server};
 use qrm_server::{BatchSpec, PlanService, SubmitBatch};
 use qrm_wire::{ErrorReply, FromJson, ToJson};
@@ -44,7 +44,7 @@ fn http_reports_are_bit_identical_for_all_planners_at_workers_1_and_4() {
     for workers in [1usize, 4] {
         let (server, service) = serve_all(workers);
         let mut client = Client::connect(server.addr().to_string());
-        for (name, _) in planner_choices() {
+        for (name, choice) in planner_choices() {
             let request = SubmitBatch::new(name, BatchSpec::new(3, 12, 5000 + workers as u64));
 
             // Leg 4 (network): HTTP submit through the codec...
@@ -59,22 +59,25 @@ fn http_reports_are_bit_identical_for_all_planners_at_workers_1_and_4() {
 
             // ...equals legs 1-2 (pipeline): a direct batched run with
             // an identically configured pipeline.
-            let truths = request.spec.workload().expect("workload").truths;
             let target = request.spec.target().expect("target");
+            let shots: Vec<Shot> = request
+                .spec
+                .workload()
+                .expect("workload")
+                .truths
+                .into_iter()
+                .map(|truth| Shot::new(truth, target))
+                .collect();
             let pipeline = Pipeline::new(PipelineConfig {
                 workers,
                 loss_prob: 0.01,
                 max_rounds: ServeConfig::default().rounds,
-                planner: planner_choices()
-                    .into_iter()
-                    .find(|(n, _)| *n == name)
-                    .expect("registry covers name")
-                    .1,
                 ..PipelineConfig::default()
             });
             let direct = pipeline
-                .run_batch(&truths, &target, request.spec.seed)
-                .expect("direct run");
+                .run(&*choice.resolve(workers), &shots, request.spec.seed)
+                .expect("direct run")
+                .reports;
             assert_eq!(
                 over_http.reports, direct,
                 "{name} workers={workers}: HTTP != direct pipeline"

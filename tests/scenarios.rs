@@ -4,10 +4,9 @@
 //! Every [`Scenario`] variant — uniform fill, defect maps, elevated
 //! atom loss, multi-zone target lattices, spatially correlated fills —
 //! must produce **bit-identical** reports across batch worker counts
-//! {1, 2, 4, 8}, across the shot-level dataflow scheduler vs the
-//! preserved stage-barrier baseline, and across HTTP vs in-process
-//! submission, for all seven planners. (CI runs this suite under
-//! `QRM_POOL_THREADS ∈ {1, 8}`, covering the pool dimension too.)
+//! {1, 2, 4, 8} and across HTTP vs in-process submission, for all
+//! seven planners. (CI runs this suite under `QRM_POOL_THREADS ∈
+//! {1, 8}`, covering the pool dimension too.)
 //!
 //! The move-trace export is the leg's independent witness: replaying a
 //! shot's exported trace through [`TraceReplayer`] — plain data, no
@@ -53,9 +52,8 @@ fn variants() -> Vec<(&'static str, Scenario)> {
 /// repair on, so reports have nontrivial per-round structure. Scenario
 /// overrides (loss probability, round budget) are applied on top by
 /// [`qrm_server::Workload::configure`], exactly as the service does.
-fn base_config(choice: PlannerChoice, workers: usize) -> PipelineConfig {
+fn base_config(workers: usize) -> PipelineConfig {
     PipelineConfig {
-        planner: choice,
         workers,
         loss_prob: 0.01,
         max_rounds: 2,
@@ -65,30 +63,20 @@ fn base_config(choice: PlannerChoice, workers: usize) -> PipelineConfig {
 
 /// Runs a scenario spec directly through the pipeline, mirroring the
 /// service path: expand the workload, apply its config overrides, run
-/// the zone-aware batch entry point.
+/// its shots.
 fn direct(choice: &PlannerChoice, workers: usize, spec: &BatchSpec, trace: bool) -> BatchRun {
     let workload = spec.workload().expect("scenario workload");
-    let mut config = workload.configure(&base_config(choice.clone(), workers));
+    let mut config = workload.configure(&base_config(workers));
     config.record_trace = trace;
-    let planner = config.planner.resolve(config.workers);
+    let planner = choice.resolve(config.workers);
     Pipeline::new(config)
-        .run_batch_zones_tracked(&*planner, &workload.truths, &workload.zones, spec.seed)
+        .run(&*planner, &workload.into_shots(), spec.seed)
         .expect("scenario batch")
 }
 
-/// Same spec, same overrides, through the stage-barrier baseline.
-fn barriered(choice: &PlannerChoice, workers: usize, spec: &BatchSpec) -> BatchRun {
-    let workload = spec.workload().expect("scenario workload");
-    let config = workload.configure(&base_config(choice.clone(), workers));
-    let planner = config.planner.resolve(config.workers);
-    Pipeline::new(config)
-        .run_batch_zones_barriered(&*planner, &workload.truths, &workload.zones, spec.seed)
-        .expect("barriered scenario batch")
-}
-
 /// The leg's core claim: for every scenario variant and every planner,
-/// reports are bit-identical across workers ∈ {1, 2, 4, 8} and across
-/// the dataflow vs barriered schedules.
+/// reports are bit-identical across workers ∈ {1, 2, 4, 8}, each worker
+/// count its own dataflow schedule.
 #[test]
 fn every_scenario_is_bit_identical_across_workers_and_schedules() {
     for (label, scenario) in variants() {
@@ -100,13 +88,6 @@ fn every_scenario_is_bit_identical_across_workers_and_schedules() {
                 assert_eq!(
                     run.reports, baseline.reports,
                     "{name}/{label}: workers={workers} diverged from serial"
-                );
-            }
-            for workers in [1usize, 4] {
-                let run = barriered(&choice, workers, &spec);
-                assert_eq!(
-                    run.reports, baseline.reports,
-                    "{name}/{label}: barriered workers={workers} diverged"
                 );
             }
         }

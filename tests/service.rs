@@ -1,20 +1,19 @@
 //! Service-vs-direct equivalence: the planning service (`qrm_server`)
 //! must be a pure throughput/observability layer — every concurrent
 //! [`SubmitBatch`] response bit-identical to running the same workload
-//! directly through [`Pipeline::run_batch`], for all seven planners, at
+//! directly through [`Pipeline::run`], for all seven planners, at
 //! batch worker counts 1 and 4. (CI runs this suite under both the
 //! default pool and `QRM_POOL_THREADS=4`, so both pool sizes are
 //! covered.)
 
 use qrm_bench::planner_choices;
-use qrm_control::pipeline::{Pipeline, PipelineConfig, PipelineReport, PlannerChoice};
+use qrm_control::pipeline::{Pipeline, PipelineConfig, PipelineReport, PlannerChoice, Shot};
 use qrm_server::{BatchSpec, PlanService, ServiceError, SubmitBatch};
 
 /// The pipeline configuration under test — loss and multi-round repair
 /// on, so reports have nontrivial per-round structure to disagree on.
-fn config_for(choice: PlannerChoice, workers: usize) -> PipelineConfig {
+fn config_for(workers: usize) -> PipelineConfig {
     PipelineConfig {
-        planner: choice,
         workers,
         loss_prob: 0.01,
         max_rounds: 3,
@@ -26,7 +25,7 @@ fn config_for(choice: PlannerChoice, workers: usize) -> PipelineConfig {
 fn service_for(workers: usize) -> PlanService {
     let mut builder = PlanService::builder().max_inflight(3);
     for (name, choice) in planner_choices() {
-        builder = builder.register(name, choice.clone(), config_for(choice, workers));
+        builder = builder.register(name, choice, config_for(workers));
     }
     builder.build()
 }
@@ -34,11 +33,18 @@ fn service_for(workers: usize) -> PlanService {
 /// The reference: a fresh pipeline (fresh planner, cold contexts)
 /// running the spec's workload directly.
 fn direct(choice: PlannerChoice, workers: usize, spec: &BatchSpec) -> Vec<PipelineReport> {
-    let truths = spec.workload().expect("valid spec").truths;
     let target = spec.target().expect("valid spec");
-    Pipeline::new(config_for(choice, workers))
-        .run_batch(&truths, &target, spec.seed)
+    let shots: Vec<Shot> = spec
+        .workload()
+        .expect("valid spec")
+        .truths
+        .into_iter()
+        .map(|truth| Shot::new(truth, target))
+        .collect();
+    Pipeline::new(config_for(workers))
+        .run(&*choice.resolve(workers), &shots, spec.seed)
         .expect("direct run")
+        .reports
 }
 
 #[test]
@@ -66,7 +72,7 @@ fn concurrent_mixed_submissions_match_direct_runs_for_all_planners() {
                         assert_eq!(
                             &got.reports, want,
                             "{name} (workers = {workers}): service response \
-                             diverged from direct Pipeline::run_batch"
+                             diverged from direct Pipeline::run"
                         );
                     });
                 }
@@ -93,7 +99,7 @@ fn repeated_identical_requests_stay_bit_identical_as_contexts_warm() {
         ("fpga", planner_choices()[6].1.clone()),
     ] {
         let service = PlanService::builder()
-            .register(name, choice.clone(), config_for(choice.clone(), 4))
+            .register(name, choice.clone(), config_for(4))
             .build();
         let request = SubmitBatch::new(name, BatchSpec::new(3, 12, 4242));
         let first = service.submit(&request).expect("cold submission");

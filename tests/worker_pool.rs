@@ -22,25 +22,26 @@ fn workload(n: usize, size: usize, seed: u64) -> Vec<(AtomGrid, Rect)> {
 
 #[test]
 fn pipeline_rounds_spawn_zero_threads_after_pool_init() {
-    // Acceptance criterion: two consecutive `Pipeline::run_batch` rounds
-    // with `workers >= 2` spawn zero new OS threads after pool init,
-    // observable through the pool stats counter.
+    // Two consecutive `Pipeline::run` batches with `workers >= 2`
+    // spawn zero new OS threads after pool init, observable through the
+    // pool stats counter.
     let init = rayon::global_pool_stats(); // forces pool initialisation
     assert_eq!(init.threads as u64, init.threads_spawned);
 
     let mut rng = qrm_core::loading::seeded_rng(60);
-    let truths: Vec<AtomGrid> = (0..3)
-        .map(|_| AtomGrid::random(16, 16, 0.6, &mut rng))
-        .collect();
     let target = Rect::centered(16, 16, 8, 8).unwrap();
+    let shots: Vec<Shot> = (0..3)
+        .map(|_| Shot::new(AtomGrid::random(16, 16, 0.6, &mut rng), target))
+        .collect();
     let pipeline = Pipeline::new(PipelineConfig {
         workers: 2,
         ..PipelineConfig::default()
     });
+    let planner = PlannerChoice::default().resolve(2);
 
-    let first = pipeline.run_batch(&truths, &target, 101).unwrap();
+    let first = pipeline.run(&*planner, &shots, 101).unwrap().reports;
     let before = rayon::global_pool_stats();
-    let second = pipeline.run_batch(&truths, &target, 101).unwrap();
+    let second = pipeline.run(&*planner, &shots, 101).unwrap().reports;
     let after = rayon::global_pool_stats();
 
     assert_eq!(first, second, "same seed, same reports");
