@@ -7,22 +7,17 @@
 //! attacker-controlled dimension (request-line length, header count
 //! and size, body size, chunk-size line length).
 //!
-//! Two request parsers share one grammar:
-//!
-//! * [`read_request`] — the **blocking** parser over a `BufRead`
-//!   stream, used by the router front end (one thread per relayed
-//!   connection).
-//! * [`RequestParser`] — the **incremental** parser the server's
-//!   readiness event loop feeds from its per-connection read buffer:
-//!   it consumes whatever bytes have arrived, holds partial state
-//!   (including half-received lines, so a byte-trickling peer costs
-//!   O(1) per byte, not a head re-scan), and yields a [`Request`] the
-//!   moment the final byte lands.
+//! There is one request parser, the incremental [`RequestParser`].
+//! The event loop that both front ends ([`Server`](crate::Server) and
+//! [`Router`](crate::Router)) run feeds it from each connection's read
+//! buffer: it consumes whatever bytes have arrived, holds partial state
+//! (including half-received lines, so a byte-trickling peer costs O(1)
+//! per byte, not a head re-scan), and yields a [`Request`] the moment
+//! the final byte lands. A request cut off by the peer simply stays
+//! incomplete; ending the connection is the loop's business.
 //!
 //! Transfer codings other than `chunked` remain a typed error the
-//! server maps to `501`.
-
-use std::io::{self, BufRead, Write};
+//! front ends map to `501`.
 
 /// Longest accepted request line or header line, in bytes (the body
 /// limit is configurable via [`NetConfig`](crate::NetConfig); the head
@@ -65,12 +60,10 @@ impl Request {
     }
 }
 
-/// Why a request could not be parsed, mapped by the server onto a
+/// Why a request could not be parsed, mapped by the front ends onto a
 /// status code + [`ErrorReply`](qrm_wire::ErrorReply).
 #[derive(Debug)]
 pub enum HttpError {
-    /// Socket failure or timeout (connection is simply closed).
-    Io(io::Error),
     /// The request line is malformed or not HTTP/1.x.
     BadRequestLine,
     /// A header line is malformed.
@@ -101,7 +94,6 @@ pub enum HttpError {
 impl std::fmt::Display for HttpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            HttpError::Io(err) => write!(f, "socket error: {err}"),
             HttpError::BadRequestLine => write!(f, "malformed request line"),
             HttpError::BadHeader => write!(f, "malformed header"),
             HttpError::HeadersTooLarge => write!(f, "request head exceeds limits"),
@@ -122,12 +114,6 @@ impl std::fmt::Display for HttpError {
 }
 
 impl std::error::Error for HttpError {}
-
-impl From<io::Error> for HttpError {
-    fn from(err: io::Error) -> Self {
-        HttpError::Io(err)
-    }
-}
 
 /// How the body after a request head is framed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,10 +153,10 @@ fn parse_header_line(line: &str) -> Result<(String, String), HttpError> {
     Ok((name.trim().to_ascii_lowercase(), value.trim().to_string()))
 }
 
-/// Applies the head-level framing rules shared by both parsers:
-/// keep-alive negotiation, transfer-coding vs content-length
-/// resolution (conflicts are the smuggling shape and refused), and the
-/// body-limit check for declared lengths.
+/// Applies the head-level framing rules: keep-alive negotiation,
+/// transfer-coding vs content-length resolution (conflicts are the
+/// smuggling shape and refused), and the body-limit check for declared
+/// lengths.
 fn finish_head(request: &mut Request, max_body_bytes: usize) -> Result<BodyFraming, HttpError> {
     if let Some(connection) = request.header("connection") {
         if connection.eq_ignore_ascii_case("close") {
@@ -219,132 +205,6 @@ fn parse_chunk_size(line: &str) -> Result<usize, HttpError> {
     usize::from_str_radix(digits, 16).map_err(|_| HttpError::BadChunk)
 }
 
-/// Reads one `\r\n`- (or `\n`-) terminated line, capped at
-/// [`MAX_LINE_BYTES`]; the terminator is stripped.
-fn read_line(reader: &mut impl BufRead) -> Result<Option<String>, HttpError> {
-    let mut line = Vec::new();
-    loop {
-        let mut byte = [0u8; 1];
-        match reader.read(&mut byte) {
-            Ok(0) => {
-                if line.is_empty() {
-                    return Ok(None); // clean EOF between requests
-                }
-                return Err(HttpError::Io(io::ErrorKind::UnexpectedEof.into()));
-            }
-            Ok(_) => {
-                if byte[0] == b'\n' {
-                    if line.last() == Some(&b'\r') {
-                        line.pop();
-                    }
-                    return match String::from_utf8(line) {
-                        Ok(s) => Ok(Some(s)),
-                        Err(_) => Err(HttpError::BadHeader),
-                    };
-                }
-                if line.len() >= MAX_LINE_BYTES {
-                    return Err(HttpError::HeadersTooLarge);
-                }
-                line.push(byte[0]);
-            }
-            Err(err) => return Err(HttpError::Io(err)),
-        }
-    }
-}
-
-/// Parses one request from the stream, blocking until it is complete.
-/// `Ok(None)` means the peer closed the connection cleanly before
-/// sending another request (the normal end of a keep-alive session).
-pub fn read_request(
-    reader: &mut impl BufRead,
-    max_body_bytes: usize,
-) -> Result<Option<Request>, HttpError> {
-    let Some(request_line) = read_line(reader)? else {
-        return Ok(None);
-    };
-    let (method, path, http11) = parse_request_line(&request_line)?;
-
-    let mut headers = Vec::new();
-    loop {
-        let Some(line) = read_line(reader)? else {
-            return Err(HttpError::Io(io::ErrorKind::UnexpectedEof.into()));
-        };
-        if line.is_empty() {
-            break;
-        }
-        if headers.len() >= MAX_HEADERS {
-            return Err(HttpError::HeadersTooLarge);
-        }
-        headers.push(parse_header_line(&line)?);
-    }
-
-    let mut request = Request {
-        method,
-        path,
-        headers,
-        body: Vec::new(),
-        keep_alive: http11,
-        http11,
-    };
-    match finish_head(&mut request, max_body_bytes)? {
-        BodyFraming::None => {}
-        BodyFraming::Length(length) => {
-            let mut body = vec![0u8; length];
-            reader.read_exact(&mut body).map_err(HttpError::Io)?;
-            request.body = body;
-        }
-        BodyFraming::Chunked => {
-            request.body = read_chunked_body(reader, max_body_bytes)?;
-        }
-    }
-    Ok(Some(request))
-}
-
-/// Blocking chunked-body decode: size line, data, CRLF, repeated until
-/// the zero-size chunk; trailers (if any) are read and discarded.
-fn read_chunked_body(
-    reader: &mut impl BufRead,
-    max_body_bytes: usize,
-) -> Result<Vec<u8>, HttpError> {
-    let eof = || HttpError::Io(io::ErrorKind::UnexpectedEof.into());
-    let mut body = Vec::new();
-    loop {
-        let line = read_line(reader)?.ok_or_else(eof)?;
-        let size = parse_chunk_size(&line)?;
-        if size == 0 {
-            break;
-        }
-        if body.len().saturating_add(size) > max_body_bytes {
-            return Err(HttpError::BodyTooLarge {
-                limit: max_body_bytes,
-            });
-        }
-        let start = body.len();
-        body.resize(start + size, 0);
-        reader
-            .read_exact(&mut body[start..])
-            .map_err(HttpError::Io)?;
-        // The chunk-data terminator must be an (empty) line.
-        if !read_line(reader)?.ok_or_else(eof)?.is_empty() {
-            return Err(HttpError::BadChunk);
-        }
-    }
-    // Trailer section: header lines until the empty line, ignored but
-    // bounded like real headers.
-    let mut trailers = 0;
-    loop {
-        let line = read_line(reader)?.ok_or_else(eof)?;
-        if line.is_empty() {
-            return Ok(body);
-        }
-        trailers += 1;
-        if trailers > MAX_HEADERS {
-            return Err(HttpError::HeadersTooLarge);
-        }
-        parse_header_line(&line)?;
-    }
-}
-
 /// Where the incremental parser currently is inside a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ParsePhase {
@@ -364,7 +224,7 @@ enum ParsePhase {
     Trailers,
 }
 
-/// Incremental request parser for the server's readiness event loop.
+/// The incremental request parser the front ends' event loop feeds.
 ///
 /// Feed it whatever bytes have arrived via [`advance`](Self::advance);
 /// it consumes them into internal state and returns a [`Request`] as
@@ -704,7 +564,7 @@ impl RequestParser {
     }
 }
 
-/// The reason phrase for the status codes this server emits.
+/// The reason phrase for the status codes the front ends emit.
 pub fn reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
@@ -717,6 +577,8 @@ pub fn reason(status: u16) -> &'static str {
         422 => "Unprocessable Content",
         500 => "Internal Server Error",
         501 => "Not Implemented",
+        502 => "Bad Gateway",
+        503 => "Service Unavailable",
         _ => "Unknown",
     }
 }
@@ -755,29 +617,17 @@ pub fn render_chunked_response(status: u16, body: &str, keep_alive: bool) -> Vec
     out
 }
 
-/// Writes a complete response with `Content-Length` framing (the
-/// blocking-path sibling of [`render_response`], used by the router).
-pub fn write_response(
-    stream: &mut impl Write,
-    status: u16,
-    body: &str,
-    keep_alive: bool,
-) -> io::Result<()> {
-    stream.write_all(&render_response(status, body, keep_alive))?;
-    stream.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
+    /// Parses `raw` handed to the parser as one whole buffer.
     fn parse(raw: &str) -> Result<Option<Request>, HttpError> {
-        read_request(&mut BufReader::new(raw.as_bytes()), 1024)
+        RequestParser::new().advance(&mut raw.as_bytes().to_vec(), 1024)
     }
 
-    /// Drives the incremental parser over `raw` in `step`-byte slices,
-    /// asserting at most one request completes.
+    /// Drives the parser over `raw` in `step`-byte slices, returning the
+    /// first request that completes.
     fn parse_incremental(raw: &[u8], step: usize) -> Result<Option<Request>, HttpError> {
         let mut parser = RequestParser::new();
         let mut buf = Vec::new();
@@ -851,10 +701,9 @@ mod tests {
             parse("POST / HTTP/1.1\r\nTransfer-Encoding: gzip\r\n\r\n"),
             Err(HttpError::UnsupportedTransferEncoding)
         ));
-        assert!(matches!(
-            parse("GET / HTTP/1.1\r\nHost: x"),
-            Err(HttpError::Io(_))
-        ));
+        // A truncated head is merely incomplete: a peer that stops
+        // mid-request is the event loop's to reap, not a framing error.
+        assert!(matches!(parse("GET / HTTP/1.1\r\nHost: x"), Ok(None)));
     }
 
     #[test]
@@ -869,7 +718,7 @@ mod tests {
     }
 
     #[test]
-    fn chunked_bodies_decode_in_both_parsers() {
+    fn chunked_bodies_decode_at_any_split() {
         let raw = "POST /v1/batch HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
                    4\r\nWiki\r\n5\r\npedia\r\n0\r\n\r\n";
         let request = parse(raw).unwrap().unwrap();
@@ -921,11 +770,11 @@ mod tests {
     }
 
     #[test]
-    fn incremental_parser_matches_blocking_parser_byte_at_a_time() {
+    fn byte_at_a_time_parse_matches_whole_buffer_parse() {
         let raw = "POST /v1/batch HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nbody";
-        let blocking = parse(raw).unwrap().unwrap();
-        let incremental = parse_incremental(raw.as_bytes(), 1).unwrap().unwrap();
-        assert_eq!(blocking, incremental);
+        let whole = parse(raw).unwrap().unwrap();
+        let trickled = parse_incremental(raw.as_bytes(), 1).unwrap().unwrap();
+        assert_eq!(whole, trickled);
     }
 
     #[test]
@@ -970,14 +819,21 @@ mod tests {
     }
 
     #[test]
-    fn writes_framed_responses() {
-        let mut out = Vec::new();
-        write_response(&mut out, 200, "{\"a\":1}", true).unwrap();
-        let text = String::from_utf8(out).unwrap();
+    fn renders_framed_responses() {
+        let text = String::from_utf8(render_response(200, "{\"a\":1}", true)).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("content-length: 7\r\n"));
         assert!(text.contains("connection: keep-alive\r\n"));
         assert!(text.ends_with("\r\n\r\n{\"a\":1}"));
+    }
+
+    #[test]
+    fn every_emitted_status_has_a_reason_phrase() {
+        // Every status either route table (server or router) or the
+        // framing-error mapping can send.
+        for status in [200, 400, 401, 404, 405, 411, 413, 422, 500, 501, 502, 503] {
+            assert_ne!(reason(status), "Unknown", "status {status}");
+        }
     }
 
     #[test]

@@ -26,17 +26,21 @@
 //!
 //! ## Threading
 //!
-//! One dedicated OS thread runs a readiness event loop (over the
-//! vendored [`polling`] epoll shim) that owns the listener and every
-//! connection, all in non-blocking mode: each connection is an
-//! explicit state machine (`KeepAliveIdle → ReadingHead → ReadingBody
-//! → Planning → Writing`) advanced only when its socket is ready.
-//! Complete `POST /v1/batch` requests are handed to the vendored rayon
-//! worker pool as planning jobs; everything else — parsing, light
-//! routes, response streaming — happens on the loop thread. A
-//! connection therefore costs a pool slot only while its request is
-//! actually planning: thousands of idle keep-alive connections (or
-//! slowloris peers trickling bytes) consume no pool workers at all.
+//! Both front ends are one readiness event loop (over the vendored
+//! [`polling`] epoll shim) on one dedicated OS thread that owns the
+//! listener and every connection, all in non-blocking mode: each
+//! connection is an explicit state machine (`KeepAliveIdle →
+//! ReadingHead → ReadingBody → Deferred → Writing`) advanced only when
+//! its socket is ready. Parsing, light routes and response streaming
+//! happen on the loop thread. The front ends differ only in the route
+//! table the loop calls for each complete request: [`Server`] hands
+//! `POST /v1/batch` to the vendored rayon worker pool as a planning
+//! job; [`Router`] relays it on a thread of its own, one per in-flight
+//! relay, because a relay blocks on a backend socket and must never
+//! occupy a planning worker. A connection therefore costs a pool slot
+//! (or a relay thread) only while its request is actually being
+//! served: thousands of idle keep-alive connections (or slowloris
+//! peers trickling bytes) cost neither. On both front ends
 //! [`NetConfig::keep_alive`] bounds idle time between requests and
 //! [`NetConfig::request_timeout`] bounds a started request and a
 //! response drain.

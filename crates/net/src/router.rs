@@ -38,21 +38,28 @@
 //!
 //! ## Threading
 //!
-//! Unlike [`Server`](crate::Server) — whose connection handlers are
-//! worker-pool jobs — the router serves each connection on a dedicated
-//! OS thread. Router handlers *block on backend sockets*; as pool jobs
-//! they could occupy every worker of a small pool while the backends'
-//! own handlers (also pool jobs, when a backend shares the process, as
-//! in tests) wait behind them — a deadlock at `QRM_POOL_THREADS=1`.
-//! Threads keep the router's blocking I/O off the planning pool
-//! entirely. Each relay uses a fresh connection, dropped as soon as the
-//! response is read, so an in-process backend's handler sees EOF and
-//! frees its pool slot immediately instead of parking on keep-alive;
-//! fresh connections are also what makes a connect failure provable
-//! non-acceptance.
+//! The router is [`Server`](crate::Server)'s event loop with another
+//! route table. The loop runs with `NetConfig { max_body_bytes,
+//! keep_alive, ..NetConfig::default() }`, the two named fields taken
+//! from [`RouterConfig`], so the router has the server's framing
+//! limits, per-state deadlines, connection cap, pipelining and chunked
+//! streaming, and an idle or trickling connection costs a poller
+//! registration, not a thread. Healthz and the routing counters are
+//! answered inline on the loop.
+//!
+//! Each relay runs on a thread of its own, one per in-flight relay, and
+//! never on the planning pool. A relay *blocks on a backend socket*; as
+//! a pool job it could occupy every worker of a small pool while the
+//! backends' planning jobs (also pool jobs, when a backend shares the
+//! process, as in tests) wait behind it — a deadlock at
+//! `QRM_POOL_THREADS=1`. If the relay thread cannot be spawned, the
+//! connection closes without a byte, so the peer's safe-retry rule
+//! still holds. Each relay uses a fresh backend connection, dropped as
+//! soon as the response is read, so the backend closes it at once
+//! instead of holding it on keep-alive; fresh connections are also what
+//! makes a connect failure provable non-acceptance.
 
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -61,9 +68,9 @@ use qrm_server::SubmitBatch;
 use qrm_wire::{BackendRouteStats, FromJson, JsonLimits, RouterStats, ToJson, WireError};
 
 use crate::client::Client;
-use crate::http::{read_request, write_response, HttpError, Request};
-use crate::server::{error, framing_error_reply};
-use crate::Health;
+use crate::http::Request;
+use crate::server::{error, Answer, Frontend, NetCounters, Routes};
+use crate::{Health, NetConfig};
 
 /// Configuration of the router front end.
 #[derive(Debug, Clone, Copy)]
@@ -140,7 +147,7 @@ struct Backend {
     failed_over: AtomicU64,
 }
 
-/// State shared by the accept loop, connection threads, and the health
+/// State shared by the route table, relay threads, and the health
 /// thread.
 struct Shared {
     backends: Vec<Backend>,
@@ -155,6 +162,39 @@ struct Shared {
 }
 
 impl Shared {
+    /// Routing state for `backends`: the hash ring (each backend
+    /// contributing [`RouterConfig::replicas`] virtual nodes), every
+    /// backend marked down until the first health sweep, and all
+    /// counters at zero.
+    fn new(backends: Vec<String>, config: RouterConfig) -> Shared {
+        let mut ring = Vec::with_capacity(backends.len() * config.replicas.max(1));
+        for (index, backend) in backends.iter().enumerate() {
+            for replica in 0..config.replicas.max(1) {
+                ring.push((ring_hash(format!("{backend}#{replica}").as_bytes()), index));
+            }
+        }
+        ring.sort_unstable();
+        Shared {
+            backends: backends
+                .into_iter()
+                .map(|addr| Backend {
+                    addr,
+                    healthy: AtomicBool::new(false),
+                    planners: Mutex::new(Vec::new()),
+                    routed: AtomicU64::new(0),
+                    failed_over: AtomicU64::new(0),
+                })
+                .collect(),
+            ring,
+            config,
+            requests: AtomicU64::new(0),
+            relayed: AtomicU64::new(0),
+            failovers: AtomicU64::new(0),
+            no_backend: AtomicU64::new(0),
+            shutdown: AtomicBool::new(false),
+        }
+    }
+
     /// Distinct backend indices in ring order starting at the first
     /// node at or after `hash` — the request's deterministic failover
     /// order.
@@ -195,16 +235,16 @@ impl Shared {
 
 /// A running consistent-hash router over a fixed backend fleet.
 ///
-/// Binding spawns the accept thread and a health thread; each accepted
-/// connection gets its own OS thread (see the module docs for why the
-/// router must stay off the worker pool). Dropping the router stops
-/// accepting and joins both threads; live connection threads drain on
-/// their idle timeouts.
+/// Binding starts the same event loop a [`Server`](crate::Server) runs,
+/// over the router's route table, plus a health thread; each in-flight
+/// relay gets a thread of its own (see the module docs for why relays
+/// must stay off the worker pool). Dropping the router stops accepting,
+/// closes idle connections, lets in-flight relays finish, and joins the
+/// loop and health threads.
 #[derive(Debug)]
 pub struct Router {
-    addr: SocketAddr,
+    frontend: Frontend,
     shared: Arc<Shared>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
     health_thread: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -238,40 +278,13 @@ impl Router {
                 "a router needs at least one backend",
             ));
         }
-        let mut ring = Vec::with_capacity(backends.len() * config.replicas.max(1));
-        for (index, backend) in backends.iter().enumerate() {
-            for replica in 0..config.replicas.max(1) {
-                ring.push((ring_hash(format!("{backend}#{replica}").as_bytes()), index));
-            }
-        }
-        ring.sort_unstable();
-        let shared = Arc::new(Shared {
-            backends: backends
-                .into_iter()
-                .map(|addr| Backend {
-                    addr,
-                    healthy: AtomicBool::new(false),
-                    planners: Mutex::new(Vec::new()),
-                    routed: AtomicU64::new(0),
-                    failed_over: AtomicU64::new(0),
-                })
-                .collect(),
-            ring,
-            config,
-            requests: AtomicU64::new(0),
-            relayed: AtomicU64::new(0),
-            failovers: AtomicU64::new(0),
-            no_backend: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-        });
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let accept_thread = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("qrm-router-accept".to_string())
-                .spawn(move || accept_loop(&listener, &shared))?
+        let shared = Arc::new(Shared::new(backends, config));
+        let net = NetConfig {
+            max_body_bytes: config.max_body_bytes,
+            keep_alive: config.keep_alive,
+            ..NetConfig::default()
         };
+        let frontend = Frontend::bind(addr, net, RelayRoutes(Arc::clone(&shared)))?;
         let health_thread = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -279,16 +292,15 @@ impl Router {
                 .spawn(move || health_loop(&shared))?
         };
         Ok(Router {
-            addr,
+            frontend,
             shared,
-            accept_thread: Some(accept_thread),
             health_thread: Some(health_thread),
         })
     }
 
     /// The bound address (with the real port when bound to port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.frontend.addr()
     }
 
     /// One consistent routing snapshot — the same data
@@ -297,17 +309,12 @@ impl Router {
         self.shared.stats()
     }
 
-    /// Stops accepting and joins the accept and health threads.
-    /// Idempotent; also invoked by `Drop`.
+    /// Stops accepting, closes idle connections, lets in-flight relays
+    /// finish, and joins the loop and health threads. Idempotent; also
+    /// invoked by `Drop`.
     pub fn shutdown(&mut self) {
-        if self.shared.shutdown.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Wake the blocking `accept` with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.frontend.shutdown();
         if let Some(handle) = self.health_thread.take() {
             let _ = handle.join();
         }
@@ -320,94 +327,36 @@ impl Drop for Router {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    loop {
-        let Ok((stream, _peer)) = listener.accept() else {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return;
+/// The router's route table: each `POST /v1/batch` relay on a thread
+/// of its own, the aggregated healthz and the routing counters inline,
+/// and typed 404/405s.
+struct RelayRoutes(Arc<Shared>);
+
+impl Routes for RelayRoutes {
+    fn route(&self, request: Request, _net: &NetCounters) -> Answer {
+        let shared = &self.0;
+        let (status, body) = match (request.method.as_str(), request.path.as_str()) {
+            ("POST", "/v1/batch") => {
+                let shared = Arc::clone(shared);
+                return Answer::Thread(Box::new(move || relay_batch(&request, &shared)));
             }
-            std::thread::sleep(Duration::from_millis(10));
-            continue;
+            ("GET", "/v1/healthz") => healthz(shared),
+            ("GET", "/v1/router/stats") => (200, shared.stats().to_json()),
+            (_, "/v1/batch" | "/v1/healthz" | "/v1/router/stats") => error(
+                405,
+                "method_not_allowed",
+                format!("{} is not allowed on {}", request.method, request.path),
+            ),
+            (_, "/v1/stats") => error(
+                404,
+                "not_found",
+                "the router serves routing stats at /v1/router/stats; \
+                 per-backend service stats live on the backends"
+                    .to_string(),
+            ),
+            (_, path) => error(404, "not_found", format!("no route for {path}")),
         };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let shared = Arc::clone(shared);
-        // A spawn failure (thread exhaustion) drops the stream: the
-        // peer sees a bytes-free close, which its safe-retry rules
-        // correctly treat as "never accepted".
-        let _ = std::thread::Builder::new()
-            .name("qrm-router-conn".to_string())
-            .spawn(move || serve_connection(stream, &shared));
-    }
-}
-
-/// Serves one incoming connection: keep-alive requests until the peer
-/// closes, a framing error, or the idle timeout.
-fn serve_connection(stream: TcpStream, shared: &Shared) {
-    let _ = stream.set_nodelay(true);
-    // Per-read idle timeout only (no total-request deadline as on
-    // `Server`): a trickling peer holds one dedicated thread here, not
-    // a planning-pool slot.
-    let _ = stream.set_read_timeout(Some(shared.config.keep_alive));
-    let mut reader = BufReader::new(stream);
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        match read_request(&mut reader, shared.config.max_body_bytes) {
-            Ok(Some(request)) => {
-                let keep_alive = request.keep_alive;
-                let (status, body) = route_guarded(&request, shared);
-                if write_response(reader.get_mut(), status, &body, keep_alive).is_err() {
-                    return;
-                }
-                if !keep_alive {
-                    return;
-                }
-            }
-            Ok(None) | Err(HttpError::Io(_)) => return,
-            Err(err) => {
-                let (status, reply) = framing_error_reply(&err);
-                let _ = write_response(reader.get_mut(), status, &reply.to_json(), false);
-                return;
-            }
-        }
-    }
-}
-
-/// [`route`] behind a panic guard, for the same reason as on
-/// [`Server`](crate::Server): clients' safe-retry rules rest on every
-/// read request being answered.
-fn route_guarded(request: &Request, shared: &Shared) -> (u16, String) {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| route(request, shared)))
-        .unwrap_or_else(|_| {
-            error(
-                500,
-                "internal",
-                "request handling panicked router-side".to_string(),
-            )
-        })
-}
-
-fn route(request: &Request, shared: &Shared) -> (u16, String) {
-    match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/v1/batch") => relay_batch(request, shared),
-        ("GET", "/v1/healthz") => healthz(shared),
-        ("GET", "/v1/router/stats") => (200, shared.stats().to_json()),
-        (_, "/v1/batch" | "/v1/healthz" | "/v1/router/stats") => error(
-            405,
-            "method_not_allowed",
-            format!("{} is not allowed on {}", request.method, request.path),
-        ),
-        (_, "/v1/stats") => error(
-            404,
-            "not_found",
-            "the router serves routing stats at /v1/router/stats; \
-             per-backend service stats live on the backends"
-                .to_string(),
-        ),
-        (_, path) => error(404, "not_found", format!("no route for {path}")),
+        Answer::Now(status, body)
     }
 }
 
@@ -439,9 +388,9 @@ fn relay_batch(request: &Request, shared: &Shared) -> (u16, String) {
     for index in up.into_iter().chain(down) {
         let backend = &shared.backends[index];
         // Fresh connection per relay, dropped with `client` right
-        // after the response: an in-process backend handler sees EOF
-        // and frees its pool slot immediately, and a connect failure
-        // is provable non-acceptance (see module docs).
+        // after the response: the backend closes it at once instead of
+        // holding it on keep-alive, and a connect failure is provable
+        // non-acceptance (see module docs).
         let mut client =
             Client::connect(backend.addr.clone()).with_read_timeout(shared.config.relay_timeout);
         // Forward the caller's credential verbatim: authed backends
@@ -564,32 +513,7 @@ mod tests {
             replicas,
             ..RouterConfig::default()
         };
-        let mut ring = Vec::new();
-        for (index, backend) in backends.iter().enumerate() {
-            for replica in 0..replicas {
-                ring.push((ring_hash(format!("{backend}#{replica}").as_bytes()), index));
-            }
-        }
-        ring.sort_unstable();
-        Shared {
-            backends: backends
-                .iter()
-                .map(|&addr| Backend {
-                    addr: addr.to_string(),
-                    healthy: AtomicBool::new(false),
-                    planners: Mutex::new(Vec::new()),
-                    routed: AtomicU64::new(0),
-                    failed_over: AtomicU64::new(0),
-                })
-                .collect(),
-            ring,
-            config,
-            requests: AtomicU64::new(0),
-            relayed: AtomicU64::new(0),
-            failovers: AtomicU64::new(0),
-            no_backend: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-        }
+        Shared::new(backends.iter().map(|b| b.to_string()).collect(), config)
     }
 
     #[test]

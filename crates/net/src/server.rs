@@ -1,5 +1,6 @@
 //! The HTTP front end: a readiness-driven event loop over non-blocking
-//! sockets, routing, and error mapping.
+//! sockets, the route-table seam it dispatches through, and the
+//! planning service's route table.
 //!
 //! ## Architecture
 //!
@@ -12,15 +13,24 @@
 //! KeepAliveIdle ──first byte──▶ ReadingHead ──▶ ReadingBody
 //!       ▲                                           │ complete request
 //!       │                                           ▼
-//!       └────────── response drained ◀── Writing ◀── Planning (pool job)
+//!       └────────── response drained ◀── Writing ◀── Deferred (pool job
+//!                                                    or handler thread)
 //! ```
 //!
 //! — driven entirely by readiness events. Only a **complete** request
-//! leaves the loop: `POST /v1/batch` submissions are handed to the
-//! planning worker pool as ordinary jobs, which push their finished
-//! response into a completion queue and wake the loop via
-//! [`Poller::notify`]; light routes (stats, healthz, errors) are
-//! answered inline. Responses stream back as writability allows.
+//! leaves the loop, and it goes to the loop's route table ([`Routes`]),
+//! which answers in one of two ways ([`Answer`]): inline on the loop
+//! (stats, healthz, errors), or through a handler run off the loop — a
+//! job on the planning worker pool ([`Server`]'s `POST /v1/batch`) or a
+//! thread of its own (the [`Router`](crate::Router)'s relays, which
+//! block on backend sockets). A deferred handler pushes its finished
+//! response into a completion queue and wakes the loop via
+//! [`Poller::notify`]. Responses stream back as writability allows.
+//!
+//! The loop never branches on which front end it serves: [`Server`]
+//! and [`Router`](crate::Router) are this one loop over two route
+//! tables, so framing limits, deadlines, the connection cap,
+//! pipelining and chunked streaming are the same on both.
 //!
 //! Consequently **connection count is decoupled from planning
 //! parallelism**: ten thousand idle keep-alive connections cost the
@@ -31,6 +41,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -110,7 +121,8 @@ enum CloseCause {
     Framing,
     /// Server shutdown or fault-injection sever.
     Shutdown,
-    /// Shed at accept: the connection cap was reached.
+    /// Shed for lack of capacity: the connection cap was reached at
+    /// accept, or no thread could be spawned for a handler.
     OverCapacity,
 }
 
@@ -118,7 +130,7 @@ enum CloseCause {
 /// and stats snapshots (readers). All relaxed: they are gauges, not
 /// synchronization.
 #[derive(Debug, Default)]
-struct NetCounters {
+pub(crate) struct NetCounters {
     open: AtomicU64,
     peak_open: AtomicU64,
     accepted: AtomicU64,
@@ -170,8 +182,8 @@ impl NetCounters {
     }
 }
 
-/// State shared between the [`Server`] handle, the event loop, and the
-/// planning-pool jobs it dispatches.
+/// State shared between a [`Frontend`] handle, its event loop, and the
+/// deferred handlers the loop dispatches.
 #[derive(Debug)]
 struct Shared {
     poller: Poller,
@@ -183,11 +195,11 @@ struct Shared {
     /// was never taken. See [`Server::debug_sever`].
     #[cfg(feature = "test-hooks")]
     severed: AtomicBool,
-    /// Finished pool jobs, drained by the loop after a `notify`.
+    /// Finished deferred handlers, drained by the loop after a `notify`.
     completions: Mutex<Vec<Completion>>,
 }
 
-/// A planning job's finished response, addressed to the connection
+/// A deferred handler's finished response, addressed to the connection
 /// (slot + generation, so a recycled slot cannot receive a stale
 /// response) that asked for it.
 #[derive(Debug)]
@@ -196,6 +208,26 @@ struct Completion {
     generation: u64,
     status: u16,
     body: String,
+}
+
+impl Shared {
+    /// Runs a deferred `handler` behind the panic guard, queues its
+    /// answer for connection `key`, and wakes the loop — the one
+    /// wake-up a deferred request costs.
+    fn complete(&self, key: usize, generation: u64, handler: Handler) {
+        let (status, body) =
+            catch_unwind(AssertUnwindSafe(handler)).unwrap_or_else(|_| panic_reply());
+        self.completions
+            .lock()
+            .expect("completions")
+            .push(Completion {
+                key,
+                generation,
+                status,
+                body,
+            });
+        self.poller.notify();
+    }
 }
 
 /// A running HTTP front end over a shared [`PlanService`].
@@ -215,9 +247,7 @@ struct Completion {
 /// the loop thread.
 #[derive(Debug)]
 pub struct Server {
-    addr: SocketAddr,
-    shared: Arc<Shared>,
-    loop_thread: Option<std::thread::JoinHandle<()>>,
+    frontend: Frontend,
 }
 
 impl Server {
@@ -232,58 +262,35 @@ impl Server {
         service: Arc<PlanService>,
         config: NetConfig,
     ) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            poller: Poller::new()?,
-            counters: NetCounters::default(),
-            shutdown: AtomicBool::new(false),
-            #[cfg(feature = "test-hooks")]
-            severed: AtomicBool::new(false),
-            completions: Mutex::new(Vec::new()),
-        });
-        shared.poller.add(&listener, LISTENER_KEY, Interest::READ)?;
-        let event_loop = EventLoop {
-            listener: Some(listener),
+        let routes = ServiceRoutes {
             service,
-            config: Arc::new(config),
-            shared: Arc::clone(&shared),
-            conns: Vec::new(),
-            free: Vec::new(),
-            next_generation: 0,
-            open: 0,
+            config: Arc::new(config.clone()),
         };
-        let loop_thread = std::thread::Builder::new()
-            .name("qrm-net-loop".to_string())
-            .spawn(move || event_loop.run())?;
         Ok(Server {
-            addr,
-            shared,
-            loop_thread: Some(loop_thread),
+            frontend: Frontend::bind(addr, config, routes)?,
         })
     }
 
     /// The bound address (with the real port when bound to port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.frontend.addr()
     }
 
     /// Connections accepted so far.
     pub fn connections_accepted(&self) -> u64 {
-        self.shared.counters.accepted.load(Ordering::Relaxed)
+        self.frontend.counters().accepted.load(Ordering::Relaxed)
     }
 
     /// Requests served so far (across all connections, all routes).
     pub fn requests_served(&self) -> u64 {
-        self.shared.counters.requests.load(Ordering::Relaxed)
+        self.frontend.counters().requests.load(Ordering::Relaxed)
     }
 
     /// A live snapshot of this front end's connection gauges — the
     /// same numbers `GET /v1/stats` splices into
     /// [`ServiceStats::net`](qrm_server::ServiceStats).
     pub fn net_stats(&self) -> NetStats {
-        self.shared.counters.snapshot()
+        self.frontend.counters().snapshot()
     }
 
     /// Fault-injection hook (`test-hooks` builds only): simulates this
@@ -298,14 +305,110 @@ impl Server {
     /// failover with no double execution.
     #[cfg(feature = "test-hooks")]
     pub fn debug_sever(&mut self) {
-        self.shared.severed.store(true, Ordering::SeqCst);
-        self.shared.poller.notify();
+        let shared = &self.frontend.shared;
+        shared.severed.store(true, Ordering::SeqCst);
+        shared.poller.notify();
     }
 
     /// Stops accepting, closes idle connections, lets in-flight
     /// requests finish (bounded by their deadlines), and joins the
     /// loop thread. Idempotent; also invoked by `Drop`.
     pub fn shutdown(&mut self) {
+        self.frontend.shutdown();
+    }
+}
+
+/// A request handler run off the loop; its return value is the answer.
+pub(crate) type Handler = Box<dyn FnOnce() -> (u16, String) + Send>;
+
+/// How a route table answers one complete request.
+pub(crate) enum Answer {
+    /// Answered inline, on the loop thread.
+    Now(u16, String),
+    /// Answered by a handler on the planning worker pool.
+    Pool(Handler),
+    /// Answered by a handler on a thread of its own, for handlers that
+    /// block on other sockets and so must stay off the planning pool.
+    /// If the thread cannot be spawned, the connection closes without a
+    /// byte — which the peer's safe-retry rules read as "never taken".
+    Thread(Handler),
+}
+
+/// A front end's route table: what the event loop does with each
+/// complete request. The loop calls it once per request, behind the
+/// same panic guard as every deferred handler.
+pub(crate) trait Routes: Send + 'static {
+    /// Answers `request`; `net` is the loop's own connection gauges.
+    fn route(&self, request: Request, net: &NetCounters) -> Answer;
+}
+
+/// A bound listener plus the event-loop thread serving it with one
+/// route table — the machinery [`Server`] and the
+/// [`Router`](crate::Router) share.
+///
+/// Dropping it stops accepting, closes idle connections, lets
+/// in-flight requests finish (bounded by their deadlines), and joins
+/// the loop thread.
+#[derive(Debug)]
+pub(crate) struct Frontend {
+    addr: SocketAddr,
+    shared: Arc<Shared>,
+    loop_thread: Option<std::thread::JoinHandle<()>>,
+}
+
+impl Frontend {
+    /// Binds `addr` and starts the event loop over `routes`.
+    pub(crate) fn bind(
+        addr: impl ToSocketAddrs,
+        config: NetConfig,
+        routes: impl Routes,
+    ) -> std::io::Result<Frontend> {
+        let listener = TcpListener::bind(addr)?;
+        listener.set_nonblocking(true)?;
+        let addr = listener.local_addr()?;
+        let shared = Arc::new(Shared {
+            poller: Poller::new()?,
+            counters: NetCounters::default(),
+            shutdown: AtomicBool::new(false),
+            #[cfg(feature = "test-hooks")]
+            severed: AtomicBool::new(false),
+            completions: Mutex::new(Vec::new()),
+        });
+        shared.poller.add(&listener, LISTENER_KEY, Interest::READ)?;
+        let event_loop = EventLoop {
+            listener: Some(listener),
+            routes,
+            config,
+            shared: Arc::clone(&shared),
+            conns: Vec::new(),
+            free: Vec::new(),
+            next_generation: 0,
+            open: 0,
+        };
+        let loop_thread = std::thread::Builder::new()
+            .name("qrm-net-loop".to_string())
+            .spawn(move || event_loop.run())?;
+        Ok(Frontend {
+            addr,
+            shared,
+            loop_thread: Some(loop_thread),
+        })
+    }
+
+    /// The bound address (with the real port when bound to port 0).
+    pub(crate) fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// The loop's connection gauges.
+    fn counters(&self) -> &NetCounters {
+        &self.shared.counters
+    }
+
+    /// Stops accepting, closes idle connections, lets in-flight
+    /// requests finish (bounded by their deadlines), and joins the
+    /// loop thread. Idempotent; also invoked by `Drop`.
+    pub(crate) fn shutdown(&mut self) {
         if self.shared.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
@@ -316,7 +419,7 @@ impl Server {
     }
 }
 
-impl Drop for Server {
+impl Drop for Frontend {
     fn drop(&mut self) {
         self.shutdown();
     }
@@ -336,9 +439,10 @@ enum ConnState {
     /// `ReadingHead`/`ReadingBody` (the parser knows which); total
     /// request deadline.
     Reading,
-    /// A pool job is planning the parsed request; no poller
-    /// registration, no deadline (planning is the service's business).
-    Planning,
+    /// A deferred handler (pool job or handler thread) is computing
+    /// the response; no poller registration, no deadline (the handler
+    /// bounds its own work).
+    Deferred,
     /// Draining the response; `request_timeout` drain deadline.
     Writing,
 }
@@ -360,17 +464,17 @@ struct Conn {
     /// Whether the current request arrived over HTTP/1.1 (chunked
     /// responses are only legal there).
     http11: bool,
-    /// The state's wall-clock bound; `None` while Planning.
+    /// The state's wall-clock bound; `None` while Deferred.
     deadline: Option<Instant>,
-    /// Registered with the poller? (Planning connections are not.)
+    /// Registered with the poller? (Deferred connections are not.)
     registered: bool,
     interest: Interest,
 }
 
-struct EventLoop {
+struct EventLoop<R> {
     listener: Option<TcpListener>,
-    service: Arc<PlanService>,
-    config: Arc<NetConfig>,
+    routes: R,
+    config: NetConfig,
     shared: Arc<Shared>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
@@ -378,7 +482,7 @@ struct EventLoop {
     open: usize,
 }
 
-impl EventLoop {
+impl<R: Routes> EventLoop<R> {
     fn run(mut self) {
         let mut events: Vec<Event> = Vec::new();
         let mut shutting_down = false;
@@ -423,7 +527,7 @@ impl EventLoop {
     }
 
     /// Shutdown entry: stop accepting and close connections that are
-    /// not serving a request. Planning/Writing connections finish
+    /// not serving a request. Deferred/Writing connections finish
     /// (their deadlines still apply), then close.
     fn begin_shutdown(&mut self) {
         self.drop_listener();
@@ -475,7 +579,7 @@ impl EventLoop {
                 ConnState::Idle => CloseCause::Idle,
                 ConnState::Reading => CloseCause::RequestTimeout,
                 ConnState::Writing => CloseCause::WriteStalled,
-                ConnState::Planning => continue, // no deadline while planning
+                ConnState::Deferred => continue, // no deadline while deferred
             };
             self.close(key, cause);
         }
@@ -575,11 +679,14 @@ impl EventLoop {
         Ok(())
     }
 
-    /// Removes a connection's fd from the poller (used while Planning,
-    /// so a peer hang-up cannot spin the loop on a connection that is
-    /// not doing IO anyway).
-    fn deregister(&mut self, key: usize) {
+    /// Parks a connection while a deferred handler computes its
+    /// response: no deadline, and no poller registration, so a peer's
+    /// half-close cannot spin the loop on a connection doing no IO.
+    fn park(&mut self, key: usize, keep_alive: bool) {
         let conn = self.conns[key - 1].as_mut().expect("live conn");
+        conn.state = ConnState::Deferred;
+        conn.deadline = None;
+        conn.keep_alive_after = keep_alive;
         if conn.registered {
             let _ = self.shared.poller.delete(&conn.stream);
             conn.registered = false;
@@ -692,8 +799,9 @@ impl EventLoop {
         }
     }
 
-    /// Routes one complete request: light routes inline, submissions to
-    /// the planning pool.
+    /// Hands one complete request to the route table and carries out
+    /// its answer: respond now, or park the connection while a pool job
+    /// or a handler thread computes the response.
     fn dispatch(&mut self, key: usize, request: Request) {
         #[cfg(feature = "test-hooks")]
         if self.shared.severed.load(Ordering::SeqCst) {
@@ -707,100 +815,47 @@ impl EventLoop {
             .counters
             .requests
             .fetch_add(1, Ordering::Relaxed);
-        if let Some(conn) = self.conns.get_mut(key - 1).and_then(Option::as_mut) {
-            conn.http11 = request.http11;
-        }
+        let Some(conn) = self.conns.get_mut(key - 1).and_then(Option::as_mut) else {
+            return;
+        };
+        conn.http11 = request.http11;
+        let generation = conn.generation;
         let keep_alive = request.keep_alive;
-        if let Some(token) = self.config.auth_token.as_deref() {
-            if request.path != "/v1/healthz" && !authorized(&request, token) {
-                self.shared
-                    .counters
-                    .auth_failures
-                    .fetch_add(1, Ordering::Relaxed);
-                let (status, body) = error(
-                    401,
-                    "unauthorized",
-                    "missing or invalid bearer token".to_string(),
-                );
+        let counters = &self.shared.counters;
+        let answer = catch_unwind(AssertUnwindSafe(|| self.routes.route(request, counters)))
+            .unwrap_or_else(|_| {
+                let (status, body) = panic_reply();
+                Answer::Now(status, body)
+            });
+        match answer {
+            Answer::Now(status, body) => {
                 self.respond(key, status, &body, keep_alive, CloseCause::Peer);
-                return;
             }
-        }
-        match (request.method.as_str(), request.path.as_str()) {
-            ("POST", "/v1/batch") => {
-                let conn = match self.conns.get_mut(key - 1) {
-                    Some(Some(conn)) => conn,
-                    _ => return,
-                };
-                conn.state = ConnState::Planning;
-                conn.deadline = None;
-                conn.keep_alive_after = keep_alive;
-                let generation = conn.generation;
-                self.deregister(key);
-                let service = Arc::clone(&self.service);
-                let config = Arc::clone(&self.config);
+            Answer::Pool(handler) => {
+                self.park(key, keep_alive);
                 let shared = Arc::clone(&self.shared);
-                rayon::spawn(move || {
-                    // The retry contract of `Client` rests on this
-                    // server answering every request it reads — a
-                    // panicking submission must surface as a `500`
-                    // reply, not a silent close the client would
-                    // mistake for an unaccepted request.
-                    let (status, body) =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            submit(&request, &service, &config)
-                        }))
-                        .unwrap_or_else(|_| {
-                            error(
-                                500,
-                                "internal",
-                                "request handling panicked server-side".to_string(),
-                            )
-                        });
-                    shared
-                        .completions
-                        .lock()
-                        .expect("completions")
-                        .push(Completion {
-                            key,
-                            generation,
-                            status,
-                            body,
-                        });
-                    shared.poller.notify();
-                });
+                rayon::spawn(move || shared.complete(key, generation, handler));
             }
-            ("GET", "/v1/stats") => {
-                let mut stats = self.service.stats();
-                stats.net = self.shared.counters.snapshot();
-                let body = stats.to_json();
-                self.respond(key, 200, &body, keep_alive, CloseCause::Peer);
-            }
-            ("GET", "/v1/healthz") => {
-                let health = Health {
-                    status: "ok".to_string(),
-                    planners: self.service.planners().map(str::to_string).collect(),
-                };
-                let body = health.to_json();
-                self.respond(key, 200, &body, keep_alive, CloseCause::Peer);
-            }
-            (_, "/v1/batch" | "/v1/stats" | "/v1/healthz") => {
-                let (status, body) = error(
-                    405,
-                    "method_not_allowed",
-                    format!("{} is not allowed on {}", request.method, request.path),
-                );
-                self.respond(key, status, &body, keep_alive, CloseCause::Peer);
-            }
-            (_, path) => {
-                let (status, body) = error(404, "not_found", format!("no route for {path}"));
-                self.respond(key, status, &body, keep_alive, CloseCause::Peer);
+            Answer::Thread(handler) => {
+                self.park(key, keep_alive);
+                let shared = Arc::clone(&self.shared);
+                // Detached: `complete` turns a handler panic into a
+                // `500`, and the loop waits for the completion (even
+                // at shutdown), not for the thread's exit.
+                let spawned = std::thread::Builder::new()
+                    .name("qrm-net-handler".to_string())
+                    .spawn(move || shared.complete(key, generation, handler));
+                if spawned.is_err() {
+                    // The handler never ran: a bytes-free close is the
+                    // peer's proof that the request was never taken.
+                    self.close(key, CloseCause::OverCapacity);
+                }
             }
         }
     }
 
-    /// Hands a finished pool job's response back to its connection (if
-    /// it is still the same connection).
+    /// Hands a finished deferred handler's response back to its
+    /// connection (if it is still the same connection).
     fn drain_completions(&mut self) {
         let completions: Vec<Completion> = {
             let mut queue = self.shared.completions.lock().expect("completions");
@@ -810,7 +865,7 @@ impl EventLoop {
             let Some(Some(conn)) = self.conns.get(completion.key - 1) else {
                 continue;
             };
-            if conn.generation != completion.generation || conn.state != ConnState::Planning {
+            if conn.generation != completion.generation || conn.state != ConnState::Deferred {
                 continue;
             }
             let keep_alive = conn.keep_alive_after;
@@ -924,6 +979,69 @@ impl EventLoop {
     }
 }
 
+/// [`Server`]'s route table: bearer auth, then `POST /v1/batch` as one
+/// planning-pool job, `GET /v1/stats` with the loop's [`NetStats`]
+/// spliced in, `GET /v1/healthz`, and typed 404/405s.
+struct ServiceRoutes {
+    service: Arc<PlanService>,
+    config: Arc<NetConfig>,
+}
+
+impl Routes for ServiceRoutes {
+    fn route(&self, request: Request, net: &NetCounters) -> Answer {
+        if let Some(token) = self.config.auth_token.as_deref() {
+            if request.path != "/v1/healthz" && !authorized(&request, token) {
+                net.auth_failures.fetch_add(1, Ordering::Relaxed);
+                let (status, body) = error(
+                    401,
+                    "unauthorized",
+                    "missing or invalid bearer token".to_string(),
+                );
+                return Answer::Now(status, body);
+            }
+        }
+        let (status, body) = match (request.method.as_str(), request.path.as_str()) {
+            ("POST", "/v1/batch") => {
+                let service = Arc::clone(&self.service);
+                let config = Arc::clone(&self.config);
+                return Answer::Pool(Box::new(move || submit(&request, &service, &config)));
+            }
+            ("GET", "/v1/stats") => {
+                let mut stats = self.service.stats();
+                stats.net = net.snapshot();
+                (200, stats.to_json())
+            }
+            ("GET", "/v1/healthz") => {
+                let health = Health {
+                    status: "ok".to_string(),
+                    planners: self.service.planners().map(str::to_string).collect(),
+                };
+                (200, health.to_json())
+            }
+            (_, "/v1/batch" | "/v1/stats" | "/v1/healthz") => error(
+                405,
+                "method_not_allowed",
+                format!("{} is not allowed on {}", request.method, request.path),
+            ),
+            (_, path) => error(404, "not_found", format!("no route for {path}")),
+        };
+        Answer::Now(status, body)
+    }
+}
+
+/// The answer to a request whose handler panicked. Clients' safe-retry
+/// rules rest on every request that is read being answered, so a panic
+/// — inline on the loop or in a deferred handler — surfaces as a `500`
+/// reply, never as a silent close a client would mistake for an
+/// unaccepted request.
+fn panic_reply() -> (u16, String) {
+    error(
+        500,
+        "internal",
+        "request handling panicked server-side".to_string(),
+    )
+}
+
 /// Constant-time byte-slice equality (length leaks; contents do not).
 fn constant_time_eq(a: &[u8], b: &[u8]) -> bool {
     if a.len() != b.len() {
@@ -943,9 +1061,8 @@ fn authorized(request: &Request, token: &str) -> bool {
     constant_time_eq(presented.as_bytes(), token.as_bytes())
 }
 
-/// Maps an HTTP framing error to its wire reply; shared with the
-/// router front end, which frames requests identically.
-pub(crate) fn framing_error_reply(err: &HttpError) -> (u16, ErrorReply) {
+/// Maps an HTTP framing error to its wire reply.
+fn framing_error_reply(err: &HttpError) -> (u16, ErrorReply) {
     let (status, code) = match err {
         HttpError::BodyTooLarge { .. } => (413, "payload_too_large"),
         HttpError::LengthRequired => (411, "length_required"),
@@ -955,7 +1072,6 @@ pub(crate) fn framing_error_reply(err: &HttpError) -> (u16, ErrorReply) {
         | HttpError::BadHeader
         | HttpError::BadContentLength
         | HttpError::BadChunk => (400, "bad_request"),
-        HttpError::Io(_) => (400, "bad_request"), // unreachable: handled above
     };
     (status, ErrorReply::new(code, err.to_string()))
 }
@@ -1043,4 +1159,55 @@ pub fn raw_roundtrip(
     let mut response = String::new();
     stream.read_to_string(&mut response)?;
     Ok(response)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A route table whose handlers all panic: inline on the loop, on
+    /// the planning pool (`/pool`), and on a thread of their own
+    /// (`/thread`).
+    struct Panicking;
+
+    impl Routes for Panicking {
+        fn route(&self, request: Request, _net: &NetCounters) -> Answer {
+            match request.path.as_str() {
+                "/pool" => Answer::Pool(Box::new(|| -> (u16, String) { panic!("pool handler") })),
+                "/thread" => {
+                    Answer::Thread(Box::new(|| -> (u16, String) { panic!("thread handler") }))
+                }
+                _ => panic!("inline route"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_handler_is_answered_500_wherever_it_runs() {
+        let config = NetConfig {
+            keep_alive: Duration::from_secs(1),
+            request_timeout: Duration::from_secs(1),
+            ..NetConfig::default()
+        };
+        // Dropped only once every answer arrived: without the guard a
+        // parked connection never completes, and shutdown would wait
+        // for it forever instead of letting the assertion fail.
+        let frontend = std::mem::ManuallyDrop::new(
+            Frontend::bind("127.0.0.1:0", config.clone(), Panicking).expect("bind"),
+        );
+        for path in ["/inline", "/pool", "/thread"] {
+            let request = format!("GET {path} HTTP/1.1\r\nconnection: close\r\n\r\n");
+            let response = raw_roundtrip(frontend.addr(), request.as_bytes(), &config)
+                .unwrap_or_else(|err| format!("no answer: {err}"));
+            assert!(
+                response.starts_with("HTTP/1.1 500 Internal Server Error\r\n"),
+                "{path}: {response:?}"
+            );
+            assert!(
+                response.contains("\"code\":\"internal\""),
+                "{path}: {response:?}"
+            );
+        }
+        drop(std::mem::ManuallyDrop::into_inner(frontend));
+    }
 }

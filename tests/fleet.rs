@@ -16,8 +16,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use qrm_bench::{build_service, route_load, service_load, DigestRow, ServeConfig};
-use qrm_net::{Client, NetConfig, Router, RouterConfig};
+use qrm_net::{raw_roundtrip, Client, NetConfig, Router, RouterConfig};
 use qrm_server::{BatchSpec, PlanService, SubmitBatch};
+use qrm_wire::{ErrorReply, FromJson, ToJson};
 
 /// Spins up `count` backend servers (each its own [`PlanService`] with
 /// the response cache enabled) plus a router over all of them, with the
@@ -271,4 +272,47 @@ fn backend_killed_mid_load_fails_over_without_double_execution() {
     // served (first-half work on the victim included).
     let served: u64 = services.iter().map(|s| s.stats().batches_served).sum();
     assert_eq!(served, n as u64);
+}
+
+#[test]
+fn router_whose_only_backend_refuses_answers_503_no_backend() {
+    // A port nothing listens on: every connect is refused, the
+    // provably-unaccepted failure the router may fail over from.
+    let dead = std::net::TcpListener::bind("127.0.0.1:0")
+        .expect("reserve a port")
+        .local_addr()
+        .expect("port")
+        .to_string();
+    let router = Router::bind("127.0.0.1:0", vec![dead], RouterConfig::default()).expect("bind");
+
+    let body = SubmitBatch::new("qrm", BatchSpec::new(1, 12, 5)).to_json();
+    let submit = format!(
+        "POST /v1/batch HTTP/1.1\r\nconnection: close\r\ncontent-length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let response =
+        raw_roundtrip(router.addr(), submit.as_bytes(), &NetConfig::default()).expect("submit");
+    assert!(
+        response.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
+        "{response:?}"
+    );
+    let reply = response.split("\r\n\r\n").nth(1).expect("body");
+    assert_eq!(
+        ErrorReply::from_json(reply).expect("typed error").code,
+        "no_backend"
+    );
+
+    let health = raw_roundtrip(
+        router.addr(),
+        b"GET /v1/healthz HTTP/1.1\r\nconnection: close\r\n\r\n",
+        &NetConfig::default(),
+    )
+    .expect("healthz");
+    assert!(health.starts_with("HTTP/1.1 503 "), "{health:?}");
+
+    let stats = router.stats();
+    assert_eq!(stats.requests, 1);
+    assert_eq!(stats.no_backend, 1);
+    assert_eq!(stats.failovers, 1, "the refused connect is one failover");
+    assert_eq!(stats.relayed, 0);
 }

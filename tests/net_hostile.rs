@@ -15,16 +15,20 @@
 //!    well-behaved submissions on the same server return reports
 //!    bit-identical to an in-process `PlanService::submit` — hostile
 //!    load may cost latency, never bytes.
+//!
+//! The router runs the same event loop over another route table, so
+//! the framing cases also run against a router with one live backend
+//! and must get the same answers as from the server.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use qrm_bench::{build_service, ServeConfig};
-use qrm_net::{Client, NetConfig, Server};
+use qrm_net::{Client, NetConfig, Router, RouterConfig, Server};
 use qrm_server::{BatchSpec, PlanService, SubmitBatch};
-use qrm_wire::ToJson;
+use qrm_wire::{ErrorReply, FromJson, ToJson};
 
 /// A served planner registry behind a loopback event-loop server.
 fn serve(config: NetConfig) -> (Server, Arc<PlanService>) {
@@ -37,6 +41,61 @@ fn serve(config: NetConfig) -> (Server, Arc<PlanService>) {
     (server, service)
 }
 
+/// One front end under test: a plain server, or a router relaying to
+/// one live backend server.
+struct Front {
+    name: &'static str,
+    addr: SocketAddr,
+    /// The service behind the front end: the digest reference.
+    service: Arc<PlanService>,
+    /// The front end's own stats route, and a key its body carries.
+    stats: (&'static str, &'static str),
+    /// Declared before the server so the router shuts down first.
+    _router: Option<Router>,
+    /// The server under test, or the router's backend.
+    _server: Server,
+}
+
+/// The server under `config`, and a router whose loop takes
+/// `config`'s `max_body_bytes` and `keep_alive` over a backend server
+/// under `config`.
+fn fronts(config: NetConfig) -> [Front; 2] {
+    let (server, service) = serve(config.clone());
+    let plain = Front {
+        name: "server",
+        addr: server.addr(),
+        service,
+        stats: ("/v1/stats", "\"batches_served\""),
+        _router: None,
+        _server: server,
+    };
+    let router_config = RouterConfig {
+        max_body_bytes: config.max_body_bytes,
+        keep_alive: config.keep_alive,
+        ..RouterConfig::default()
+    };
+    let (backend, service) = serve(config);
+    let router = Router::bind(
+        "127.0.0.1:0",
+        vec![backend.addr().to_string()],
+        router_config,
+    )
+    .expect("bind router");
+    assert!(
+        qrm_bench::wait_for_server(&router.addr().to_string(), Duration::from_secs(5)),
+        "router never saw its backend healthy"
+    );
+    let routed = Front {
+        name: "router",
+        addr: router.addr(),
+        service,
+        stats: ("/v1/router/stats", "\"relayed\""),
+        _router: Some(router),
+        _server: backend,
+    };
+    [plain, routed]
+}
+
 /// A config with deadlines short enough to torture in test time.
 fn short_deadlines() -> NetConfig {
     NetConfig {
@@ -46,12 +105,12 @@ fn short_deadlines() -> NetConfig {
     }
 }
 
-/// The sixth-leg probe: submits on a fresh connection and asserts the
-/// report is bit-identical to the in-process reference.
-fn assert_digest_unchanged(server: &Server, service: &PlanService, tag: &str) {
+/// The sixth-leg probe: submits on a fresh connection to `addr` and
+/// asserts the report is bit-identical to `service`'s in-process one.
+fn assert_digest_unchanged(addr: SocketAddr, service: &PlanService, tag: &str) {
     let request = SubmitBatch::new("qrm", BatchSpec::new(2, 12, 4242));
     let expected = service.submit(&request).expect("in-process reference");
-    let mut client = Client::connect(server.addr().to_string());
+    let mut client = Client::connect(addr.to_string());
     let over_http = client.submit(&request).expect("submit during abuse");
     assert_eq!(
         over_http.reports, expected.reports,
@@ -88,6 +147,24 @@ fn parse_response(response: &str) -> (u16, &str) {
     (status, body)
 }
 
+/// The status of every response in a pipelined stream, in order.
+fn statuses(response: &str) -> Vec<u16> {
+    response
+        .split("HTTP/1.1 ")
+        .skip(1)
+        .map(|r| r.split(' ').next().unwrap_or("").parse().unwrap_or(0))
+        .collect()
+}
+
+/// The `(status, ErrorReply.code)` pair of a refusal.
+fn refusal(response: &str) -> (u16, String) {
+    let (status, body) = parse_response(response);
+    let code = ErrorReply::from_json(body)
+        .map(|reply| reply.code)
+        .unwrap_or_default();
+    (status, code)
+}
+
 #[test]
 fn slowloris_header_trickle_is_closed_at_the_request_deadline() {
     let (server, service) = serve(short_deadlines());
@@ -120,7 +197,7 @@ fn slowloris_header_trickle_is_closed_at_the_request_deadline() {
         elapsed < Duration::from_secs(5),
         "closed by the request deadline, not peer patience: {elapsed:?}"
     );
-    assert_digest_unchanged(&server, &service, "slowloris");
+    assert_digest_unchanged(server.addr(), &service, "slowloris");
 }
 
 #[test]
@@ -144,7 +221,7 @@ fn byte_at_a_time_body_is_served_within_the_deadline() {
     let response = read_to_eof(&mut stream, Duration::from_secs(40));
     let (status, _) = parse_response(&response);
     assert_eq!(status, 200, "trickled-but-complete request serves");
-    assert_digest_unchanged(&server, &service, "byte-at-a-time");
+    assert_digest_unchanged(server.addr(), &service, "byte-at-a-time");
 }
 
 #[test]
@@ -173,115 +250,148 @@ fn half_close_mid_request_is_reaped() {
         assert!(Instant::now() < deadline, "half-closed conn never reaped");
         std::thread::sleep(Duration::from_millis(10));
     }
-    assert_digest_unchanged(&server, &service, "half-close");
+    assert_digest_unchanged(server.addr(), &service, "half-close");
 }
 
 #[test]
 fn oversized_request_line_headers_and_bodies_get_typed_refusals() {
-    let (server, service) = serve(NetConfig {
+    let mut answers = Vec::new();
+    for front in fronts(NetConfig {
         max_body_bytes: 1024,
         ..NetConfig::default()
-    });
+    }) {
+        let name = front.name;
+        let mut refusals = Vec::new();
 
-    // Request line far over MAX_LINE_BYTES: refused as soon as the
-    // overflow is proven, well before any terminator arrives.
-    let mut stream = TcpStream::connect(server.addr()).expect("connect");
-    let long_line = format!("GET /{} HTTP/1.1", "a".repeat(64 << 10));
-    let _ = stream.write_all(long_line.as_bytes());
-    let response = read_to_eof(&mut stream, Duration::from_secs(5));
-    let (status, body) = parse_response(&response);
-    assert_eq!(status, 400, "oversized request line: {response:?}");
-    assert!(body.contains("headers_too_large"), "{body:?}");
+        // Request line far over MAX_LINE_BYTES: refused as soon as the
+        // overflow is proven, well before any terminator arrives.
+        let mut stream = TcpStream::connect(front.addr).expect("connect");
+        let long_line = format!("GET /{} HTTP/1.1", "a".repeat(64 << 10));
+        let _ = stream.write_all(long_line.as_bytes());
+        let response = read_to_eof(&mut stream, Duration::from_secs(5));
+        let answer = refusal(&response);
+        assert_eq!(
+            answer,
+            (400, "headers_too_large".to_string()),
+            "{name}: oversized request line: {response:?}"
+        );
+        refusals.push(answer);
 
-    // Unbounded header section: one header line over the limit.
-    let mut stream = TcpStream::connect(server.addr()).expect("connect");
-    let _ = stream.write_all(
-        format!(
-            "GET /v1/healthz HTTP/1.1\r\nx-padding: {}",
-            "b".repeat(64 << 10)
-        )
-        .as_bytes(),
-    );
-    let response = read_to_eof(&mut stream, Duration::from_secs(5));
-    let (status, body) = parse_response(&response);
-    assert_eq!(status, 400, "oversized header: {response:?}");
-    assert!(body.contains("headers_too_large"), "{body:?}");
+        // Unbounded header section: one header line over the limit.
+        let mut stream = TcpStream::connect(front.addr).expect("connect");
+        let _ = stream.write_all(
+            format!(
+                "GET /v1/healthz HTTP/1.1\r\nx-padding: {}",
+                "b".repeat(64 << 10)
+            )
+            .as_bytes(),
+        );
+        let response = read_to_eof(&mut stream, Duration::from_secs(5));
+        let answer = refusal(&response);
+        assert_eq!(
+            answer,
+            (400, "headers_too_large".to_string()),
+            "{name}: oversized header: {response:?}"
+        );
+        refusals.push(answer);
 
-    // Declared body over the configured cap: refused from the header
-    // alone (no body bytes were sent).
-    let mut stream = TcpStream::connect(server.addr()).expect("connect");
-    stream
-        .write_all(b"POST /v1/batch HTTP/1.1\r\ncontent-length: 10000\r\n\r\n")
-        .expect("oversized declaration");
-    let response = read_to_eof(&mut stream, Duration::from_secs(5));
-    let (status, body) = parse_response(&response);
-    assert_eq!(status, 413, "oversized body: {response:?}");
-    assert!(body.contains("payload_too_large"), "{body:?}");
+        // Declared body over the configured cap: refused from the header
+        // alone (no body bytes were sent).
+        let mut stream = TcpStream::connect(front.addr).expect("connect");
+        stream
+            .write_all(b"POST /v1/batch HTTP/1.1\r\ncontent-length: 10000\r\n\r\n")
+            .expect("oversized declaration");
+        let response = read_to_eof(&mut stream, Duration::from_secs(5));
+        let answer = refusal(&response);
+        assert_eq!(
+            answer,
+            (413, "payload_too_large".to_string()),
+            "{name}: oversized body: {response:?}"
+        );
+        refusals.push(answer);
 
-    // Chunk-accumulated overflow: no single header lies, but the
-    // chunks keep coming past the cap.
-    let mut stream = TcpStream::connect(server.addr()).expect("connect");
-    let chunk = "c".repeat(512);
-    let mut payload = String::from("POST /v1/batch HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n");
-    for _ in 0..4 {
-        payload.push_str(&format!("{:x}\r\n{chunk}\r\n", chunk.len()));
+        // Chunk-accumulated overflow: no single header lies, but the
+        // chunks keep coming past the cap.
+        let mut stream = TcpStream::connect(front.addr).expect("connect");
+        let chunk = "c".repeat(512);
+        let mut payload =
+            String::from("POST /v1/batch HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n");
+        for _ in 0..4 {
+            payload.push_str(&format!("{:x}\r\n{chunk}\r\n", chunk.len()));
+        }
+        let _ = stream.write_all(payload.as_bytes());
+        let response = read_to_eof(&mut stream, Duration::from_secs(5));
+        let answer = refusal(&response);
+        assert_eq!(
+            answer,
+            (413, "payload_too_large".to_string()),
+            "{name}: chunk overflow: {response:?}"
+        );
+        refusals.push(answer);
+
+        assert_digest_unchanged(front.addr, &front.service, name);
+        answers.push(refusals);
     }
-    let _ = stream.write_all(payload.as_bytes());
-    let response = read_to_eof(&mut stream, Duration::from_secs(5));
-    let (status, body) = parse_response(&response);
-    assert_eq!(status, 413, "chunk overflow: {response:?}");
-    assert!(body.contains("payload_too_large"), "{body:?}");
-
-    assert_digest_unchanged(&server, &service, "oversized");
+    assert_eq!(answers[0], answers[1], "server and router refuse alike");
 }
 
 #[test]
 fn pipelined_requests_are_answered_in_order() {
-    let (server, service) = serve(NetConfig::default());
-    // Three back-to-back requests in one write: two healthz probes
-    // around a stats fetch. Responses must come back in order, each
-    // well-framed.
-    let mut stream = TcpStream::connect(server.addr()).expect("connect");
-    stream
-        .write_all(
-            b"GET /v1/healthz HTTP/1.1\r\nhost: x\r\n\r\n\
-              GET /v1/stats HTTP/1.1\r\nhost: x\r\n\r\n\
-              GET /v1/healthz HTTP/1.1\r\nhost: x\r\nconnection: close\r\n\r\n",
-        )
-        .expect("pipelined burst");
-    let response = read_to_eof(&mut stream, Duration::from_secs(10));
-    let statuses: Vec<&str> = response
-        .split("HTTP/1.1 ")
-        .skip(1)
-        .map(|r| r.split(' ').next().unwrap_or(""))
-        .collect();
-    assert_eq!(statuses, ["200", "200", "200"], "{response:?}");
-    // In-order framing: healthz body, then the stats body, then the
-    // closing healthz body.
-    let first_health = response.find("\"status\":\"ok\"").expect("first healthz");
-    let stats_body = response.find("\"batches_served\"").expect("stats body");
-    let last_health = response.rfind("\"status\":\"ok\"").expect("last healthz");
-    assert!(
-        first_health < stats_body && stats_body < last_health,
-        "responses out of order: {response:?}"
-    );
-    // Pipelining POSTs through the planning pool keeps ordering too.
-    let body = SubmitBatch::new("typical", BatchSpec::new(1, 12, 11)).to_json();
-    let one = format!(
-        "POST /v1/batch HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    let mut stream = TcpStream::connect(server.addr()).expect("connect");
-    stream
-        .write_all(format!("{one}{one}").as_bytes())
-        .expect("pipelined posts");
-    stream
-        .shutdown(std::net::Shutdown::Write)
-        .expect("finish sending");
-    let response = read_to_eof(&mut stream, Duration::from_secs(30));
-    let served = response.matches("HTTP/1.1 200").count();
-    assert_eq!(served, 2, "both pipelined submissions served: {response:?}");
-    assert_digest_unchanged(&server, &service, "pipelined");
+    let mut answers = Vec::new();
+    for front in fronts(NetConfig::default()) {
+        let name = front.name;
+        let (stats_path, stats_key) = front.stats;
+        // Three back-to-back requests in one write: two healthz probes
+        // around a stats fetch. Responses must come back in order, each
+        // well-framed.
+        let mut stream = TcpStream::connect(front.addr).expect("connect");
+        stream
+            .write_all(
+                format!(
+                    "GET /v1/healthz HTTP/1.1\r\nhost: x\r\n\r\n\
+                     GET {stats_path} HTTP/1.1\r\nhost: x\r\n\r\n\
+                     GET /v1/healthz HTTP/1.1\r\nhost: x\r\nconnection: close\r\n\r\n"
+                )
+                .as_bytes(),
+            )
+            .expect("pipelined burst");
+        let response = read_to_eof(&mut stream, Duration::from_secs(10));
+        let probed = statuses(&response);
+        assert_eq!(probed, [200, 200, 200], "{name}: {response:?}");
+        // In-order framing: healthz body, then the stats body, then the
+        // closing healthz body.
+        let first_health = response.find("\"status\":\"ok\"").expect("first healthz");
+        let stats_body = response.find(stats_key).expect("stats body");
+        let last_health = response.rfind("\"status\":\"ok\"").expect("last healthz");
+        assert!(
+            first_health < stats_body && stats_body < last_health,
+            "{name}: responses out of order: {response:?}"
+        );
+        // Pipelining POSTs through a deferred handler (a planning job on
+        // the server, a relay thread on the router) keeps ordering too.
+        let body = SubmitBatch::new("typical", BatchSpec::new(1, 12, 11)).to_json();
+        let one = format!(
+            "POST /v1/batch HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        let mut stream = TcpStream::connect(front.addr).expect("connect");
+        stream
+            .write_all(format!("{one}{one}").as_bytes())
+            .expect("pipelined posts");
+        stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("finish sending");
+        let response = read_to_eof(&mut stream, Duration::from_secs(30));
+        let posted = statuses(&response);
+        assert_eq!(
+            posted,
+            [200, 200],
+            "{name}: both pipelined submissions served: {response:?}"
+        );
+        assert_digest_unchanged(front.addr, &front.service, name);
+        answers.push((probed, posted));
+    }
+    assert_eq!(answers[0], answers[1], "server and router answer alike");
 }
 
 #[test]
@@ -301,7 +411,7 @@ fn abrupt_reset_during_response_write_only_costs_that_connection() {
     }
     // The server shrugged: a well-behaved exchange still serves, and
     // the loop thread never died.
-    assert_digest_unchanged(&server, &service, "mid-write reset");
+    assert_digest_unchanged(server.addr(), &service, "mid-write reset");
 }
 
 #[test]
@@ -337,7 +447,7 @@ fn keep_alive_churn_storm_leaves_the_server_consistent() {
             + stats.closed_over_capacity,
         "per-cause close counters do not sum: {stats:?}"
     );
-    assert_digest_unchanged(&server, &service, "churn storm");
+    assert_digest_unchanged(server.addr(), &service, "churn storm");
 }
 
 #[test]

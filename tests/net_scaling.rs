@@ -19,16 +19,20 @@
 //! one poller registration on one loop thread, so the pool's two
 //! workers only ever see actual planning jobs.
 //!
+//! The router runs the same loop, so idle router connections cost no
+//! threads either; the second test pins that.
+//!
 //! The suite lives in its own integration-test binary because it must
 //! set `QRM_POOL_THREADS` before the process's global pool first
 //! spins up.
 
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use qrm_bench::{build_service, ServeConfig};
-use qrm_net::{Client, NetConfig, Server};
+use qrm_net::{Client, NetConfig, Router, RouterConfig, Server};
 use qrm_server::{BatchSpec, SubmitBatch};
 
 /// Mostly-idle connections held open across the planning load.
@@ -57,7 +61,6 @@ fn hundreds_of_idle_connections_do_not_steal_planning_throughput() {
     let mut herd = Vec::with_capacity(IDLE_CONNECTIONS);
     for i in 0..IDLE_CONNECTIONS {
         let mut stream = TcpStream::connect(server.addr()).expect("connect idle conn");
-        use std::io::{Read, Write};
         stream
             .write_all(b"GET /v1/healthz HTTP/1.1\r\nhost: x\r\n\r\n")
             .expect("probe");
@@ -107,6 +110,61 @@ fn hundreds_of_idle_connections_do_not_steal_planning_throughput() {
     assert!(
         final_stats.open_connections >= IDLE_CONNECTIONS as u64,
         "herd was shed during load: {final_stats:?}"
+    );
+    drop(herd);
+}
+
+/// The calling process's OS thread count.
+#[cfg(target_os = "linux")]
+fn os_threads() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("procfs")
+        .count()
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn idle_router_connections_cost_no_threads() {
+    // A router over a backend that refuses every connect: healthz is
+    // answered on the router's own loop, and nothing here touches the
+    // global pool the other test sizes.
+    let dead = std::net::TcpListener::bind("127.0.0.1:0")
+        .expect("reserve a port")
+        .local_addr()
+        .expect("port")
+        .to_string();
+    let config = RouterConfig {
+        // Idle connections must stay open for the entire test.
+        keep_alive: Duration::from_secs(120),
+        ..RouterConfig::default()
+    };
+    let router = Router::bind("127.0.0.1:0", vec![dead], config).expect("bind router");
+    let threads_after_bind = os_threads();
+
+    let mut herd = Vec::with_capacity(128);
+    for i in 0..128 {
+        let mut stream = TcpStream::connect(router.addr()).expect("connect idle conn");
+        stream
+            .write_all(b"GET /v1/healthz HTTP/1.1\r\nhost: x\r\n\r\n")
+            .expect("probe");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        let mut buf = [0u8; 1024];
+        let n = stream.read(&mut buf).expect("probe response");
+        assert!(
+            String::from_utf8_lossy(&buf[..n]).starts_with("HTTP/1.1 503"),
+            "idle conn {i}: healthz over a dead fleet is 503"
+        );
+        herd.push(stream);
+    }
+    // The slack absorbs threads the concurrently running test spawns
+    // (its loop thread and pool workers); one thread per connection
+    // would add 128.
+    let grown = os_threads().saturating_sub(threads_after_bind);
+    assert!(
+        grown < 16,
+        "128 idle router connections grew the process by {grown} threads"
     );
     drop(herd);
 }
