@@ -21,13 +21,12 @@
 //! parallel schedule with MTA1-class assembly success.
 //!
 //! These are structural reimplementations from the published algorithm
-//! descriptions, not ports of the authors' code (which is not public);
-//! DESIGN.md §4 records the substitution. What the Fig. 7(b) benchmark
-//! compares is *schedule-analysis time*, which is governed by the
-//! algorithmic structure reproduced here: bit-parallel single passes
-//! (QRM) vs per-line assignment DP (Tetris) vs iterative scalar
-//! compression with per-move rescans (PSCA) vs per-defect path search
-//! (MTA1).
+//! descriptions, not ports of the authors' code (which is not public).
+//! What the Fig. 7(b) benchmark compares is *schedule-analysis time*,
+//! which is governed by the algorithmic structure reproduced here:
+//! bit-parallel single passes (QRM) vs per-line assignment DP (Tetris)
+//! vs iterative scalar compression with per-move rescans (PSCA) vs
+//! per-defect path search (MTA1).
 //!
 //! ## Quick example
 //!

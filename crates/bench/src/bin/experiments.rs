@@ -3,8 +3,8 @@
 //!
 //! Usage: `cargo run --release -p qrm-bench --bin experiments -- [cmd]`
 //! where `cmd` is one of `fig7a`, `fig7b`, `fig8`, `headline`,
-//! `quality`, `ablations`, `engine`, `system`, `sweep`, `serve`, or
-//! `all` (default).
+//! `quality`, `ablations`, `engine`, `system`, `sweep`, `serve`,
+//! `route`, or `all` (default; every command except `route`).
 //!
 //! `sweep` runs the full image→detect→plan→execute pipeline for one or
 //! all seven planners and prints per-planner fill/round/motion numbers
@@ -66,6 +66,23 @@
 //! printed `threads_spawned` counter makes visible.
 
 use qrm_bench::*;
+
+/// Every command `main` dispatches on; anything else prints this list
+/// and exits 2.
+const COMMANDS: [&str; 12] = [
+    "fig7a",
+    "fig7b",
+    "fig8",
+    "headline",
+    "quality",
+    "ablations",
+    "engine",
+    "system",
+    "sweep",
+    "serve",
+    "route",
+    "all",
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -137,116 +154,9 @@ fn main() {
             }
         }
     }
-    // Not part of `all`: the trajectory run writes a snapshot file, so
-    // it only runs when asked for by name.
-    if cmd == "bench-trajectory" {
-        match parse_trajectory_args(&args[1..]) {
-            Ok(mode) => run_trajectory(&mode),
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if !all
-        && !matches!(
-            cmd,
-            "fig7a"
-                | "fig7b"
-                | "fig8"
-                | "headline"
-                | "quality"
-                | "ablations"
-                | "engine"
-                | "system"
-                | "sweep"
-                | "serve"
-                | "route"
-                | "bench-trajectory"
-        )
-    {
-        eprintln!("unknown experiment {cmd:?}; use fig7a|fig7b|fig8|headline|quality|ablations|engine|system|sweep|serve|route|bench-trajectory|all");
+    if !COMMANDS.contains(&cmd) {
+        eprintln!("unknown experiment {cmd:?}; use {}", COMMANDS.join("|"));
         std::process::exit(2);
-    }
-}
-
-/// How `bench-trajectory` runs: measure (full or quick settings) and
-/// write a snapshot, or only validate an existing snapshot file.
-enum TrajectoryMode {
-    Measure { quick: bool, out: String },
-    Validate(String),
-}
-
-/// Parses `bench-trajectory` flags: `--quick` (reduced iterations for
-/// the CI smoke job), `--out PATH` (snapshot destination, default
-/// `BENCH_<pr>.json`), `--validate PATH` (schema-check an existing
-/// snapshot instead of measuring).
-fn parse_trajectory_args(args: &[String]) -> Result<TrajectoryMode, String> {
-    let mut quick = false;
-    let mut out = format!("BENCH_{}.json", trajectory::TRAJECTORY_PR);
-    let mut validate = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--quick" => quick = true,
-            "--out" => out = value("--out")?,
-            "--validate" => validate = Some(value("--validate")?),
-            other => {
-                return Err(format!(
-                    "unknown bench-trajectory flag {other:?}; use --quick/--out/--validate"
-                ))
-            }
-        }
-    }
-    Ok(match validate {
-        Some(path) => TrajectoryMode::Validate(path),
-        None => TrajectoryMode::Measure { quick, out },
-    })
-}
-
-/// Runs the benchmark trajectory (or validates a snapshot) and exits
-/// nonzero on schema violations — the CI bench-smoke contract.
-fn run_trajectory(mode: &TrajectoryMode) {
-    match mode {
-        TrajectoryMode::Validate(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(text) => text,
-                Err(err) => {
-                    eprintln!("--validate {path}: {err}");
-                    std::process::exit(1);
-                }
-            };
-            if let Err(msg) = trajectory::validate(&text) {
-                eprintln!("{path}: schema violation: {msg}");
-                std::process::exit(1);
-            }
-            println!("{path}: valid {} snapshot", trajectory::TRAJECTORY_SCHEMA);
-        }
-        TrajectoryMode::Measure { quick, out } => {
-            let config = if *quick {
-                trajectory::TrajectoryConfig::quick()
-            } else {
-                trajectory::TrajectoryConfig::full()
-            };
-            println!(
-                "== Benchmark trajectory ({} mode) ==",
-                if *quick { "quick" } else { "full" }
-            );
-            let measured = trajectory::measure(&config);
-            let json = trajectory::to_json(&measured, *quick);
-            trajectory::validate(&json).expect("fresh snapshot validates");
-            if let Err(err) = std::fs::write(out, &json) {
-                eprintln!("writing {out}: {err}");
-                std::process::exit(1);
-            }
-            println!("{}", trajectory::summary(&measured));
-            println!("wrote {out}");
-        }
     }
 }
 

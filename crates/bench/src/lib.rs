@@ -1,10 +1,10 @@
 //! # qrm-bench — experiment harness for the paper's evaluation
 //!
 //! Shared workload generation, timing helpers, and one function per
-//! table/figure of the paper (see the workspace `DESIGN.md`, experiment
-//! index E-7a … E-x4). The `experiments` binary prints the tables; the
-//! Criterion benches in `benches/` measure the wall-clock analysis times
-//! on this machine.
+//! table/figure of the paper (experiments E-7a … E-x5; the workspace
+//! README's "Reproduced results" section indexes them). The
+//! `experiments` binary prints the tables; the Criterion benches in
+//! `benches/` measure the wall-clock analysis times on this machine.
 //!
 //! Paper reference numbers carried in the rows come from two sources:
 //! values the text quotes directly (1.0 µs at 50×50, 54× and 134×
@@ -32,13 +32,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod trajectory;
-
 use std::collections::BTreeMap;
 use std::time::Instant;
 
 use qrm_baselines::{HybridScheduler, Mta1Scheduler, PscaScheduler, TetrisScheduler};
-use qrm_control::pipeline::{Pipeline, PipelineConfig, PipelineReport, PlannerChoice, Shot};
+use qrm_control::pipeline::{Pipeline, PipelineConfig, PipelineReport, PlannerChoice};
 use qrm_control::system::{Architecture, SystemModel};
 use qrm_core::engine::PlanEngine;
 use qrm_core::geometry::Rect;
@@ -588,22 +586,6 @@ pub fn system_budgets(cpu_sched_us: f64, fpga_sched_us: f64) -> (f64, f64, Strin
 pub fn engine_workload(size: usize, shots: usize) -> Vec<(AtomGrid, Rect)> {
     (0..shots)
         .map(|i| paper_instance(size, 7000 + i as u64))
-        .collect()
-}
-
-/// A deliberately *skewed* batch for the dataflow-scheduler benchmark:
-/// every fourth shot (starting with shot 0, so the straggler leads the
-/// batch) is a `large x large` instance, the rest are `small x small`.
-/// The shot-level dataflow scheduler lets small shots run ahead of the
-/// stragglers, which `bench-trajectory` measures as the median
-/// per-shot completion time (`pipeline_skewed`).
-pub fn skewed_workload(shots: usize, small: usize, large: usize) -> Vec<Shot> {
-    (0..shots)
-        .map(|i| {
-            let size = if i % 4 == 0 { large } else { small };
-            let (truth, target) = paper_instance(size, 8100 + i as u64);
-            Shot::new(truth, target)
-        })
         .collect()
 }
 

@@ -21,10 +21,9 @@
 //! * [`resources`] — LUT/FF/BRAM cost model on the RFSoC device budget,
 //!   calibrated to the utilisation anchors the paper reports (Fig. 8).
 //!
-//! The substitution rationale (simulator instead of silicon) is recorded
-//! in the workspace `DESIGN.md`: the paper's reported numbers are cycle
-//! counts at a fixed 250 MHz clock, so simulating the same pipeline at
-//! cycle granularity reproduces the measured quantity.
+//! Why a simulator instead of silicon: the paper's reported numbers are
+//! cycle counts at a fixed 250 MHz clock, so simulating the same
+//! pipeline at cycle granularity reproduces the measured quantity.
 //!
 //! ## Quick example
 //!
