@@ -565,21 +565,18 @@ fn print_serve(serve: &ServeConfig, remote: Option<&str>) {
         );
     }
     println!(
-        "{:<10} {:>8} {:>8} {:>12} {:>12} {:>12} {:>10}",
-        "planner", "batches", "shots", "mean_us", "p99_us", "max_us", "contexts"
+        "{:<10} {:>8} {:>8} {:>12} {:>12} {:>12}",
+        "planner", "batches", "shots", "mean_us", "p99_us", "max_us"
     );
     for p in &stats.planners {
         println!(
-            "{:<10} {:>8} {:>8} {:>12.0} {:>12.0} {:>12.0} {:>10}",
+            "{:<10} {:>8} {:>8} {:>12.0} {:>12.0} {:>12.0}",
             p.name,
             p.batches,
             p.shots,
             p.latency.mean_us(),
             p.latency.quantile_us(0.99),
             p.latency.max_us(),
-            p.contexts
-                .map(|c| format!("{}w", c.idle_contexts))
-                .unwrap_or_else(|| "-".into()),
         );
     }
     println!(
@@ -793,19 +790,18 @@ fn print_ablations() {
 fn print_engine() {
     println!("== E-x5: parallel planning engine, serial vs batched (100x100, 16 shots) ==");
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let counts: Vec<usize> = [1usize, 2, 4, cores]
-        .into_iter()
-        .collect::<std::collections::BTreeSet<_>>()
-        .into_iter()
-        .collect();
-    let (serial_us, rows) = engine_scaling(100, 16, 5, &counts);
-    println!("  serial (mapped plan): {serial_us:>10.0} us/batch");
-    println!("{:>10} {:>14} {:>10}", "workers", "batch_us", "speedup");
+    let (serial_us, rows) = engine_scaling(100, 16, 5);
+    println!("{:>22} {:>14} {:>10}", "", "batch_us", "speedup");
+    println!(
+        "{:>22} {serial_us:>14.0} {:>9.2}x",
+        "serial (mapped plan)", 1.0
+    );
     for row in rows {
-        println!(
-            "{:>10} {:>14.0} {:>9.2}x",
-            row.workers, row.batch_us, row.speedup
-        );
+        let label = match row.workers {
+            1 => "inline (workers 1)",
+            _ => "pool (workers 0)",
+        };
+        println!("{label:>22} {:>14.0} {:>9.2}x", row.batch_us, row.speedup);
     }
     println!(
         "(host has {cores} core(s); speedup > 1 requires > 1 — the software analogue of the\n paper's four parallel QPMs. Plans are bit-identical to the serial path either way.)\n"

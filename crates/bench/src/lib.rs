@@ -38,7 +38,6 @@ use std::time::Instant;
 use qrm_baselines::{HybridScheduler, Mta1Scheduler, PscaScheduler, TetrisScheduler};
 use qrm_control::pipeline::{Pipeline, PipelineConfig, PipelineReport, PlannerChoice};
 use qrm_control::system::{Architecture, SystemModel};
-use qrm_core::engine::PlanEngine;
 use qrm_core::geometry::Rect;
 use qrm_core::grid::AtomGrid;
 use qrm_core::kernel::KernelStrategy;
@@ -592,7 +591,8 @@ pub fn engine_workload(size: usize, shots: usize) -> Vec<(AtomGrid, Rect)> {
 /// One row of the engine-scaling study (E-x5).
 #[derive(Debug, Clone, Copy)]
 pub struct EngineRow {
-    /// Worker threads used by the parallel engine.
+    /// Batch worker count: `1` runs the task graph inline, `0` runs
+    /// every quadrant kernel as a job on the pool (one worker per core).
     pub workers: usize,
     /// Median wall time of the whole batch (µs).
     pub batch_us: f64,
@@ -600,17 +600,13 @@ pub struct EngineRow {
     pub speedup: f64,
 }
 
-/// E-x5: serial vs parallel batched planning. Returns the serial
-/// baseline time (µs) and one row per worker count. On a single-core
-/// host the parallel rows measure pure engine overhead (speedup <= 1);
-/// on a multi-core host the batch scales with cores — the software
-/// analogue of the paper's four parallel QPMs.
-pub fn engine_scaling(
-    size: usize,
-    shots: usize,
-    reps: usize,
-    worker_counts: &[usize],
-) -> (f64, Vec<EngineRow>) {
+/// E-x5: serial vs batched planning. Returns the serial baseline time
+/// (µs) and two engine rows: inline (`workers 1`) and pool (`workers 0`).
+/// On a single-core host the pool row resolves to inline, so both rows
+/// measure engine overhead (speedup <= 1); on a multi-core host the pool
+/// row scales with cores — the software analogue of the paper's four
+/// parallel QPMs.
+pub fn engine_scaling(size: usize, shots: usize, reps: usize) -> (f64, [EngineRow; 2]) {
     let jobs = engine_workload(size, shots);
     let serial = QrmScheduler::new(QrmConfig::default());
     let serial_us = median_us(reps, || {
@@ -618,18 +614,15 @@ pub fn engine_scaling(
             .map(|(g, t)| serial.plan(g, t).expect("plan"))
             .collect::<Vec<_>>()
     });
-    let rows = worker_counts
-        .iter()
-        .map(|&workers| {
-            let engine = PlanEngine::new(QrmConfig::default()).with_workers(workers);
-            let batch_us = median_us(reps, || engine.plan_batch(&jobs).expect("plan"));
-            EngineRow {
-                workers,
-                batch_us,
-                speedup: serial_us / batch_us,
-            }
-        })
-        .collect();
+    let rows = [1, 0].map(|workers| {
+        let scheduler = QrmScheduler::new(QrmConfig::default()).with_workers(workers);
+        let batch_us = median_us(reps, || scheduler.plan_batch(&jobs).expect("plan"));
+        EngineRow {
+            workers,
+            batch_us,
+            speedup: serial_us / batch_us,
+        }
+    });
     (serial_us, rows)
 }
 
@@ -1292,10 +1285,9 @@ mod tests {
 
     #[test]
     fn engine_scaling_measures_and_stays_deterministic() {
-        let (serial_us, rows) = engine_scaling(20, 4, 3, &[1, 2]);
+        let (serial_us, rows) = engine_scaling(20, 4, 3);
         assert!(serial_us > 0.0);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].workers, 1);
+        assert_eq!(rows.map(|r| r.workers), [1, 0]);
         assert!(rows.iter().all(|r| r.batch_us > 0.0 && r.speedup > 0.0));
         // Whatever the timing, the parallel engine's plans must equal
         // the serial planner's on the same workload.
@@ -1305,7 +1297,7 @@ mod tests {
             .iter()
             .map(|(g, t)| serial.plan(g, t).unwrap())
             .collect();
-        let engine = PlanEngine::new(QrmConfig::default()).with_workers(2);
-        assert_eq!(engine.plan_batch(&jobs).unwrap(), expected);
+        let scheduler = QrmScheduler::new(QrmConfig::default()).with_workers(2);
+        assert_eq!(scheduler.plan_batch(&jobs).unwrap(), expected);
     }
 }

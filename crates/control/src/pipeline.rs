@@ -519,11 +519,10 @@ impl Pipeline {
     /// through its own observe → plan → execute task chain, so a fast
     /// shot can be executing round *k + 1* while a slow shot is still
     /// planning round *k*. Shots reaching the plan stage together are
-    /// planned as one group through [`Planner::plan_batch`] and the
-    /// planner's warm context pool. `planner` is the caller's: a
-    /// long-lived service resolves each registered [`PlannerChoice`]
-    /// once and passes the same instance to every call, so batches plan
-    /// warm. `config.workers` sizes the schedule (`0` = one per core).
+    /// planned as one group through [`Planner::plan_batch`]. `planner`
+    /// is the caller's: a long-lived service resolves each registered
+    /// [`PlannerChoice`] once and passes the same instance to every
+    /// call. `config.workers` sizes the schedule (`0` = one per core).
     ///
     /// Because `plan_batch` is observationally equal to per-job
     /// planning (the workspace planner contract), group membership is

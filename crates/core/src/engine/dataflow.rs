@@ -29,13 +29,13 @@
 //!
 //! # Group formation on readiness
 //!
-//! Planning stays batched (warm context pool, one task graph per
-//! group), but groups are formed by **readiness** instead of by round:
-//! the first shot to reach the plan stage spawns one plan-group task
-//! and every shot that reaches the stage before that task drains the
-//! ready list joins the same group. The drain window is therefore the
-//! natural spawn-to-pop latency of the pool — under load, groups grow;
-//! when shots trickle in, they plan solo without waiting.
+//! Planning stays batched (one task graph per group), but groups are
+//! formed by **readiness** instead of by round: the first shot to reach
+//! the plan stage spawns one plan-group task and every shot that
+//! reaches the stage before that task drains the ready list joins the
+//! same group. The drain window is therefore the natural spawn-to-pop
+//! latency of the pool — under load, groups grow; when shots trickle
+//! in, they plan solo without waiting.
 //!
 //! # Determinism
 //!

@@ -30,7 +30,7 @@ const WORD_BITS: usize = 64;
 /// assert_eq!(g.atom_count(), 1);
 /// # Ok::<(), qrm_core::Error>(())
 /// ```
-#[derive(PartialEq, Eq, Hash)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AtomGrid {
     height: usize,
@@ -38,28 +38,6 @@ pub struct AtomGrid {
     /// Words per row.
     stride: usize,
     words: Vec<u64>,
-}
-
-impl Clone for AtomGrid {
-    fn clone(&self) -> Self {
-        AtomGrid {
-            height: self.height,
-            width: self.width,
-            stride: self.stride,
-            words: self.words.clone(),
-        }
-    }
-
-    /// Clones into an existing grid, reusing its word buffer when the
-    /// capacity suffices — the planning engine's
-    /// [`PlanContext`](crate::engine::PlanContext) leans on this to
-    /// recycle quadrant grids across `plan_batch` rounds.
-    fn clone_from(&mut self, source: &Self) {
-        self.height = source.height;
-        self.width = source.width;
-        self.stride = source.stride;
-        self.words.clone_from(&source.words);
-    }
 }
 
 impl AtomGrid {

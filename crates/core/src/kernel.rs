@@ -125,8 +125,8 @@ impl KernelConfig {
     ///
     /// The paper's hardware runs a *static* 4 iterations with the greedy
     /// kernel; at 50 % load that fully assembles ~2/3 of paper-scale
-    /// targets and leaves 1–3 defects otherwise (see EXPERIMENTS.md,
-    /// E-x1). The balanced strategy reaches ~100 % assembly within ~5
+    /// targets and leaves 1–3 defects otherwise (see README, "Reproduced
+    /// results", E-x1). The balanced strategy reaches ~100 % assembly within ~5
     /// iterations on average (more for larger arrays); the 12-iteration
     /// budget is a safety margin — software exits early once the target
     /// fills.
@@ -185,87 +185,6 @@ impl KernelOutcome {
     }
 }
 
-/// In-flight state of an incremental kernel run (see
-/// [`ShiftKernel::start`] / [`ShiftKernel::step`] /
-/// [`ShiftKernel::finish`]). The parallel planning engine holds one per
-/// quadrant and schedules iterations as individual work-queue tasks.
-#[derive(Debug, Clone)]
-pub struct KernelState {
-    grid: AtomGrid,
-    passes: Vec<LocalPass>,
-    scratch: PassScratch,
-    iterations: usize,
-    done: bool,
-}
-
-impl KernelState {
-    /// Iterations performed so far.
-    pub fn iterations(&self) -> usize {
-        self.iterations
-    }
-
-    /// Whether the run has reached a terminal state.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-}
-
-/// Recycled kernel buffers (grid words plus the pass vector), reclaimed
-/// from a finished [`KernelOutcome`] and only consumable by
-/// [`ShiftKernel::start_in`], which reinitialises them in place. The
-/// type is deliberately inert — it cannot be stepped or finished — so
-/// stale data from the previous run is unreachable by construction.
-/// The engine's [`PlanContext`](crate::engine::PlanContext) pools these
-/// across `plan_batch` rounds.
-#[derive(Debug)]
-pub struct KernelScratch {
-    grid: AtomGrid,
-    passes: Vec<LocalPass>,
-}
-
-impl KernelScratch {
-    /// Reclaims the buffers of a finished outcome as reusable scratch.
-    pub fn reclaim(outcome: KernelOutcome) -> KernelScratch {
-        KernelScratch {
-            grid: outcome.final_grid,
-            passes: outcome.passes,
-        }
-    }
-}
-
-/// Recycled per-pass working buffer: the transposed view a column pass
-/// scans in place of the grid. A warm `PassScratch` saves that view's
-/// allocation on every column pass of [`run_pass_in`] (and therefore of
-/// [`ShiftKernel::step`]); results are bit-identical to a cold one. It
-/// does not make a pass allocation-free: each pass still allocates its
-/// hole windows, its wave vector and one shift list per non-empty wave,
-/// about 130 allocations per quadrant kernel on a 50x50 shot under the
-/// paper configuration. Recovered from a finished run with
-/// [`ShiftKernel::finish_split`] and fed back in through
-/// [`ShiftKernel::start_with`] — the engine's
-/// [`PlanContext`](crate::engine::PlanContext) pools these alongside
-/// [`KernelScratch`].
-#[derive(Debug, Clone)]
-pub struct PassScratch {
-    view: AtomGrid,
-}
-
-impl PassScratch {
-    /// A cold scratch (placeholder buffers; grown on first use).
-    #[must_use]
-    pub fn new() -> PassScratch {
-        PassScratch {
-            view: AtomGrid::new(1, 1).expect("1x1 placeholder grid"),
-        }
-    }
-}
-
-impl Default for PassScratch {
-    fn default() -> Self {
-        PassScratch::new()
-    }
-}
-
 /// The per-quadrant scheduler.
 ///
 /// ```
@@ -301,69 +220,16 @@ impl ShiftKernel {
         &self.config
     }
 
-    /// Runs the kernel on a canonical quadrant grid.
-    ///
-    /// Equivalent to [`start`](Self::start), [`step`](Self::step) until
-    /// exhausted, then [`finish`](Self::finish) — the decomposition the
-    /// parallel planning engine ([`crate::engine`]) schedules one
-    /// iteration at a time.
+    /// Runs the kernel on a canonical quadrant grid: up to
+    /// `max_iterations` iterations of one row pass then one column pass.
+    /// Unless the schedule is static, the run stops early once the corner
+    /// target fills or an iteration fires no shift.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidTarget`] when the target extent exceeds the
-    /// quadrant.
+    /// quadrant or is zero.
     pub fn run(&self, quadrant: &AtomGrid) -> Result<KernelOutcome, Error> {
-        let mut state = self.start(quadrant)?;
-        while !self.step(&mut state)? {}
-        self.finish(state)
-    }
-
-    /// Validates the quadrant against the configured target and prepares
-    /// an incremental kernel run.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidTarget`] when the target extent exceeds the
-    /// quadrant or is zero.
-    pub fn start(&self, quadrant: &AtomGrid) -> Result<KernelState, Error> {
-        self.start_in(quadrant, None)
-    }
-
-    /// [`start`](Self::start), optionally reusing recycled buffers (see
-    /// [`KernelScratch::reclaim`]): the grid words and the pass vector
-    /// are reinitialised in place instead of freshly allocated.
-    /// Behaviour is bit-identical to `start` either way.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidTarget`] when the target extent exceeds the
-    /// quadrant or is zero.
-    pub fn start_in(
-        &self,
-        quadrant: &AtomGrid,
-        recycled: Option<KernelScratch>,
-    ) -> Result<KernelState, Error> {
-        self.start_with(quadrant, recycled, None)
-    }
-
-    /// [`start_in`](Self::start_in) that additionally accepts a recycled
-    /// per-pass working buffer (see [`PassScratch`]). With both
-    /// scratches warm, the start/step/finish cycle reuses the grid, the
-    /// pass vector and the column-pass view; the waves and shift lists
-    /// each pass emits are still allocated fresh (see [`PassScratch`]).
-    /// Behaviour is bit-identical regardless of which scratches are
-    /// supplied.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidTarget`] when the target extent exceeds the
-    /// quadrant or is zero.
-    pub fn start_with(
-        &self,
-        quadrant: &AtomGrid,
-        recycled: Option<KernelScratch>,
-        pass: Option<PassScratch>,
-    ) -> Result<KernelState, Error> {
         let (qh, qw) = quadrant.dims();
         let (th, tw) = (self.config.target_height, self.config.target_width);
         if th > qh || tw > qw {
@@ -376,113 +242,48 @@ impl ShiftKernel {
                 reason: "target has zero extent",
             });
         }
-        let (grid, passes) = match recycled {
-            Some(mut scrap) => {
-                scrap.grid.clone_from(quadrant);
-                scrap.passes.clear();
-                (scrap.grid, scrap.passes)
+        let target = Rect::new(0, 0, th, tw);
+        let col_limits = plan_col_windows(self.config.strategy, qh, qw, th, tw);
+        let mut grid = quadrant.clone();
+        // Column passes scan this transposed view in place of the grid
+        // (the hardware "column stream to row stream" trick).
+        let mut view = AtomGrid::new(qw, qh)?;
+        let mut passes = Vec::new();
+        let mut iterations = 0;
+        while iterations < self.config.max_iterations {
+            if !self.config.static_iterations && grid.is_filled(&target)? {
+                break;
             }
-            None => (quadrant.clone(), Vec::new()),
-        };
-        Ok(KernelState {
-            grid,
+            iterations += 1;
+            let row_limits = plan_row_windows(&grid, self.config.strategy, th, tw);
+            let row_pass = pass_over_lines(
+                &mut grid,
+                Axis::Row,
+                &row_limits,
+                self.config.row_enable.as_deref(),
+            );
+            grid.transpose_into(&mut view);
+            let col_pass = pass_over_lines(
+                &mut view,
+                Axis::Col,
+                &col_limits,
+                self.config.col_enable.as_deref(),
+            );
+            view.transpose_into(&mut grid);
+            let progressed = row_pass.shift_count() + col_pass.shift_count() > 0;
+            passes.push(row_pass);
+            passes.push(col_pass);
+            if !progressed && !self.config.static_iterations {
+                break;
+            }
+        }
+        let filled = grid.is_filled(&target)?;
+        Ok(KernelOutcome {
             passes,
-            scratch: pass.unwrap_or_default(),
-            iterations: 0,
-            done: self.config.max_iterations == 0,
+            final_grid: grid,
+            iterations,
+            filled,
         })
-    }
-
-    /// Advances an incremental run by **one iteration** (one row pass
-    /// plus one column pass), honouring the same early-exit rules as
-    /// [`run`](Self::run). Returns `true` once the run is complete (no
-    /// further `step` will change the state).
-    ///
-    /// # Errors
-    ///
-    /// Propagates fill-check failures (impossible for states produced by
-    /// [`start`](Self::start)).
-    pub fn step(&self, state: &mut KernelState) -> Result<bool, Error> {
-        if state.done {
-            return Ok(true);
-        }
-        let target = Rect::new(0, 0, self.config.target_height, self.config.target_width);
-        if !self.config.static_iterations && state.grid.is_filled(&target)? {
-            state.done = true;
-            return Ok(true);
-        }
-        let (qh, qw) = state.grid.dims();
-        let (th, tw) = (self.config.target_height, self.config.target_width);
-        state.iterations += 1;
-        let row_limits = self.row_limits(&state.grid, qw, th, tw);
-        let row_pass = run_pass_in(
-            &mut state.grid,
-            Axis::Row,
-            &row_limits,
-            self.config.row_enable.as_deref(),
-            &mut state.scratch,
-        );
-        let col_limits = self.col_limits(qh, qw, th);
-        let col_pass = run_pass_in(
-            &mut state.grid,
-            Axis::Col,
-            &col_limits,
-            self.config.col_enable.as_deref(),
-            &mut state.scratch,
-        );
-        let progressed = row_pass.shift_count() + col_pass.shift_count() > 0;
-        state.passes.push(row_pass);
-        state.passes.push(col_pass);
-        if (!progressed && !self.config.static_iterations)
-            || state.iterations >= self.config.max_iterations
-        {
-            state.done = true;
-        }
-        Ok(state.done)
-    }
-
-    /// Consumes an incremental run and produces the outcome.
-    ///
-    /// # Errors
-    ///
-    /// Propagates fill-check failures (impossible for states produced by
-    /// [`start`](Self::start)).
-    pub fn finish(&self, state: KernelState) -> Result<KernelOutcome, Error> {
-        self.finish_split(state).map(|(outcome, _)| outcome)
-    }
-
-    /// [`finish`](Self::finish) that also hands back the run's per-pass
-    /// working buffer for recycling into a later
-    /// [`start_with`](Self::start_with) — the outcome itself cannot
-    /// carry it ([`KernelOutcome`] is a plain value type compared
-    /// structurally by tests and constructed literally by the FPGA
-    /// model).
-    ///
-    /// # Errors
-    ///
-    /// Propagates fill-check failures (impossible for states produced by
-    /// [`start`](Self::start)).
-    pub fn finish_split(&self, state: KernelState) -> Result<(KernelOutcome, PassScratch), Error> {
-        let target = Rect::new(0, 0, self.config.target_height, self.config.target_width);
-        let filled = state.grid.is_filled(&target)?;
-        Ok((
-            KernelOutcome {
-                passes: state.passes,
-                final_grid: state.grid,
-                iterations: state.iterations,
-                filled,
-            },
-            state.scratch,
-        ))
-    }
-
-    fn row_limits(&self, grid: &AtomGrid, qw: usize, th: usize, tw: usize) -> Vec<(usize, usize)> {
-        let _ = qw;
-        plan_row_windows(grid, self.config.strategy, th, tw)
-    }
-
-    fn col_limits(&self, qh: usize, qw: usize, th: usize) -> Vec<(usize, usize)> {
-        plan_col_windows(self.config.strategy, qh, qw, th, self.config.target_width)
     }
 }
 
@@ -638,31 +439,15 @@ pub fn run_pass(
     limits: &[(usize, usize)],
     enable: Option<&[bool]>,
 ) -> LocalPass {
-    run_pass_in(grid, axis, limits, enable, &mut PassScratch::new())
-}
-
-/// [`run_pass`] with a caller-owned [`PassScratch`]: row passes mutate
-/// the grid's rows in place; column passes transpose into the scratch
-/// view and back with the word-level [`AtomGrid::transpose_into`],
-/// reusing both word buffers. The returned [`LocalPass`] still allocates
-/// its waves and their shift lists. Bit-identical to [`run_pass`] for
-/// any scratch state.
-pub fn run_pass_in(
-    grid: &mut AtomGrid,
-    axis: Axis,
-    limits: &[(usize, usize)],
-    enable: Option<&[bool]>,
-    scratch: &mut PassScratch,
-) -> LocalPass {
     // Work on lines along the pass axis: rows directly in place, or
-    // columns via the scratch-held transposed view (the hardware "column
-    // stream to row stream" trick).
+    // columns via a transposed view (the hardware "column stream to row
+    // stream" trick).
     match axis {
         Axis::Row => pass_over_lines(grid, axis, limits, enable),
         Axis::Col => {
-            grid.transpose_into(&mut scratch.view);
-            let pass = pass_over_lines(&mut scratch.view, axis, limits, enable);
-            scratch.view.transpose_into(grid);
+            let mut view = grid.transpose();
+            let pass = pass_over_lines(&mut view, axis, limits, enable);
+            view.transpose_into(grid);
             pass
         }
     }
@@ -930,7 +715,7 @@ mod tests {
     #[test]
     fn iteration_count_matches_paper_narrative() {
         // Paper §V-B: "four iterations were used to complete the entire
-        // process". With the default 8-iteration budget, the balanced
+        // process". With the default 12-iteration budget, the balanced
         // kernel should fill essentially always, and a clear majority of
         // paper-scale quadrants should finish within the paper's 4.
         let mut rng = seeded_rng(1312);
@@ -959,37 +744,5 @@ mod tests {
             within_four * 2 >= tried,
             "only {within_four}/{tried} finished within 4 iterations"
         );
-    }
-
-    #[test]
-    fn warm_scratch_runs_are_bit_identical_to_fresh() {
-        // Chain scratches across runs of *different* grids and
-        // strategies so warm buffers always carry stale contents in, and
-        // compare against a cold run of the same input.
-        let mut rng = seeded_rng(4242);
-        let mut warm: Option<(KernelScratch, PassScratch)> = None;
-        for case in 0..6 {
-            for strategy in [
-                KernelStrategy::Greedy,
-                KernelStrategy::GreedyTargetOnly,
-                KernelStrategy::Balanced,
-            ] {
-                let g = AtomGrid::random(12, 10, 0.55, &mut rng);
-                let kernel = ShiftKernel::new(KernelConfig::new(4, 4).with_strategy(strategy));
-                let fresh = kernel.run(&g).unwrap();
-                let (recycled, pass) = match warm.take() {
-                    Some((k, p)) => (Some(k), Some(p)),
-                    None => (None, None),
-                };
-                let mut state = kernel.start_with(&g, recycled, pass).unwrap();
-                while !kernel.step(&mut state).unwrap() {}
-                let (out, pass) = kernel.finish_split(state).unwrap();
-                assert_eq!(
-                    out, fresh,
-                    "case {case}/{strategy:?}: warm-scratch outcome diverged from fresh"
-                );
-                warm = Some((KernelScratch::reclaim(out), pass));
-            }
-        }
     }
 }

@@ -55,7 +55,7 @@
 //! | [`kernel`] | canonical per-quadrant shift kernel, greedy and balanced strategies (paper §IV-C, Fig. 6) |
 //! | [`bitline`] | bit-vector line primitives shared with the FPGA model |
 //! | [`codec`] | bit-packed movement-record stream (accelerator output contract) |
-//! | [`engine`] | parallel planning engine: batched task graph over quadrant kernels on the persistent worker pool, [`PlanContext`](engine::PlanContext) scratch reuse |
+//! | [`engine`] | parallel planning engine: every quadrant kernel of a batch as one job on the persistent worker pool |
 //! | [`merge`] | cross-quadrant command merging (paper §IV-C) |
 //! | [`optimize`] | simulation-validated schedule coalescing (fewer AWG commands) |
 //! | [`planner`] | [`Planner`](planner::Planner): the unified planner interface every algorithm implements |
@@ -69,13 +69,11 @@
 //! Two cross-cutting pieces tie the planning stack together:
 //!
 //! * **Persistent worker pool.** Batched planning ([`engine`]) submits
-//!   its task-graph workers to the lazily-initialised process-global
-//!   thread pool (`rayon::ThreadPool`): OS threads are spawned once per
-//!   process, never per batch, and `workers <= 1` runs inline with no
-//!   queueing at all. [`engine::PlanContext`] recycles kernel scratch
-//!   and result buffers between batches, so a long-lived scheduler
-//!   plans round after round without hot-path allocation. Pooled,
-//!   warm, and serial runs are bit-identical.
+//!   one job per quadrant kernel to the lazily-initialised
+//!   process-global thread pool (`rayon::ThreadPool`): OS threads are
+//!   spawned once per process, never per batch, and `workers <= 1` runs
+//!   inline with no queueing at all. Pooled and serial runs are
+//!   bit-identical.
 //! * **One [`Planner`](planner::Planner) trait.** Every planner in the
 //!   workspace — [`QrmScheduler`](scheduler::QrmScheduler),
 //!   [`TypicalScheduler`](typical::TypicalScheduler), the baselines in
@@ -122,7 +120,6 @@ pub use crate::error::Error;
 /// Commonly used items, for glob import in examples and downstream crates.
 pub mod prelude {
     pub use crate::aod::AodBatcher;
-    pub use crate::engine::{PlanContext, PlanEngine};
     pub use crate::error::Error;
     pub use crate::executor::{ExecutionReport, Executor};
     pub use crate::geometry::{Axis, Direction, Position, QuadrantId, Rect};

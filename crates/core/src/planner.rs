@@ -26,10 +26,9 @@ use crate::scheduler::Plan;
 /// of `plan` is the quantity the paper's accelerator optimises.
 ///
 /// `Send + Sync` are supertraits: every planner takes `&self` and keeps
-/// any mutable scratch behind internal synchronisation (e.g. the QRM
-/// engine's context pool), so one long-lived instance can serve
-/// concurrent callers — the contract the planning service
-/// (`qrm_server`) relies on to plan every submission warm.
+/// any mutable state behind internal synchronisation, so one long-lived
+/// instance can serve concurrent callers — the contract the planning
+/// service (`qrm_server`) relies on.
 pub trait Planner: Send + Sync {
     /// Human-readable planner name (used in benchmark tables).
     fn name(&self) -> &'static str;
@@ -49,7 +48,7 @@ pub trait Planner: Send + Sync {
     /// every planner conforms without changes; planners with a parallel
     /// core (QRM, the FPGA model) override it to push the whole batch
     /// through the shared task-graph engine ([`crate::engine`]), which
-    /// schedules the quadrant work on the persistent global worker pool.
+    /// runs the quadrant work on the persistent global worker pool.
     /// On success, overrides must be observationally equal to the
     /// default — the workspace property suite asserts `plan_batch`
     /// equals mapped `plan` for every planner.
@@ -64,19 +63,6 @@ pub trait Planner: Send + Sync {
         jobs.iter()
             .map(|(grid, target)| self.plan(grid, target))
             .collect()
-    }
-
-    /// Diagnostics for planners that keep a warm-context pool behind
-    /// [`plan_batch`](Self::plan_batch): how many recycled contexts and
-    /// scratch buffers the next batch will reuse.
-    ///
-    /// The default returns `None` (stateless planners have nothing to
-    /// report); QRM overrides it with its engine's
-    /// [`context_stats`](crate::engine::PlanEngine::context_stats).
-    /// Long-lived consumers — the `qrm_server` planning service — use
-    /// this to expose per-planner warmth without downcasting.
-    fn context_stats(&self) -> Option<crate::engine::ContextPoolStats> {
-        None
     }
 
     /// The executor configuration this planner's schedules require.

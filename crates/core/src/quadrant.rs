@@ -174,58 +174,21 @@ impl QuadrantMap {
                 right: grid.dims(),
             });
         }
-        let mut out: Vec<AtomGrid> = Vec::with_capacity(4);
-        for q in QuadrantId::ALL {
-            let sub = grid.subgrid(&self.rect(q))?;
-            let canon = match q {
-                QuadrantId::Nw => sub.flip_vertical().flip_horizontal(),
-                QuadrantId::Ne => sub.flip_vertical(),
-                QuadrantId::Sw => sub.flip_horizontal(),
-                QuadrantId::Se => sub,
-            };
-            out.push(canon);
-        }
-        Ok(out.try_into().expect("exactly four quadrants"))
-    }
-
-    /// [`split`](Self::split) into recycled quadrant grids: each grid in
-    /// `recycled` is reshaped in place (reusing its word buffer) and
-    /// filled with the canonically-oriented quadrant, skipping the four
-    /// intermediate `subgrid`/`flip_*` allocations per quadrant. The
-    /// engine's [`PlanContext`](crate::engine::PlanContext) feeds
-    /// retired quadrant grids back through here, so a steady-state split
-    /// allocates nothing. Produces exactly the grids
-    /// [`split`](Self::split) returns.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::DimensionMismatch`] when `grid` does not match the
-    /// map's dimensions.
-    pub fn split_into(
-        &self,
-        grid: &AtomGrid,
-        mut recycled: [AtomGrid; 4],
-    ) -> Result<[AtomGrid; 4], Error> {
-        if grid.dims() != (self.height, self.width) {
-            return Err(Error::DimensionMismatch {
-                left: (self.height, self.width),
-                right: grid.dims(),
-            });
-        }
-        for (q, canon) in QuadrantId::ALL.iter().zip(recycled.iter_mut()) {
-            canon.reshape(self.qh, self.qw);
-            // canonical[(r, c)] == global[to_global(q, (r, c))] — the
-            // flip composition `split` applies, done point-wise.
+        let empty = AtomGrid::new(self.qh, self.qw)?;
+        let mut out = [empty.clone(), empty.clone(), empty.clone(), empty];
+        for (&q, canon) in QuadrantId::ALL.iter().zip(out.iter_mut()) {
+            // canonical[(r, c)] == global[to_global(q, (r, c))]: the flips
+            // that bring the centre corner to (0, 0), done point-wise.
             for r in 0..self.qh {
                 for c in 0..self.qw {
-                    let global = self.to_global(*q, Position::new(r, c));
+                    let global = self.to_global(q, Position::new(r, c));
                     if grid.get_unchecked(global.row, global.col) {
                         canon.set_unchecked(r, c, true);
                     }
                 }
             }
         }
-        Ok(recycled)
+        Ok(out)
     }
 
     /// Reassembles a global grid from four canonical quadrant grids
@@ -380,25 +343,6 @@ mod tests {
         let m = QuadrantMap::new(8, 8).unwrap();
         let g = AtomGrid::new(6, 8).unwrap();
         assert!(matches!(m.split(&g), Err(Error::DimensionMismatch { .. })));
-        let scrap = std::array::from_fn(|_| AtomGrid::new(1, 1).unwrap());
-        assert!(matches!(
-            m.split_into(&g, scrap),
-            Err(Error::DimensionMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn split_into_matches_split_with_stale_scratch() {
-        let mut rng = seeded_rng(23);
-        let m = QuadrantMap::new(12, 10).unwrap();
-        // Mis-shaped, dirty recycled grids.
-        let mut recycled: [AtomGrid; 4] =
-            std::array::from_fn(|i| AtomGrid::random(3 + i, 17, 0.6, &mut rng));
-        for _ in 0..4 {
-            let g = AtomGrid::random(12, 10, 0.5, &mut rng);
-            recycled = m.split_into(&g, recycled).unwrap();
-            assert_eq!(recycled, m.split(&g).unwrap());
-        }
     }
 
     #[test]

@@ -5,7 +5,10 @@
 
 use std::fmt;
 
-use crate::engine::{decompose, PlanEngine};
+use crate::engine::{
+    assemble_plan, decompose, decompose_batch, kernel_config_for, resolve_workers, run_task_graph,
+    BatchShot,
+};
 use crate::error::Error;
 use crate::geometry::Rect;
 use crate::grid::AtomGrid;
@@ -115,21 +118,17 @@ impl QrmConfig {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct QrmScheduler {
-    /// The batched engine — the single owner of the configuration, the
-    /// worker count, and the reusable
-    /// [`PlanContext`](crate::engine::PlanContext), so serial and
-    /// batched paths cannot desync and repeated `plan_batch` rounds
-    /// through one scheduler recycle their scratch.
-    engine: PlanEngine,
+    config: QrmConfig,
+    /// Batch worker count; `0` is the automatic policy of
+    /// [`resolve_workers`].
+    workers: usize,
 }
 
 impl QrmScheduler {
     /// Creates a scheduler with the given configuration and automatic
     /// batch worker count.
     pub fn new(config: QrmConfig) -> Self {
-        QrmScheduler {
-            engine: PlanEngine::new(config),
-        }
+        QrmScheduler { config, workers: 0 }
     }
 
     /// Overrides the worker count used by batched planning (`0` restores
@@ -137,21 +136,19 @@ impl QrmScheduler {
     /// always inline and unaffected.
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.engine = self.engine.with_workers(workers);
+        self.workers = workers;
         self
     }
 
     /// The scheduler's configuration.
     pub fn config(&self) -> &QrmConfig {
-        self.engine.config()
+        &self.config
     }
 
-    /// The embedded batched engine — read access to its context-pool
-    /// diagnostics ([`PlanEngine::context_stats`]) for long-lived
-    /// consumers like the planning service, which report how warm a
-    /// scheduler is without owning engine internals.
-    pub fn engine(&self) -> &PlanEngine {
-        &self.engine
+    fn merge_config(&self) -> MergeConfig {
+        MergeConfig {
+            merge_quadrants: self.config.merge_quadrants,
+        }
     }
 
     /// Runs only the per-quadrant kernels, returning the four outcomes in
@@ -169,7 +166,7 @@ impl QrmScheduler {
         target: &Rect,
     ) -> Result<(QuadrantMap, [KernelOutcome; 4]), Error> {
         let work = decompose(grid, target)?;
-        let kernel = ShiftKernel::new(crate::engine::kernel_config_for(self.config(), &work));
+        let kernel = ShiftKernel::new(kernel_config_for(&self.config, &work));
         let mut outcomes = Vec::with_capacity(4);
         for q in &work.quadrants {
             outcomes.push(kernel.run(q)?);
@@ -189,25 +186,29 @@ impl Planner for QrmScheduler {
 
     fn plan(&self, grid: &AtomGrid, target: &Rect) -> Result<Plan, Error> {
         let (map, outcomes) = self.quadrant_outcomes(grid, target)?;
-        let merge_cfg = MergeConfig {
-            merge_quadrants: self.config().merge_quadrants,
-        };
-        crate::engine::assemble_plan(grid, target, &map, &outcomes, &merge_cfg)
+        assemble_plan(grid, target, &map, &outcomes, &self.merge_config())
     }
 
     /// Batched planning through the parallel task-graph engine
-    /// ([`crate::engine`]): quadrant kernels of **all** shots share one
-    /// work queue on the persistent worker pool, keeping every core busy
-    /// across the batch, and the scheduler's embedded
-    /// [`PlanContext`](crate::engine::PlanContext) recycles scratch
-    /// between rounds. Plans are bit-identical to mapping
+    /// ([`crate::engine`]): the quadrant kernels of **all** shots run as
+    /// jobs on the persistent worker pool, keeping every core busy across
+    /// the batch. Plans are bit-identical to mapping
     /// [`plan`](Self::plan) (the engine's determinism guarantee).
     fn plan_batch(&self, jobs: &[(AtomGrid, Rect)]) -> Result<Vec<Plan>, Error> {
-        self.engine.plan_batch(jobs)
-    }
-
-    fn context_stats(&self) -> Option<crate::engine::ContextPoolStats> {
-        Some(self.engine.context_stats())
+        let shots = decompose_batch(jobs)?;
+        let merge_cfg = self.merge_config();
+        run_task_graph(
+            shots.len(),
+            resolve_workers(self.workers, shots.len()),
+            |i, q| {
+                let work = &shots[i].work;
+                ShiftKernel::new(kernel_config_for(&self.config, work)).run(&work.quadrants[q])
+            },
+            |i, outcomes| {
+                let BatchShot { grid, target, work } = &shots[i];
+                assemble_plan(grid, target, &work.map, &outcomes, &merge_cfg)
+            },
+        )
     }
 }
 

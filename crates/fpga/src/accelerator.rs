@@ -11,10 +11,8 @@
 //! drain. The movement-record write-back to DDR is reported separately
 //! (it overlaps the PS-side pulse generation in a real system).
 
-use std::sync::Arc;
-
 use qrm_core::engine::{
-    decompose, decompose_batch, resolve_workers, run_task_graph, QuadrantTask, QuadrantWork, Step,
+    decompose, decompose_batch, resolve_workers, run_task_graph, BatchShot, QuadrantWork,
 };
 use qrm_core::error::Error;
 use qrm_core::geometry::Rect;
@@ -251,79 +249,33 @@ impl QrmAccelerator {
         self.finalize(grid, target, combined, quadrant_cycles)
     }
 
-    /// Runs a batch of analyses with the configured worker count —
-    /// shorthand for [`run_batch_with_workers`](Self::run_batch_with_workers)
-    /// with the count set by [`with_workers`](Self::with_workers)
-    /// (automatic by default).
+    /// Runs a batch of analyses through the shared task-graph engine
+    /// ([`qrm_core::engine::run_task_graph`]): each quadrant-processor
+    /// simulation is one pool job, exactly as the software scheduler runs
+    /// its kernels. The worker count set by
+    /// [`with_workers`](Self::with_workers) follows the engine's policy
+    /// ([`resolve_workers`]: `0` = one per core; `1` runs inline). Reports
+    /// are in input order and identical to calling [`run`](Self::run) per
+    /// shot (modelled cycle counts included — simulated time is
+    /// unaffected by host-side parallelism).
     ///
     /// # Errors
     ///
     /// Returns the first decomposition error in input order, or the
     /// first processing error the task graph hits.
     pub fn run_batch(&self, jobs: &[(AtomGrid, Rect)]) -> Result<Vec<AcceleratorReport>, Error> {
-        self.run_batch_with_workers(jobs, self.workers)
-    }
-
-    /// Runs a batch of analyses through the shared task-graph engine
-    /// ([`qrm_core::engine::run_task_graph`]): the quadrant-processor
-    /// simulations of all shots share one work queue, mirroring how
-    /// [`PlanEngine`](qrm_core::engine::PlanEngine) batches the software
-    /// kernels. `workers` follows the engine's policy ([`resolve_workers`]:
-    /// `0` = one per core; any count is capped by the batch's task
-    /// count), so the FPGA-model batch can be throttled exactly like the
-    /// software path. Reports are in input order and identical to
-    /// calling [`run`](Self::run) per shot (modelled cycle counts
-    /// included — simulated time is unaffected by host-side
-    /// parallelism).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first decomposition error in input order, or the
-    /// first processing error the task graph hits.
-    pub fn run_batch_with_workers(
-        &self,
-        jobs: &[(AtomGrid, Rect)],
-        workers: usize,
-    ) -> Result<Vec<AcceleratorReport>, Error> {
-        /// Whole-quadrant simulation as a single-step task (the QPM
-        /// pipeline has static timing, so there is no iteration-level
-        /// resumption point worth modelling).
-        struct QpmTask {
-            qpm: QuadrantProcessor,
-            quadrant: Arc<AtomGrid>,
-        }
-
-        impl QuadrantTask for QpmTask {
-            type Out = QpmReport;
-            fn step(&mut self) -> Result<Step<QpmReport>, Error> {
-                Ok(Step::Done(self.qpm.process(&self.quadrant)?))
-            }
-        }
-
         let shots = decompose_batch(jobs)?;
-
-        let tasks: Vec<[QpmTask; 4]> = shots
-            .iter()
-            .map(|shot| {
-                let qpm = self.qpm_for(&shot.work);
-                shot.work.quadrants.each_ref().map(|quadrant| QpmTask {
-                    qpm: qpm.clone(),
-                    quadrant: Arc::clone(quadrant),
-                })
-            })
-            .collect();
-
-        let workers = resolve_workers(workers, shots.len());
         run_task_graph(
-            tasks,
-            workers,
-            |shot_idx, reports: [QpmReport; 4]| {
-                let shot = &shots[shot_idx];
-                self.combine(shot.grid, &shot.work, reports)
+            shots.len(),
+            resolve_workers(self.workers, shots.len()),
+            |i, q| {
+                let work = &shots[i].work;
+                self.qpm_for(work).process(&work.quadrants[q])
             },
-            |shot_idx, (combined, quadrant_cycles)| {
-                let shot = &shots[shot_idx];
-                self.finalize(shot.grid, shot.target, combined, quadrant_cycles)
+            |i, reports| {
+                let BatchShot { grid, target, work } = &shots[i];
+                let (combined, quadrant_cycles) = self.combine(grid, work, reports)?;
+                self.finalize(grid, target, combined, quadrant_cycles)
             },
         )
     }
@@ -481,7 +433,11 @@ mod tests {
                 assert_eq!(single, *report);
             }
             for workers in [1usize, 3, 64] {
-                let throttled = accel.run_batch_with_workers(&jobs, workers).unwrap();
+                let throttled = accel
+                    .clone()
+                    .with_workers(workers)
+                    .run_batch(&jobs)
+                    .unwrap();
                 assert_eq!(throttled, batched, "workers = {workers}");
             }
         }

@@ -8,10 +8,8 @@
 //! [`PlannerChoice`](qrm_control::pipeline::PlannerChoice) + pipeline
 //! configuration, accepts typed [`SubmitBatch`] requests concurrently
 //! from any number of threads, admits them through a bounded gate, and
-//! runs each on the process-global work-stealing pool — every
-//! submission planning **warm** through its planner's context pool,
-//! because the planner is constructed once at registration, never per
-//! request.
+//! runs each on the process-global work-stealing pool. The planner is
+//! constructed once at registration, never per request.
 //!
 //! ## Layering
 //!
@@ -22,8 +20,8 @@
 //!                          qrm_control::Pipeline::run
 //!                          (image → detect → plan → execute rounds)
 //!                                   │
-//!                          qrm_core::engine  (batched task graph,
-//!                                   │          warm PlanContext pool)
+//!                          qrm_core::engine  (batched task graph:
+//!                                   │          one job per quadrant kernel)
 //!                          vendored rayon   (persistent work-stealing
 //!                                             worker pool)
 //! ```
@@ -84,5 +82,6 @@ pub use cache::ResponseCache;
 pub use request::{BatchReport, BatchSpec, Scenario, ServiceError, SubmitBatch, Workload};
 pub use service::{PlanService, PlanServiceBuilder, ServiceConfig, DEFAULT_TRACE_EVENT_CAP};
 pub use stats::{
-    CacheStats, LatencyHistogram, NetStats, PlannerStats, SchedulerTotals, ServiceStats,
+    CacheStats, ContextPoolStats, LatencyHistogram, NetStats, PlannerStats, SchedulerTotals,
+    ServiceStats,
 };

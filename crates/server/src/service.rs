@@ -44,9 +44,8 @@ pub const DEFAULT_TRACE_EVENT_CAP: usize = 1 << 20;
 struct Registration {
     pipeline: Pipeline,
     /// Resolved **once** at registration; every submission plans through
-    /// this same instance, so its internal context pool stays warm
-    /// across batches and across concurrent callers ([`Planner`] is
-    /// `Send + Sync` by contract).
+    /// this same instance, across batches and across concurrent callers
+    /// ([`Planner`] is `Send + Sync` by contract).
     planner: Box<dyn Planner>,
     batches: AtomicU64,
     shots: AtomicU64,
@@ -250,8 +249,8 @@ impl Drop for Permit<'_> {
 /// registration, accepts [`SubmitBatch`] requests from any number of
 /// threads through [`submit`](Self::submit) (`&self` — share it behind
 /// an `Arc` or `std::thread::scope`), runs them on the process-global
-/// worker pool through the warm context pool of each planner, and
-/// aggregates serving stats ([`stats`](Self::stats)).
+/// worker pool through each registration's planner, and aggregates
+/// serving stats ([`stats`](Self::stats)).
 ///
 /// Determinism contract: a submission's [`BatchReport::reports`] is
 /// bit-identical to running the spec's workload directly through
@@ -307,8 +306,7 @@ impl PlanService {
     /// reorder queued planning work. Otherwise the submission expands
     /// its workload (cheap, unthrottled), waits for an admission slot if
     /// the service is at `max_inflight`, and runs the batched pipeline
-    /// on the worker pool via the registration's long-lived planner — so
-    /// every batch plans with warm contexts.
+    /// on the worker pool via the registration's long-lived planner.
     ///
     /// # Errors
     ///
@@ -405,8 +403,8 @@ impl PlanService {
 
     /// Snapshots the service: queue/inflight gauges with their
     /// high-water marks, served totals, per-registration latency
-    /// histograms and context warmth, and the worker pool's activity
-    /// since the service was built.
+    /// histograms, and the worker pool's activity since the service was
+    /// built.
     pub fn stats(&self) -> ServiceStats {
         let gate = self.gate.lock();
         let (queued, inflight, peak_queued, peak_inflight) = (
@@ -442,7 +440,7 @@ impl PlanService {
                         .lock()
                         .expect("latency histogram poisoned")
                         .clone(),
-                    contexts: reg.planner.context_stats(),
+                    contexts: None,
                 })
                 .collect(),
         }
@@ -481,10 +479,8 @@ mod tests {
         let qrm = stats.planners.iter().find(|p| p.name == "qrm").unwrap();
         assert_eq!(qrm.batches, 1);
         assert_eq!(qrm.latency.count(), 1);
-        // QRM pools contexts; after one batch the pool is warm.
-        let ctx = qrm.contexts.expect("QRM reports context stats");
-        assert!(ctx.idle_contexts >= 1);
-        // The stateless planner reports none.
+        // No planner keeps a context pool; the v1 field stays null.
+        assert!(qrm.contexts.is_none());
         let typical = stats.planners.iter().find(|p| p.name == "typical").unwrap();
         assert!(typical.contexts.is_none());
         assert_eq!(typical.batches, 0);

@@ -10,8 +10,6 @@
 //! included — per-service attribution needs a process that serves
 //! nothing else.
 
-use qrm_core::engine::ContextPoolStats;
-
 /// Histogram buckets: bucket `i` counts latencies in
 /// `[2^i, 2^(i+1))` µs; the last bucket is open-ended. 2^21 µs ≈ 2 s,
 /// far beyond any single batch this service runs.
@@ -148,9 +146,22 @@ pub struct PlannerStats {
     pub shots: u64,
     /// Service-time distribution of this registration's batches.
     pub latency: LatencyHistogram,
-    /// Warm-context diagnostics, for planners that pool contexts
-    /// (QRM; `None` for stateless planners).
+    /// Always `None` (`null` on the wire): no planner keeps a context
+    /// pool any more. Kept because v1 fields never change, so older
+    /// snapshots that carry a value still decode.
     pub contexts: Option<ContextPoolStats>,
+}
+
+/// The wire form of a planner's former warm-context pool, as older
+/// [`PlannerStats::contexts`] snapshots carry it. Nothing produces it
+/// now; it exists so those snapshots still decode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+pub struct ContextPoolStats {
+    /// Parked warm contexts that were available for checkout.
+    pub idle_contexts: usize,
+    /// Recycled kernel-scratch buffers across those contexts.
+    pub warm_states: usize,
 }
 
 /// Dataflow-scheduler counters aggregated across every batch the

@@ -26,10 +26,9 @@ fn main() -> Result<(), qrm_core::Error> {
         .collect::<Result<_, _>>()?;
     let serial_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    // Batched: all shots' quadrant kernels share one work queue.
-    let engine = PlanEngine::new(QrmConfig::default());
+    // Batched: every shot's quadrant kernels run as jobs on the pool.
     let t0 = Instant::now();
-    let batched = engine.plan_batch(&jobs)?;
+    let batched = scheduler.plan_batch(&jobs)?;
     let batched_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     assert_eq!(serial, batched, "engine must be bit-identical to serial");
@@ -39,9 +38,5 @@ fn main() -> Result<(), qrm_core::Error> {
     println!("  serial mapped plan : {serial_ms:8.1} ms");
     println!("  engine plan_batch  : {batched_ms:8.1} ms  (bit-identical plans)");
     println!("  filled {filled}/{shots}, {moves} parallel moves total");
-
-    // The trait-level entry point routes through the same engine.
-    let via_trait = scheduler.plan_batch(&jobs)?;
-    assert_eq!(via_trait, batched);
     Ok(())
 }

@@ -1,7 +1,7 @@
 //! The long-lived planning service: register all seven planners once,
 //! hammer the service with concurrent mixed-planner batch submissions
-//! from client threads, and read back per-planner latency histograms,
-//! context warmth, and worker-pool counters.
+//! from client threads, and read back per-planner latency histograms
+//! and worker-pool counters.
 //!
 //! Run with: `cargo run --release --example planning_service`
 
@@ -59,15 +59,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for planner in &stats.planners {
         println!(
-            "  {:<7} {} batch(es), mean {:>8.0} us, p99 {:>8.0} us{}",
+            "  {:<7} {} batch(es), mean {:>8.0} us, p99 {:>8.0} us",
             planner.name,
             planner.batches,
             planner.latency.mean_us(),
             planner.latency.quantile_us(0.99),
-            planner
-                .contexts
-                .map(|c| format!(", {} warm context(s)", c.idle_contexts))
-                .unwrap_or_default()
         );
     }
     println!(

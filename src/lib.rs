@@ -49,10 +49,10 @@
 //! [`Planner::plan_batch`](qrm_core::planner::Planner::plan_batch)
 //! — every planner supports it, and QRM (software and FPGA model alike)
 //! routes the batch through the parallel task-graph engine in
-//! [`qrm_core::engine`], planning all shots' quadrants on a shared work
-//! queue served by the **persistent work-stealing worker pool**
-//! (threads are spawned once per process, never per batch; jobs fan
-//! out via per-worker deques). The end-to-end pipeline goes further:
+//! [`qrm_core::engine`], running every shot's quadrant kernels as jobs
+//! on the **persistent work-stealing worker pool** (threads are spawned
+//! once per process, never per batch; jobs fan out via per-worker
+//! deques). The end-to-end pipeline goes further:
 //! [`Pipeline::run`](qrm_control::pipeline::Pipeline::run) drives every
 //! shot through its own image → detect → plan → execute chain of pool
 //! jobs, planning the shots that are ready together in one batch.
@@ -74,8 +74,8 @@
 //! let plans = QrmScheduler::new(QrmConfig::default()).plan_batch(&jobs)?;
 //! assert_eq!(plans.len(), 8);
 //!
-//! // ...or the engine directly, with an explicit worker count.
-//! let plans2 = PlanEngine::new(QrmConfig::default()).with_workers(4).plan_batch(&jobs)?;
+//! // ...with an explicit worker count: the same plans.
+//! let plans2 = QrmScheduler::new(QrmConfig::default()).with_workers(4).plan_batch(&jobs)?;
 //! assert_eq!(plans, plans2);
 //!
 //! // The end-to-end pipeline plans ready shots the same way.

@@ -43,8 +43,8 @@ fn parallel_engine_is_bit_identical_across_sizes_and_workers() {
             .map(|(g, t)| serial.plan(g, t).unwrap())
             .collect();
         for workers in [1usize, 2, 4, 16] {
-            let engine = PlanEngine::new(QrmConfig::default()).with_workers(workers);
-            let got = engine.plan_batch(&jobs).unwrap();
+            let scheduler = QrmScheduler::new(QrmConfig::default()).with_workers(workers);
+            let got = scheduler.plan_batch(&jobs).unwrap();
             assert_eq!(got.len(), expected.len());
             for (i, (e, g)) in expected.iter().zip(&got).enumerate() {
                 assert_plans_identical(e, g, &format!("size {size}, workers {workers}, shot {i}"));
@@ -67,8 +67,8 @@ fn engine_covers_every_qrm_configuration() {
                 .with_strategy(strategy)
                 .with_merge_quadrants(merge);
             let serial = QrmScheduler::new(config.clone());
-            let engine = PlanEngine::new(config).with_workers(4);
-            let got = engine.plan_batch(&jobs).unwrap();
+            let batched = QrmScheduler::new(config).with_workers(4);
+            let got = batched.plan_batch(&jobs).unwrap();
             for (i, ((g, t), plan)) in jobs.iter().zip(&got).enumerate() {
                 assert_plans_identical(
                     &serial.plan(g, t).unwrap(),
@@ -100,8 +100,8 @@ fn accelerator_batch_matches_serial_model() {
 #[test]
 fn batched_plans_execute_exactly_as_predicted() {
     let jobs = workload(6, 20, 31);
-    let engine = PlanEngine::new(QrmConfig::default()).with_workers(4);
-    let plans = engine.plan_batch(&jobs).unwrap();
+    let scheduler = QrmScheduler::new(QrmConfig::default()).with_workers(4);
+    let plans = scheduler.plan_batch(&jobs).unwrap();
     for ((grid, _), plan) in jobs.iter().zip(&plans) {
         let report = Executor::new().run(grid, &plan.schedule).unwrap();
         assert_eq!(report.final_grid, plan.predicted);

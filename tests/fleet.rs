@@ -13,7 +13,7 @@
 //! `batches_served` sum.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use qrm_bench::{build_service, route_load, service_load, DigestRow, ServeConfig};
 use qrm_net::{raw_roundtrip, Client, NetConfig, Router, RouterConfig};
@@ -26,6 +26,7 @@ use qrm_wire::{ErrorReply, FromJson, ToJson};
 /// first sweep marks live backends up, and afterwards a severed backend
 /// stays *nominally healthy* — forcing requests through the failover
 /// path instead of letting a health probe quietly hide the corpse.
+/// Returns once that first sweep has marked every backend up.
 fn fleet(
     count: usize,
     serve: &ServeConfig,
@@ -50,6 +51,18 @@ fn fleet(
         qrm_bench::wait_for_server(&router.addr().to_string(), Duration::from_secs(5)),
         "router healthz never came up"
     );
+    // `healthz` answers 200 as soon as *any* backend is up, while the
+    // first sweep marks them up one at a time; load sent before it ends
+    // relays a spec whose home is still marked down to another backend
+    // and warms the wrong cache.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !router.stats().backends.iter().all(|b| b.healthy) {
+        assert!(
+            Instant::now() < deadline,
+            "the first health sweep never marked every backend up"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
     (servers, services, router)
 }
 

@@ -30,8 +30,8 @@ fn service_for(workers: usize) -> PlanService {
     builder.build()
 }
 
-/// The reference: a fresh pipeline (fresh planner, cold contexts)
-/// running the spec's workload directly.
+/// The reference: a fresh pipeline (fresh planner) running the spec's
+/// workload directly.
 fn direct(choice: PlannerChoice, workers: usize, spec: &BatchSpec) -> Vec<PipelineReport> {
     let target = spec.target().expect("valid spec");
     let shots: Vec<Shot> = spec
@@ -59,7 +59,7 @@ fn concurrent_mixed_submissions_match_direct_runs_for_all_planners() {
 
         // All seven planners submitted concurrently, twice each, through
         // a gate narrower than the submission count — so submissions
-        // queue, interleave, and share each registration's warm planner.
+        // queue, interleave, and share each registration's planner.
         std::thread::scope(|scope| {
             for (name, want) in &expected {
                 for _ in 0..2 {
@@ -90,10 +90,9 @@ fn concurrent_mixed_submissions_match_direct_runs_for_all_planners() {
 
 #[test]
 fn repeated_identical_requests_stay_bit_identical_as_contexts_warm() {
-    // The same request served cold (first call), warm (after context
-    // pooling kicks in), and concurrently must produce one answer.
-    // QRM exercises the engine's context pool; FPGA the accelerator's
-    // batched path.
+    // The same request served first, again, and concurrently through
+    // one long-lived planner must produce one answer. QRM exercises the
+    // software engine; FPGA the accelerator's batched path.
     for (name, choice) in [
         ("qrm", planner_choices()[0].1.clone()),
         ("fpga", planner_choices()[6].1.clone()),
@@ -102,9 +101,9 @@ fn repeated_identical_requests_stay_bit_identical_as_contexts_warm() {
             .register(name, choice.clone(), config_for(4))
             .build();
         let request = SubmitBatch::new(name, BatchSpec::new(3, 12, 4242));
-        let first = service.submit(&request).expect("cold submission");
+        let first = service.submit(&request).expect("first submission");
         let reference = direct(choice, 4, &request.spec);
-        assert_eq!(first.reports, reference, "{name}: cold response");
+        assert_eq!(first.reports, reference, "{name}: first response");
 
         std::thread::scope(|scope| {
             for _ in 0..3 {
@@ -112,8 +111,8 @@ fn repeated_identical_requests_stay_bit_identical_as_contexts_warm() {
                 let request = &request;
                 let reference = &reference;
                 scope.spawn(move || {
-                    let warm = service.submit(request).expect("warm submission");
-                    assert_eq!(&warm.reports, reference, "{name}: warm response");
+                    let again = service.submit(request).expect("repeated submission");
+                    assert_eq!(&again.reports, reference, "{name}: repeated response");
                 });
             }
         });
@@ -134,12 +133,9 @@ fn service_reports_warm_contexts_and_latencies_after_load() {
     assert_eq!(qrm.batches, 2);
     assert_eq!(qrm.latency.count(), 2);
     assert!(qrm.latency.mean_us() > 0.0);
-    let contexts = qrm
-        .contexts
-        .expect("QRM registration exposes context stats");
     assert!(
-        contexts.idle_contexts >= 1,
-        "after serving, the planner's context pool must be warm"
+        qrm.contexts.is_none(),
+        "no planner keeps a context pool; the v1 field stays null"
     );
     // Unused registrations stay untouched.
     let tetris = stats.planners.iter().find(|p| p.name == "tetris").unwrap();

@@ -1,8 +1,8 @@
-//! Integration tests for the persistent worker pool and the reusable
-//! [`PlanContext`]: after one-time pool initialisation, batched planning
-//! must never spawn OS threads again, and scratch reuse must be
-//! invisible in the results — fresh context, warm context, and the
-//! serial path all produce bit-identical plans.
+//! Integration tests for the persistent worker pool: after one-time
+//! pool initialisation, batched planning must never spawn OS threads
+//! again, and a long-lived scheduler must give the same plans as a
+//! fresh one and as the serial path — on repeated, concurrent, and
+//! differently shaped batches.
 
 use atom_rearrange::prelude::*;
 use qrm_core::scheduler::Plan;
@@ -57,19 +57,13 @@ fn pipeline_rounds_spawn_zero_threads_after_pool_init() {
 
 #[test]
 fn plan_context_reuse_is_bit_identical_and_actually_reuses() {
+    // One scheduler planning the same batch twice, a fresh scheduler,
+    // and the serial planner all agree.
     let jobs = workload(4, 20, 71);
-    let engine = PlanEngine::new(QrmConfig::default()).with_workers(2);
-
-    let mut ctx = PlanContext::new();
-    let fresh = engine.plan_batch_in(&mut ctx, &jobs).unwrap();
-    assert!(
-        ctx.idle_states() > 0,
-        "a completed batch must park recycled kernel scratch in the context"
-    );
-    let warm = engine.plan_batch_in(&mut ctx, &jobs).unwrap();
-
-    // Independent engines (cold contexts) and the serial planner agree.
-    let independent = PlanEngine::new(QrmConfig::default())
+    let scheduler = QrmScheduler::new(QrmConfig::default()).with_workers(2);
+    let first = scheduler.plan_batch(&jobs).unwrap();
+    let repeated = scheduler.plan_batch(&jobs).unwrap();
+    let fresh = QrmScheduler::new(QrmConfig::default())
         .with_workers(2)
         .plan_batch(&jobs)
         .unwrap();
@@ -79,29 +73,27 @@ fn plan_context_reuse_is_bit_identical_and_actually_reuses() {
         .map(|(g, t)| serial.plan(g, t).unwrap())
         .collect();
 
-    assert_eq!(fresh, warm, "warm context changed results");
-    assert_eq!(fresh, independent, "context reuse changed results");
-    assert_eq!(fresh, expected, "pooled path diverged from serial");
+    assert_eq!(first, repeated, "a repeated batch changed results");
+    assert_eq!(first, fresh, "a fresh scheduler changed results");
+    assert_eq!(first, expected, "pooled path diverged from serial");
 }
 
 #[test]
 fn plan_context_reuse_covers_the_inline_serial_path() {
-    // workers == 1 takes the inline path; scratch recycling must be
-    // bit-identical there too.
+    // workers == 1 takes the inline path; repeated batches through it
+    // must be bit-identical too.
     let jobs = workload(3, 16, 72);
-    let engine = PlanEngine::new(QrmConfig::default()).with_workers(1);
-    let mut ctx = PlanContext::new();
-    let first = engine.plan_batch_in(&mut ctx, &jobs).unwrap();
-    assert!(ctx.idle_states() > 0);
-    let second = engine.plan_batch_in(&mut ctx, &jobs).unwrap();
+    let scheduler = QrmScheduler::new(QrmConfig::default()).with_workers(1);
+    let first = scheduler.plan_batch(&jobs).unwrap();
+    let second = scheduler.plan_batch(&jobs).unwrap();
     assert_eq!(first, second);
 }
 
 #[test]
 fn scheduler_internal_context_survives_varied_batches() {
     // One long-lived scheduler (the Pipeline usage pattern) planning
-    // batches of different sizes and grid dimensions: recycled scratch
-    // from a 20x20 round must be correctly resized for a 16x16 round.
+    // batches of different sizes and grid dimensions, each equal to
+    // per-shot planning.
     let scheduler = QrmScheduler::new(QrmConfig::default()).with_workers(2);
     for (n, size, seed) in [
         (4usize, 20usize, 80u64),
@@ -120,39 +112,23 @@ fn scheduler_internal_context_survives_varied_batches() {
 
 #[test]
 fn concurrent_batches_each_get_a_warm_context() {
-    // The engine keeps a *pool* of contexts: a lone batch parks one
-    // warm context; concurrent batches each check out their own (the
-    // overflow caller gets a fresh context that is then parked too), so
-    // a steady stream of concurrent callers stops planning cold. The
-    // old behaviour — try_lock with a cold-context fallback — left
-    // every loser of the race allocating from scratch.
+    // Concurrent batches on one scheduler share the pool; each gets the
+    // plans a lone batch gets.
     let jobs = workload(3, 16, 95);
-    let engine = PlanEngine::new(QrmConfig::default()).with_workers(2);
-    let expected = engine.plan_batch(&jobs).unwrap();
-    assert_eq!(engine.idle_contexts(), 1, "one batch parks one context");
-    assert!(
-        engine.warm_states() > 0,
-        "the parked context must hold recycled kernel scratch"
-    );
-
+    let scheduler = QrmScheduler::new(QrmConfig::default()).with_workers(2);
+    let expected = scheduler.plan_batch(&jobs).unwrap();
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..2)
-            .map(|_| s.spawn(|| engine.plan_batch(&jobs).unwrap()))
+            .map(|_| s.spawn(|| scheduler.plan_batch(&jobs).unwrap()))
             .collect();
         for handle in handles {
             assert_eq!(
                 handle.join().unwrap(),
                 expected,
-                "context checkout must not change plans"
+                "a concurrent batch changed plans"
             );
         }
     });
-    let idle = engine.idle_contexts();
-    assert!(
-        (1..=2).contains(&idle),
-        "concurrent batches park their contexts back (got {idle})"
-    );
-    assert!(engine.warm_states() > 0, "parked contexts stay warm");
 }
 
 #[test]
