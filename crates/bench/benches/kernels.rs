@@ -1,13 +1,14 @@
 //! Microbenchmarks of the kernel primitives: bit-line operations, a
-//! single kernel pass, and the cycle-accurate shift-unit simulation at
-//! the headline quadrant size (Qw = 25).
+//! single kernel pass, a whole kernel run, and the cycle-accurate
+//! shift-unit simulation at the headline quadrant size (Qw = 25).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qrm_core::bitline;
 use qrm_core::geometry::Axis;
 use qrm_core::grid::AtomGrid;
-use qrm_core::kernel::{plan_row_windows, run_pass, KernelStrategy};
+use qrm_core::kernel::{plan_row_windows, run_pass, KernelConfig, KernelStrategy, ShiftKernel};
 use qrm_core::loading::seeded_rng;
+use qrm_core::scheduler::QrmConfig;
 use qrm_fpga::shift_unit::{LineJob, ShiftUnit};
 
 fn bench_kernels(c: &mut Criterion) {
@@ -40,7 +41,21 @@ fn bench_kernels(c: &mut Criterion) {
         })
     });
 
-    // the cycle-accurate shift-unit simulation of the same pass
+    // the whole kernel on the same quadrant under the paper config: the
+    // 15x15 corner target of a 50x50 array's 30x30 target, greedy, four
+    // iterations with early exit (one of `experiments fig7a`'s four
+    // 50x50 quadrant kernels)
+    let paper = QrmConfig::paper();
+    let kernel = ShiftKernel::new(
+        KernelConfig::new(15, 15)
+            .with_strategy(paper.strategy)
+            .with_max_iterations(paper.max_iterations),
+    );
+    group.bench_function("kernel_run_25", |b| {
+        b.iter(|| kernel.run(&quadrant).expect("target fits"))
+    });
+
+    // the cycle-accurate shift-unit simulation of the row pass
     let jobs: Vec<LineJob> = (0..25)
         .map(|l| LineJob {
             line: l,

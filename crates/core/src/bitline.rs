@@ -49,6 +49,27 @@ pub fn count_ones(words: &[u64]) -> usize {
     words.iter().map(|w| w.count_ones() as usize).sum()
 }
 
+/// Population count of positions `lo..hi`, one masked popcount per word.
+///
+/// # Panics
+///
+/// Panics when `hi` reaches past the slice's last word.
+///
+/// ```
+/// let line = [0b1011_0110u64, 0b11];
+/// assert_eq!(qrm_core::bitline::count_ones_in(&line, 2, 6), 3);
+/// assert_eq!(qrm_core::bitline::count_ones_in(&line, 4, 66), 5);
+/// assert_eq!(qrm_core::bitline::count_ones_in(&line, 5, 5), 0);
+/// ```
+pub fn count_ones_in(words: &[u64], lo: usize, hi: usize) -> usize {
+    if lo >= hi {
+        return 0;
+    }
+    (lo / WORD_BITS..=(hi - 1) / WORD_BITS)
+        .map(|i| (words[i] & range_word(i, lo, hi)).count_ones() as usize)
+        .sum()
+}
+
 /// Position of the highest set bit, or `None` for an empty line.
 ///
 /// ```
@@ -65,14 +86,26 @@ pub fn highest_one(words: &[u64]) -> Option<usize> {
     None
 }
 
-/// Position of the lowest set bit, or `None` for an empty line.
-pub fn lowest_one(words: &[u64]) -> Option<usize> {
-    for (i, &w) in words.iter().enumerate() {
-        if w != 0 {
-            return Some(i * WORD_BITS + w.trailing_zeros() as usize);
-        }
-    }
-    None
+/// Position of the lowest set bit at or above `lo`, or `None` when no
+/// atom lies there.
+///
+/// ```
+/// let line = [0b1001u64, 0b10];
+/// assert_eq!(qrm_core::bitline::lowest_one_from(&line, 1), Some(3));
+/// assert_eq!(qrm_core::bitline::lowest_one_from(&line, 4), Some(65));
+/// assert_eq!(qrm_core::bitline::lowest_one_from(&line, 66), None);
+/// ```
+pub fn lowest_one_from(words: &[u64], lo: usize) -> Option<usize> {
+    let first = lo / WORD_BITS;
+    words.iter().enumerate().skip(first).find_map(|(i, &w)| {
+        // Mask off the bits below `lo` in its own word.
+        let w = if i == first {
+            w & (u64::MAX << (lo % WORD_BITS))
+        } else {
+            w
+        };
+        (w != 0).then(|| i * WORD_BITS + w.trailing_zeros() as usize)
+    })
 }
 
 /// Position of the lowest **zero** bit in `lo..hi`, or `None` when the
@@ -135,25 +168,52 @@ pub fn eligible_hole(words: &[u64], floor: usize, limit: usize) -> Option<usize>
 /// assert_eq!(line[0], 0b011010);
 /// ```
 pub fn suffix_shift(words: &mut [u64], hole: usize, width: usize) {
-    debug_assert!(hole < width, "hole {hole} beyond width {width}");
-    debug_assert!(!get(words, hole), "suffix shift target {hole} is occupied");
-    let w0 = hole / WORD_BITS;
-    let b0 = hole % WORD_BITS;
+    suffix_shift_by(words, hole, 1, width);
+}
+
+/// Applies `count` suffix shifts at `hole` at once: positions
+/// `hole..hole + count` must be empty, and every bit above them moves
+/// `count` positions down within the logical `width`. Bits below `hole`
+/// are untouched; the top `count` positions become empty.
+///
+/// # Panics
+///
+/// Debug-asserts that the deleted positions are empty and lie inside
+/// `width`.
+///
+/// ```
+/// let mut line = [0b1100_0101u64];
+/// qrm_core::bitline::suffix_shift_by(&mut line, 3, 3, 64);
+/// assert_eq!(line[0], 0b11101);
+/// ```
+pub fn suffix_shift_by(words: &mut [u64], hole: usize, count: usize, width: usize) {
+    debug_assert!(
+        hole + count <= width,
+        "{count} shifts at {hole} beyond {width}"
+    );
+    debug_assert_eq!(
+        count_ones_in(words, hole, hole + count),
+        0,
+        "suffix shift deletes an atom"
+    );
+    if count == 0 {
+        return;
+    }
+    let (w0, b0) = (hole / WORD_BITS, hole % WORD_BITS);
+    let (skip, bits) = (count / WORD_BITS, count % WORD_BITS);
     let n = words_for(width);
-    // Shift words w0..n right by one bit, carrying across boundaries, then
-    // restore the untouched low bits of word w0 (positions <= hole).
-    let keep = words[w0] & low_mask(b0); // bits strictly below hole (hole bit itself is 0)
+    let at = |words: &[u64], j: usize| if j < n { words[j] } else { 0 };
+    let keep = words[w0] & low_mask(b0);
+    // Ascending and in place: word `i` reads only words `>= i`.
     for i in w0..n {
-        let next = if i + 1 < n { words[i + 1] } else { 0 };
-        words[i] = (words[i] >> 1) | (next << (WORD_BITS - 1));
+        let (lo, hi) = (at(words, i + skip), at(words, i + skip + 1));
+        words[i] = if bits == 0 {
+            lo
+        } else {
+            (lo >> bits) | (hi << (WORD_BITS - bits))
+        };
     }
     words[w0] = (words[w0] & !low_mask(b0)) | keep;
-    // Clear any bit that slid in above the logical width (none can, since
-    // we only shift down, but keep the tail clean for safety).
-    let tail = width % WORD_BITS;
-    if tail != 0 {
-        words[n - 1] &= low_mask(tail);
-    }
 }
 
 /// Mask with bits `0..bits` set.
@@ -265,10 +325,11 @@ mod tests {
     fn highest_lowest() {
         let mut w = vec![0u64; 2];
         assert_eq!(highest_one(&w), None);
-        assert_eq!(lowest_one(&w), None);
+        assert_eq!(lowest_one_from(&w, 0), None);
         set(&mut w, 5, true);
         set(&mut w, 100, true);
-        assert_eq!(lowest_one(&w), Some(5));
+        assert_eq!(lowest_one_from(&w, 0), Some(5));
+        assert_eq!(lowest_one_from(&w, 6), Some(100));
         assert_eq!(highest_one(&w), Some(100));
     }
 
@@ -354,6 +415,45 @@ mod tests {
                 suffix_shift(&mut a, h, width);
                 suffix_shift_ref(&mut b, h, width);
                 assert_eq!(a, b);
+            }
+        }
+    }
+
+    #[test]
+    fn multi_shifts_and_range_queries_match_their_bitwise_definitions() {
+        let mut state = 0x2545F4914F6CDD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for width in [1, 25, 64, 65, 130, 150] {
+            for _ in 0..100 {
+                let mut line: Vec<u64> = (0..words_for(width)).map(|_| next()).collect();
+                let tail = width % WORD_BITS;
+                if tail != 0 {
+                    *line.last_mut().unwrap() &= low_mask(tail);
+                }
+                let lo = next() as usize % (width + 1);
+                let hi = next() as usize % (width + 1);
+                let expect = (lo..hi).filter(|&p| get(&line, p)).count();
+                assert_eq!(count_ones_in(&line, lo, hi), expect, "{width} {lo}..{hi}");
+                let expect = (lo..width).find(|&p| get(&line, p));
+                assert_eq!(lowest_one_from(&line, lo), expect, "{width} from {lo}");
+                // Clear a run at `lo`, then delete it in one step and one
+                // position at a time.
+                let count = hi.saturating_sub(lo);
+                for p in lo..lo + count {
+                    set(&mut line, p, false);
+                }
+                let mut once = line.clone();
+                suffix_shift_by(&mut once, lo, count, width);
+                let mut stepwise = line.clone();
+                for _ in 0..count {
+                    suffix_shift_ref(&mut stepwise, lo, width);
+                }
+                assert_eq!(once, stepwise, "width {width}: {count} shifts at {lo}");
             }
         }
     }

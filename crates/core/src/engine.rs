@@ -45,18 +45,20 @@
 //! * an empty batch returns immediately.
 //!
 //! Planning allocates. A one-shot 50x50 `plan_batch` under
-//! [`QrmConfig::paper`] makes about 910 heap allocations (counted with a
+//! [`QrmConfig::paper`] makes about 450 heap allocations (counted with a
 //! counting global allocator at `workers` 1, mean over 64 shots at 50 %
-//! load; about 925 on the pool, whose jobs are boxed):
+//! load; about 460 on the pool, whose jobs are boxed):
 //!
 //! * about 300 in the merge: two per emitted move (its row and column
 //!   lists; ≈145 moves) plus a constant ≈10 buffers per call, a budget
 //!   `crates/core/tests/merge_alloc.rs` pins;
-//! * about 130 in each of the four quadrant kernels, from the `Vec`s
-//!   each pass builds (its waves, one shift list per non-empty wave, the
-//!   hole windows);
+//! * about 28 in each of the four quadrant kernels: each pass's flat
+//!   shift buffer and wave offsets, each row pass's windows, and a
+//!   constant set per run (the working grid and transposed view, the
+//!   column windows, the wave sort's scratch, the pass list), a
+//!   per-pass budget the same test file pins;
 //! * the rest in decomposition and validation (the four quadrant grids,
-//!   each kernel's working grid and transposed view, the plan).
+//!   the plan).
 //!
 //! ## Determinism
 //!

@@ -10,6 +10,7 @@ use std::fmt;
 
 use rand::Rng;
 
+use crate::bitline;
 use crate::error::Error;
 use crate::geometry::{Position, Rect};
 
@@ -254,7 +255,8 @@ impl AtomGrid {
     }
 
     /// Number of atoms inside `rect` (clipped to the grid is **not**
-    /// performed; the rect must fit).
+    /// performed; the rect must fit), one masked popcount per word of
+    /// each row.
     ///
     /// # Errors
     ///
@@ -263,10 +265,10 @@ impl AtomGrid {
         if !rect.fits_in(self.height, self.width) {
             return Err(self.rect_err(rect));
         }
-        Ok(rect
-            .positions()
-            .filter(|p| self.get_unchecked(p.row, p.col))
-            .count())
+        let (lo, hi) = (rect.col, rect.col + rect.width);
+        Ok((rect.row..rect.row + rect.height)
+            .map(|r| bitline::count_ones_in(self.row_bits(r), lo, hi))
+            .sum())
     }
 
     /// Whether every site of `rect` is occupied (defect-free target check).

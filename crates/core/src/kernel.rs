@@ -25,16 +25,41 @@
 //! The paper's `sen` manual-control signal (blocking selected lines from
 //! shifting, §IV-C) is exposed as [`KernelConfig::row_enable`] /
 //! [`KernelConfig::col_enable`].
+//!
+//! ## Computing a pass
+//!
+//! The hardware scans position by position, but within a pass each
+//! line's shifts depend only on that line's bits when the pass starts,
+//! so the software computes them in closed form. After `s` shifts, scan
+//! position `k` holds original position `k + s`, and a shift fires at
+//! `k` exactly when that original position is empty, lies below the
+//! line's top atom, and `k` is inside the line's `(floor, limit)`
+//! window. One walk per line therefore skips each run of atoms in one
+//! step and, inside each gap, fires at every other original position,
+//! removing `ceil(len / 2)` of the gap's empty sites with one word-level
+//! [`bitline::suffix_shift_by`]. The balanced window planner simulates
+//! each row with the same walk.
+//!
+//! A pass stores its shifts in one flat buffer ordered by (hole, line),
+//! wave `k` being a slice of it (see [`LocalPass`]). The walks find
+//! shifts in line order; a counting sort over hole positions groups
+//! them into waves. Its two buffers are allocated once per
+//! [`ShiftKernel::run`] and reused by every pass, so a pass allocates
+//! only its own shift and wave-offset buffers. The per-position scan
+//! survives as the test-only `reference` module the equivalence
+//! tests compare against.
 
 use crate::bitline;
 use crate::error::Error;
 use crate::geometry::{Axis, Rect};
 use crate::grid::AtomGrid;
 
+#[cfg(test)]
+mod reference;
+
 /// One unit suffix shift: in line `line`, every atom at positions
 /// `> hole` moves one site toward position 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LocalShift {
     /// Line index (row for a row pass, column for a column pass).
     pub line: usize,
@@ -42,40 +67,67 @@ pub struct LocalShift {
     pub hole: usize,
 }
 
-/// One wave: suffix shifts on distinct lines that execute simultaneously
-/// (same direction, same unit step — the multi-tweezer parallelism of
-/// §II-B).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct LocalWave {
-    /// The simultaneous shifts, at most one per line.
-    pub shifts: Vec<LocalShift>,
-}
-
-impl LocalWave {
-    /// Whether the wave contains no shifts.
-    pub fn is_empty(&self) -> bool {
-        self.shifts.is_empty()
-    }
-}
-
-/// One pass: all waves produced by scanning every line along `axis` until
-/// no line can shift further.
+/// One pass: all shifts produced by scanning every line along `axis`
+/// once, grouped into *waves*. Wave `k` holds the shifts that fired at
+/// scan position `k`, at most one per line, in line order; they execute
+/// simultaneously (same direction, same unit step — the multi-tweezer
+/// parallelism of §II-B).
+///
+/// The shifts live in one buffer ordered by (hole, line), and each wave
+/// is a slice of it. Interior empty waves are kept, so wave `k` stays
+/// at scan position `k`; trailing empty waves are trimmed, so two passes
+/// with the same shifts compare equal however they were built.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LocalPass {
     /// Scan axis: [`Axis::Row`] compresses columns westward (toward local
     /// column 0), [`Axis::Col`] compresses rows northward (toward local
     /// row 0).
     pub axis: Axis,
-    /// Waves in execution order.
-    pub waves: Vec<LocalWave>,
+    /// Every shift of the pass, ordered by (hole, line).
+    shifts: Vec<LocalShift>,
+    /// Offset into `shifts` of each wave's first shift.
+    starts: Vec<usize>,
 }
 
 impl LocalPass {
+    /// Builds a pass from its waves in execution order, trimming
+    /// trailing empty waves.
+    pub fn from_waves<'a>(axis: Axis, waves: impl IntoIterator<Item = &'a [LocalShift]>) -> Self {
+        let mut pass = LocalPass {
+            axis,
+            shifts: Vec::new(),
+            starts: Vec::new(),
+        };
+        for wave in waves {
+            pass.starts.push(pass.shifts.len());
+            pass.shifts.extend_from_slice(wave);
+        }
+        while pass.starts.last() == Some(&pass.shifts.len()) {
+            pass.starts.pop();
+        }
+        pass
+    }
+
+    /// Number of waves, interior empty ones included.
+    pub fn wave_count(&self) -> usize {
+        self.starts.len()
+    }
+
+    /// The shifts of wave `k`, or `None` past the last wave.
+    pub fn wave(&self, k: usize) -> Option<&[LocalShift]> {
+        let start = *self.starts.get(k)?;
+        let end = self.starts.get(k + 1).copied().unwrap_or(self.shifts.len());
+        Some(&self.shifts[start..end])
+    }
+
+    /// The waves in execution order.
+    pub fn waves(&self) -> impl Iterator<Item = &[LocalShift]> + '_ {
+        (0..self.wave_count()).filter_map(|k| self.wave(k))
+    }
+
     /// Total number of unit shifts in the pass.
     pub fn shift_count(&self) -> usize {
-        self.waves.iter().map(|w| w.shifts.len()).sum()
+        self.shifts.len()
     }
 }
 
@@ -248,6 +300,7 @@ impl ShiftKernel {
         // Column passes scan this transposed view in place of the grid
         // (the hardware "column stream to row stream" trick).
         let mut view = AtomGrid::new(qw, qh)?;
+        let mut sort = WaveSort::default();
         let mut passes = Vec::new();
         let mut iterations = 0;
         while iterations < self.config.max_iterations {
@@ -261,6 +314,7 @@ impl ShiftKernel {
                 Axis::Row,
                 &row_limits,
                 self.config.row_enable.as_deref(),
+                &mut sort,
             );
             grid.transpose_into(&mut view);
             let col_pass = pass_over_lines(
@@ -268,6 +322,7 @@ impl ShiftKernel {
                 Axis::Col,
                 &col_limits,
                 self.config.col_enable.as_deref(),
+                &mut sort,
             );
             view.transpose_into(&mut grid);
             let progressed = row_pass.shift_count() + col_pass.shift_count() > 0;
@@ -312,48 +367,32 @@ pub fn plan_row_windows(
     tw: usize,
 ) -> Vec<(usize, usize)> {
     let (qh, qw) = grid.dims();
-    {
-        match strategy {
-            KernelStrategy::Greedy => vec![(0, qw); qh],
-            KernelStrategy::GreedyTargetOnly => vec![(0, tw); qh],
-            KernelStrategy::Balanced => {
-                // Live supply per target column: every atom already in
-                // column c can be drained into the target band by the
-                // vertical pass, so a column is satisfied once its total
-                // supply reaches the target height.
-                let mut supply: Vec<usize> = (0..tw).map(|c| grid.col_count(c)).collect();
-                let mut limits = vec![(0, tw); qh];
-                #[allow(clippy::needless_range_loop)] // r indexes both limits and grid rows
-                for r in 0..qh {
-                    let floor = best_floor(grid.row_bits(r), &supply, th, tw);
-                    let limit = if r < th { tw } else { qw };
-                    limits[r] = (floor.min(limit), limit);
-                    // Simulate this row's single-traversal pass to keep
-                    // the supply projection accurate for the remaining
-                    // rows (same semantics as `run_pass`).
-                    let mut bits = grid.row_bits(r).to_vec();
-                    let before = bitline::ones(&bits, qw);
-                    for k in floor.min(limit)..limit {
-                        if !bitline::get(&bits, k)
-                            && bitline::highest_one(&bits).is_some_and(|top| top > k)
-                        {
-                            bitline::suffix_shift(&mut bits, k, qw);
-                        }
-                    }
-                    let after = bitline::ones(&bits, qw);
-                    for p in before {
-                        if p < tw {
-                            supply[p] -= 1;
-                        }
-                    }
-                    for p in after {
-                        if p < tw {
-                            supply[p] += 1;
-                        }
-                    }
+    match strategy {
+        KernelStrategy::Greedy => vec![(0, qw); qh],
+        KernelStrategy::GreedyTargetOnly => vec![(0, tw); qh],
+        KernelStrategy::Balanced => {
+            // Live supply per target column: every atom already in
+            // column c can be drained into the target band by the
+            // vertical pass, so a column is satisfied once its total
+            // supply reaches the target height.
+            let mut supply: Vec<usize> = (0..tw).map(|c| grid.col_count(c)).collect();
+            let mut limits = vec![(0, tw); qh];
+            let mut line = vec![0u64; bitline::words_for(qw)];
+            for (r, window) in limits.iter_mut().enumerate() {
+                let before = grid.row_bits(r);
+                let floor = best_floor(before, &supply, th, tw);
+                let limit = if r < th { tw } else { qw };
+                *window = (floor.min(limit), limit);
+                // Simulate this row's pass to keep the supply projection
+                // accurate for the remaining rows.
+                line.copy_from_slice(before);
+                compact_line(&mut line, qw, *window, |_| {});
+                for (c, column) in supply.iter_mut().enumerate() {
+                    *column = *column + usize::from(bitline::get(&line, c))
+                        - usize::from(bitline::get(before, c));
                 }
-                limits
             }
+            limits
         }
     }
 }
@@ -365,12 +404,12 @@ pub fn plan_row_windows(
 /// Returns `tw` (hold the reserve right of the band) when the row cannot
 /// serve any deficit.
 fn best_floor(bits: &[u64], supply: &[usize], th: usize, tw: usize) -> usize {
-    let deficient: Vec<bool> = supply.iter().map(|&s| s < th).collect();
+    let deficient = |c: usize| supply[c] < th;
     let Some(top) = bitline::highest_one(bits) else {
         return tw; // empty row: window is irrelevant
     };
     // Rightmost deficit this row can reach with at least one atom.
-    let Some(rd) = (0..tw).rev().find(|&c| deficient[c] && top >= c) else {
+    let Some(rd) = (0..tw).rev().find(|&c| deficient(c) && top >= c) else {
         return tw;
     };
     // Evaluate candidate floors: a pile anchored at `floor` holds the
@@ -380,12 +419,12 @@ fn best_floor(bits: &[u64], supply: &[usize], th: usize, tw: usize) -> usize {
     let mut best = tw;
     let mut best_cover = 0usize;
     for floor in 0..=rd {
-        let n = (floor..=top).filter(|&p| bitline::get(bits, p)).count();
+        let n = bitline::count_ones_in(bits, floor, top + 1);
         if n == 0 {
             continue;
         }
         let hi = (floor + n).min(tw);
-        let cover = (floor..hi).filter(|&c| deficient[c]).count();
+        let cover = (floor..hi).filter(|&c| deficient(c)).count();
         if cover > 0 && cover >= best_cover {
             best_cover = cover;
             best = floor;
@@ -420,19 +459,25 @@ pub fn plan_col_windows(
 
 /// Runs one pass along `axis`, mutating `grid`.
 ///
-/// The pass is a **single pipelined traversal** exactly like the FPGA
-/// shift unit of Fig. 6: every line is scanned from position 0 upward; at
-/// each scan position `k` inside the line's `(floor, limit)` window, if
-/// the position is a hole with atoms above it, a suffix shift fires and
-/// scanning proceeds to `k + 1`. At most one shift fires per position per
-/// line, so the emission time of every shift command is statically known —
-/// the property the paper's Row Combination Unit exploits (§IV-C). Wave
-/// `k` of the returned pass holds all shifts that fired at scan position
-/// `k` (interior empty waves are retained to preserve that alignment;
+/// The pass computes what the FPGA shift unit of Fig. 6 computes in a
+/// **single pipelined traversal**: every line is scanned from position 0
+/// upward; at each scan position `k` inside the line's `(floor, limit)`
+/// window, if the position is a hole with atoms above it, a suffix shift
+/// fires and scanning proceeds to `k + 1`. At most one shift fires per
+/// position per line, so the emission time of every shift command is
+/// statically known — the property the paper's Row Combination Unit
+/// exploits (§IV-C). The software finds each line's shifts with one
+/// closed-form walk (see the module docs) instead of probing every
+/// position.
+///
+/// The returned pass holds its shifts in one buffer ordered by (hole,
+/// line); wave `k` is the slice that fired at scan position `k`
+/// (interior empty waves are retained to preserve that alignment;
 /// trailing empty waves are trimmed).
 ///
 /// `limits[line]` is the `(floor, limit)` hole window per line; lines
-/// beyond `limits.len()` use `(0, line_length)`.
+/// beyond `limits.len()` use `(0, line_length)`. Lines whose `enable`
+/// entry is `false` do not shift; lines beyond `enable` do.
 pub fn run_pass(
     grid: &mut AtomGrid,
     axis: Axis,
@@ -442,60 +487,110 @@ pub fn run_pass(
     // Work on lines along the pass axis: rows directly in place, or
     // columns via a transposed view (the hardware "column stream to row
     // stream" trick).
+    let mut sort = WaveSort::default();
     match axis {
-        Axis::Row => pass_over_lines(grid, axis, limits, enable),
+        Axis::Row => pass_over_lines(grid, axis, limits, enable, &mut sort),
         Axis::Col => {
             let mut view = grid.transpose();
-            let pass = pass_over_lines(&mut view, axis, limits, enable);
+            let pass = pass_over_lines(&mut view, axis, limits, enable, &mut sort);
             view.transpose_into(grid);
             pass
         }
     }
 }
 
-/// The single pipelined traversal of [`run_pass`], scanning and shifting
-/// the rows of `view` in place. Safe to apply in place because
-/// [`bitline::suffix_shift`] preserves the grid's zero-tail word
-/// invariant, so the mutated rows are exactly what the former
-/// copy-mutate-write-back sequence produced.
+/// The pass of [`run_pass`] over the rows of `view`, shifting them in
+/// place: one [`compact_line`] walk per enabled line, then a counting
+/// sort of the shifts into waves.
 fn pass_over_lines(
     view: &mut AtomGrid,
     axis: Axis,
     limits: &[(usize, usize)],
     enable: Option<&[bool]>,
+    sort: &mut WaveSort,
 ) -> LocalPass {
     let (nlines, linelen) = (view.height(), view.width());
-    let scan_end = limits
-        .iter()
-        .map(|&(_, hi)| hi)
-        .max()
-        .unwrap_or(linelen)
-        .min(linelen);
-    let mut waves = Vec::new();
-    for k in 0..scan_end {
-        let mut wave = LocalWave::default();
-        for line in 0..nlines {
-            if let Some(en) = enable {
-                if !en.get(line).copied().unwrap_or(true) {
-                    continue;
-                }
-            }
-            let (floor, limit) = limits.get(line).copied().unwrap_or((0, linelen));
-            if k < floor || k >= limit.min(linelen) {
-                continue;
-            }
-            let bits = view.row_bits_mut(line);
-            if !bitline::get(bits, k) && bitline::highest_one(bits).is_some_and(|top| top > k) {
-                bitline::suffix_shift(bits, k, linelen);
-                wave.shifts.push(LocalShift { line, hole: k });
-            }
+    sort.found.clear();
+    for line in 0..nlines {
+        if enable.is_some_and(|en| !en.get(line).copied().unwrap_or(true)) {
+            continue;
         }
-        waves.push(wave);
+        let window = limits.get(line).copied().unwrap_or((0, linelen));
+        compact_line(view.row_bits_mut(line), linelen, window, |hole| {
+            sort.found.push(LocalShift { line, hole });
+        });
     }
-    while waves.last().is_some_and(LocalWave::is_empty) {
-        waves.pop();
+    sort.group(axis)
+}
+
+/// One line's pass in closed form: shifts `line` (of `width` sites) as
+/// the per-position scan would and reports each fired hole, in
+/// ascending order, to `fired`.
+///
+/// Each step finds the lowest hole at or above the scan position and
+/// the lowest atom above it. Without an atom above, nothing more fires.
+/// Otherwise the scan fires at every other site of the gap between
+/// them: `ceil(gap / 2)` shifts at consecutive scan positions, clipped
+/// to the window, which delete the gap's lowest sites. The site each
+/// shift pulls down is skipped, so a gap of odd length lands its atom
+/// on the last scan position and an even one leaves a hole there.
+fn compact_line(
+    line: &mut [u64],
+    width: usize,
+    (floor, limit): (usize, usize),
+    mut fired: impl FnMut(usize),
+) {
+    let limit = limit.min(width);
+    let mut k = floor;
+    while let Some(hole) = bitline::lowest_zero_in(line, k, limit) {
+        let Some(atom) = bitline::lowest_one_from(line, hole) else {
+            return;
+        };
+        let fires = (atom - hole).div_ceil(2).min(limit - hole);
+        bitline::suffix_shift_by(line, hole, fires, width);
+        (hole..hole + fires).for_each(&mut fired);
+        k = hole + fires;
     }
-    LocalPass { axis, waves }
+}
+
+/// Groups a pass's shifts into waves with a counting sort over hole
+/// positions. A [`ShiftKernel::run`] keeps one and reuses its buffers
+/// for every pass.
+#[derive(Debug, Default)]
+struct WaveSort {
+    /// The pass's shifts in line order, as the walks find them.
+    found: Vec<LocalShift>,
+    /// Shifts per hole position, then each wave's next free slot.
+    counts: Vec<usize>,
+}
+
+impl WaveSort {
+    /// Sorts `found` by (hole, line) into a new pass. Lines were walked
+    /// in ascending order, so the sort only has to be stable.
+    fn group(&mut self, axis: Axis) -> LocalPass {
+        let nwaves = self.found.iter().map(|s| s.hole + 1).max().unwrap_or(0);
+        self.counts.clear();
+        self.counts.resize(nwaves, 0);
+        for s in &self.found {
+            self.counts[s.hole] += 1;
+        }
+        let mut starts = Vec::with_capacity(nwaves);
+        let mut next = 0;
+        for slot in &mut self.counts {
+            starts.push(next);
+            next += std::mem::replace(slot, next);
+        }
+        let mut shifts = vec![LocalShift { line: 0, hole: 0 }; self.found.len()];
+        for &s in &self.found {
+            shifts[self.counts[s.hole]] = s;
+            self.counts[s.hole] += 1;
+        }
+        LocalPass {
+            axis,
+            shifts,
+            starts,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -503,6 +598,14 @@ mod tests {
     use super::*;
     use crate::geometry::Position;
     use crate::loading::seeded_rng;
+    use proptest::prelude::*;
+    use rand::Rng;
+
+    const STRATEGIES: [KernelStrategy; 3] = [
+        KernelStrategy::Greedy,
+        KernelStrategy::GreedyTargetOnly,
+        KernelStrategy::Balanced,
+    ];
 
     /// Replays the waves of an outcome onto a fresh copy of the input and
     /// checks the result matches `final_grid` — the property the merge
@@ -510,13 +613,13 @@ mod tests {
     fn replay(input: &AtomGrid, outcome: &KernelOutcome) -> AtomGrid {
         let mut g = input.clone();
         for pass in &outcome.passes {
-            for wave in &pass.waves {
+            for wave in pass.waves() {
                 let mut view = match pass.axis {
                     Axis::Row => g.clone(),
                     Axis::Col => g.transpose(),
                 };
                 let w = view.width();
-                for s in &wave.shifts {
+                for s in wave {
                     let mut bits = view.row_bits(s.line).to_vec();
                     assert!(
                         !bitline::get(&bits, s.hole),
@@ -744,5 +847,141 @@ mod tests {
             within_four * 2 >= tried,
             "only {within_four}/{tried} finished within 4 iterations"
         );
+    }
+
+    #[test]
+    fn lines_beyond_the_windows_use_the_whole_line() {
+        // Row 1 has no window of its own, so it compacts over all six
+        // sites, exactly as if it had been given (0, 6).
+        let g = AtomGrid::parse("..#...\n.....#").unwrap();
+        let expect = AtomGrid::parse(".#....\n..#...").unwrap();
+        for limits in [vec![(0, 2)], vec![(0, 2), (0, 6)]] {
+            let mut fast = g.clone();
+            let pass = run_pass(&mut fast, Axis::Row, &limits, None);
+            assert_eq!(fast, expect, "limits {limits:?}");
+            let mut slow = g.clone();
+            assert_eq!(
+                reference::run_pass(&mut slow, Axis::Row, &limits, None),
+                pass
+            );
+            assert_eq!(slow, expect);
+        }
+    }
+
+    #[test]
+    fn passes_are_built_flat_and_trimmed() {
+        let shift = |line, hole| LocalShift { line, hole };
+        let waves: [&[LocalShift]; 4] = [&[shift(0, 0), shift(2, 0)], &[], &[shift(1, 2)], &[]];
+        let pass = LocalPass::from_waves(Axis::Col, waves);
+        assert_eq!(pass.wave_count(), 3);
+        assert_eq!(pass.shift_count(), 3);
+        assert_eq!(pass.wave(1), Some(&[][..]));
+        assert_eq!(pass.wave(2), Some(&[shift(1, 2)][..]));
+        assert_eq!(pass.wave(3), None);
+        assert_eq!(pass.waves().collect::<Vec<_>>(), waves[..3].to_vec());
+        let mut g = AtomGrid::parse("#.#\n.#.").unwrap();
+        let empty = run_pass(&mut g, Axis::Row, &[(0, 0), (0, 0)], None);
+        assert_eq!(empty, LocalPass::from_waves(Axis::Row, [&[][..]; 3]));
+        assert_eq!((empty.wave_count(), empty.waves().count()), (0, 0));
+    }
+
+    /// Windows for a pass of `axis` over `grid`: a strategy's, checked
+    /// against the reference planner for row passes, or random ones for
+    /// `None`.
+    fn windows_for(
+        grid: &AtomGrid,
+        axis: Axis,
+        strategy: Option<KernelStrategy>,
+        (th, tw): (usize, usize),
+        rng: &mut impl Rng,
+    ) -> Vec<(usize, usize)> {
+        let (qh, qw) = grid.dims();
+        let (lines, len) = match axis {
+            Axis::Row => (qh, qw),
+            Axis::Col => (qw, qh),
+        };
+        match (strategy, axis) {
+            (Some(strategy), Axis::Row) => {
+                let windows = plan_row_windows(grid, strategy, th, tw);
+                assert_eq!(
+                    windows,
+                    reference::plan_row_windows(grid, strategy, th, tw),
+                    "{strategy:?} row windows"
+                );
+                windows
+            }
+            (Some(strategy), Axis::Col) => plan_col_windows(strategy, qh, qw, th, tw),
+            // Some lines may go without a window; floors and limits may
+            // cross or pass the line's end.
+            (None, _) => (0..rng.gen_range(0..lines + 2))
+                .map(|_| (rng.gen_range(0..len + 2), rng.gen_range(0..len + 2)))
+                .collect(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn closed_form_pass_matches_the_scan(
+            height in 1usize..131,
+            width in 1usize..131,
+            fill_percent in 0u32..101,
+            seed in any::<u64>(),
+            target in (0.0f64..1.0, 0.0f64..1.0),
+            strategy in 0usize..4,
+            column in any::<bool>(),
+            gate in any::<bool>(),
+        ) {
+            let mut rng = seeded_rng(seed);
+            let grid = AtomGrid::random(height, width, f64::from(fill_percent) / 100.0, &mut rng);
+            let th = ((height as f64 * target.0) as usize).clamp(1, height);
+            let tw = ((width as f64 * target.1) as usize).clamp(1, width);
+            let axis = if column { Axis::Col } else { Axis::Row };
+            // Index 3 draws random windows.
+            let strategy = STRATEGIES.get(strategy).copied();
+            let windows = windows_for(&grid, axis, strategy, (th, tw), &mut rng);
+            let lines = if column { width } else { height };
+            let enable: Option<Vec<bool>> = gate
+                .then(|| (0..rng.gen_range(0..lines + 2)).map(|_| rng.gen_bool(0.7)).collect());
+            let mut fast = grid.clone();
+            let pass = run_pass(&mut fast, axis, &windows, enable.as_deref());
+            let mut slow = grid.clone();
+            let expect = reference::run_pass(&mut slow, axis, &windows, enable.as_deref());
+            prop_assert_eq!(pass, expect);
+            prop_assert_eq!(fast, slow);
+        }
+
+        #[test]
+        fn closed_form_kernel_matches_the_scan(
+            height in 1usize..71,
+            width in 1usize..71,
+            fill_percent in 0u32..101,
+            seed in any::<u64>(),
+            target in (0.0f64..1.0, 0.0f64..1.0),
+            strategy in 0usize..3,
+            iterations in 0usize..7,
+            static_iterations in any::<bool>(),
+            gate in any::<bool>(),
+        ) {
+            let mut rng = seeded_rng(seed);
+            let grid = AtomGrid::random(height, width, f64::from(fill_percent) / 100.0, &mut rng);
+            let th = ((height as f64 * target.0) as usize).clamp(1, height);
+            let tw = ((width as f64 * target.1) as usize).clamp(1, width);
+            let mut config = KernelConfig::new(th, tw)
+                .with_strategy(STRATEGIES[strategy])
+                .with_max_iterations(iterations)
+                .with_static_iterations(static_iterations);
+            if gate {
+                config.row_enable = Some((0..height).map(|_| rng.gen_bool(0.8)).collect());
+                config.col_enable = Some((0..width).map(|_| rng.gen_bool(0.8)).collect());
+            }
+            let out = ShiftKernel::new(config.clone()).run(&grid).unwrap();
+            let expect = reference::run_kernel(&config, &grid);
+            prop_assert_eq!(&out.passes, &expect.passes);
+            prop_assert_eq!(&out.final_grid, &expect.final_grid);
+            prop_assert_eq!(out.iterations, expect.iterations);
+            prop_assert_eq!(out.filled, expect.filled);
+        }
     }
 }

@@ -29,7 +29,7 @@ use crate::bitline::{self, WORD_BITS};
 use crate::error::Error;
 use crate::geometry::{Axis, Direction, QuadrantId};
 use crate::grid::AtomGrid;
-use crate::kernel::KernelOutcome;
+use crate::kernel::{KernelOutcome, LocalPass};
 use crate::moves::ParallelMove;
 use crate::quadrant::QuadrantMap;
 use crate::schedule::Schedule;
@@ -103,7 +103,7 @@ pub fn merge_outcomes(
         let axis = if p % 2 == 0 { Axis::Row } else { Axis::Col };
         let nwaves = outcomes
             .iter()
-            .map(|o| o.passes.get(p).map_or(0, |pass| pass.waves.len()))
+            .map(|o| o.passes.get(p).map_or(0, LocalPass::wave_count))
             .max()
             .unwrap_or(0);
         if nwaves > 0 {
@@ -190,14 +190,14 @@ impl Merge {
                 continue;
             };
             debug_assert_eq!(pass.axis, axis, "pass axis misalignment");
-            let Some(wave) = pass.waves.get(w) else {
+            let Some(wave) = pass.wave(w) else {
                 continue;
             };
             let toward_low = match axis {
                 Axis::Row => q.is_west(),
                 Axis::Col => q.is_north(),
             };
-            for shift in &wave.shifts {
+            for shift in wave {
                 debug_assert_eq!(shift.hole, w, "wave {w} holds a shift at another hole");
                 let line = match axis {
                     Axis::Row => map.global_row(q, shift.line),

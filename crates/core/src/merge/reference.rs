@@ -11,7 +11,7 @@ use crate::bitline;
 use crate::error::Error;
 use crate::geometry::{Axis, Direction, QuadrantId};
 use crate::grid::AtomGrid;
-use crate::kernel::KernelOutcome;
+use crate::kernel::{KernelOutcome, LocalPass};
 use crate::moves::ParallelMove;
 use crate::quadrant::QuadrantMap;
 use crate::schedule::Schedule;
@@ -43,7 +43,7 @@ pub(super) fn merge_outcomes(
         let axis = if p % 2 == 0 { Axis::Row } else { Axis::Col };
         let nwaves = outcomes
             .iter()
-            .map(|o| o.passes.get(p).map_or(0, |pass| pass.waves.len()))
+            .map(|o| o.passes.get(p).map_or(0, LocalPass::wave_count))
             .max()
             .unwrap_or(0);
         for w in 0..nwaves {
@@ -151,10 +151,10 @@ fn collect_movers(
             continue;
         };
         debug_assert_eq!(pass.axis, axis, "pass axis misalignment");
-        let Some(wave) = pass.waves.get(w) else {
+        let Some(wave) = pass.wave(w) else {
             continue;
         };
-        for shift in &wave.shifts {
+        for shift in wave {
             let (global_line, occ, table) = match axis {
                 Axis::Row => (
                     map.global_row(q, shift.line),

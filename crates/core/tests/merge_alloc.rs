@@ -1,5 +1,9 @@
-//! Allocation budget of the cross-quadrant merge.
+//! Allocation budgets of the quadrant kernel and the cross-quadrant
+//! merge.
 //!
+//! A `ShiftKernel::run` may allocate a constant number of buffers per
+//! pass (the pass's shift and wave-offset buffers, and each row pass's
+//! windows) plus a constant set it reuses across passes.
 //! `merge_outcomes` may allocate the two lists of each move it emits
 //! (its rows and columns), plus a constant set of buffers it reuses from
 //! wave to wave and the schedule's amortised growth. This binary counts
@@ -9,11 +13,14 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use qrm_core::engine::{decompose, kernel_config_for};
+use qrm_core::geometry::Rect;
 use qrm_core::grid::AtomGrid;
 use qrm_core::kernel::{KernelConfig, KernelOutcome, KernelStrategy, ShiftKernel};
 use qrm_core::loading::seeded_rng;
 use qrm_core::merge::{merge_outcomes, MergeConfig};
 use qrm_core::quadrant::QuadrantMap;
+use qrm_core::scheduler::QrmConfig;
 
 thread_local! {
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
@@ -100,6 +107,46 @@ fn merge_allocates_two_lists_per_move_plus_a_constant() {
                      {spent} allocations for {moves} moves (budget {})",
                     2 * moves + CONSTANT
                 );
+            }
+        }
+    }
+}
+
+/// Allocations a kernel run may make per pass: the pass's shift buffer
+/// and wave offsets, plus, once per iteration, the row windows (and
+/// under the balanced strategy its supply counts and line buffer).
+const KERNEL_PER_PASS: usize = 4;
+
+/// Allocations a kernel run may make once: the working grid, its
+/// transposed view, the column windows, the wave sort's two scratch
+/// buffers and the pass list, each with a few growth steps.
+const KERNEL_CONSTANT: usize = 24;
+
+#[test]
+fn kernel_allocates_a_constant_per_pass() {
+    for side in [16, 50, 90, 130] {
+        let target_side = side * 3 / 5 / 2 * 2;
+        let target = Rect::centered(side, side, target_side, target_side).unwrap();
+        for (name, config) in [
+            ("paper greedy", QrmConfig::paper()),
+            ("default balanced", QrmConfig::default()),
+        ] {
+            for seed in [1, 2] {
+                let grid = AtomGrid::random(side, side, 0.5, &mut seeded_rng(seed));
+                let work = decompose(&grid, &target).unwrap();
+                let kernel = ShiftKernel::new(kernel_config_for(&config, &work));
+                for quadrant in &work.quadrants {
+                    let before = allocations();
+                    let outcome = kernel.run(quadrant).unwrap();
+                    let spent = allocations() - before;
+                    let passes = outcome.passes.len();
+                    let budget = KERNEL_PER_PASS * passes + KERNEL_CONSTANT;
+                    assert!(
+                        spent <= budget,
+                        "{side}x{side} {name} seed {seed}: {spent} allocations \
+                         for {passes} passes (budget {budget})"
+                    );
+                }
             }
         }
     }

@@ -7,12 +7,13 @@ use qrm_core::grid::AtomGrid;
 use qrm_core::quadrant::QuadrantMap;
 use rand::SeedableRng;
 
-/// Even-sided grids, up to 30 sites on one side and 94 on the other in
-/// either orientation, so rows or columns reach a second `u64` word.
+/// Even-sided grids, up to 30 sites on one side and 140 on the other in
+/// either orientation, so rows or columns reach a second and a third
+/// `u64` word.
 fn arb_grid() -> impl Strategy<Value = AtomGrid> {
     (
         1usize..16,
-        1usize..48,
+        1usize..71,
         any::<bool>(),
         0.0f64..1.0,
         any::<u64>(),
@@ -154,12 +155,29 @@ proptest! {
     }
 
     #[test]
-    fn rect_positions_cover_area(r in 0usize..8, c in 0usize..8, h in 1usize..8, w in 1usize..8) {
+    fn rect_positions_cover_area(
+        grid in arb_grid(),
+        corner in (0.0f64..1.0, 0.0f64..1.0),
+        extent in (0.0f64..1.0, 0.0f64..1.0),
+    ) {
+        // Any rectangle inside the grid, including whole rows of up to
+        // three words.
+        let (height, width) = grid.dims();
+        let r = (height as f64 * corner.0) as usize;
+        let c = (width as f64 * corner.1) as usize;
+        let h = (((height - r) as f64 * extent.0) as usize).max(1);
+        let w = (((width - c) as f64 * extent.1) as usize).max(1);
         let rect = Rect::new(r, c, h, w);
         let v: Vec<Position> = rect.positions().collect();
         prop_assert_eq!(v.len(), rect.area());
         for p in &v {
             prop_assert!(rect.contains(*p));
         }
+        // The word-level count agrees with a site-by-site one.
+        let pointwise = v.iter().filter(|p| grid.get(**p).unwrap()).count();
+        prop_assert_eq!(grid.count_in(&rect).unwrap(), pointwise);
+        prop_assert_eq!(grid.is_filled(&rect).unwrap(), pointwise == rect.area());
+        let whole = Rect::new(0, 0, height, width);
+        prop_assert_eq!(grid.count_in(&whole).unwrap(), grid.atom_count());
     }
 }

@@ -230,21 +230,29 @@ mod tests {
     #[test]
     fn functionally_identical_to_software_kernel() {
         let mut rng = seeded_rng(42);
-        for strategy in [KernelStrategy::Greedy, KernelStrategy::Balanced] {
-            for _ in 0..6 {
-                let q = AtomGrid::random(12, 12, 0.5, &mut rng);
-                let hw = QuadrantProcessor::new(QpmConfig {
-                    target_height: 7,
-                    target_width: 7,
-                    iterations: 4,
-                    strategy,
-                })
-                .process(&q)
-                .unwrap();
-                let sw = sw_outcome(&q, 7, 7, 4, strategy);
-                assert_eq!(hw.outcome.passes, sw.passes, "{strategy:?} passes");
-                assert_eq!(hw.outcome.final_grid, sw.final_grid, "{strategy:?} grid");
-                assert_eq!(hw.outcome.filled, sw.filled);
+        for strategy in [
+            KernelStrategy::Greedy,
+            KernelStrategy::GreedyTargetOnly,
+            KernelStrategy::Balanced,
+        ] {
+            // 70x66 puts rows in two words; its columns are 70 long.
+            for (qh, qw, th, tw, count) in [(12, 12, 7, 7, 6), (70, 66, 42, 40, 2)] {
+                for _ in 0..count {
+                    let q = AtomGrid::random(qh, qw, 0.5, &mut rng);
+                    let hw = QuadrantProcessor::new(QpmConfig {
+                        target_height: th,
+                        target_width: tw,
+                        iterations: 4,
+                        strategy,
+                    })
+                    .process(&q)
+                    .unwrap();
+                    let sw = sw_outcome(&q, th, tw, 4, strategy);
+                    let case = format!("{strategy:?} {qh}x{qw}");
+                    assert_eq!(hw.outcome.passes, sw.passes, "{case} passes");
+                    assert_eq!(hw.outcome.final_grid, sw.final_grid, "{case} grid");
+                    assert_eq!(hw.outcome.filled, sw.filled, "{case}");
+                }
             }
         }
     }

@@ -7,10 +7,12 @@ use qrm_core::kernel::{plan_row_windows, run_pass, KernelStrategy};
 use qrm_fpga::shift_unit::{LineJob, ShiftUnit};
 use rand::SeedableRng;
 
+/// Quadrants of independent sides from 2 to 140, so lines span one,
+/// two or three `u64` words.
 fn arb_quadrant() -> impl Strategy<Value = AtomGrid> {
-    (2usize..26, 0.1f64..0.9, any::<u64>()).prop_map(|(side, fill, seed)| {
+    (2usize..141, 2usize..141, 0.1f64..0.9, any::<u64>()).prop_map(|(height, width, fill, seed)| {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        AtomGrid::random(side, side, fill, &mut rng)
+        AtomGrid::random(height, width, fill, &mut rng)
     })
 }
 
@@ -27,45 +29,45 @@ proptest! {
             KernelStrategy::GreedyTargetOnly,
             KernelStrategy::Balanced,
         ][strategy_idx];
-        let side = quadrant.height();
-        let target = (side / 2).max(1);
-        let windows = plan_row_windows(&quadrant, strategy, target, target);
+        let (height, width) = quadrant.dims();
+        let (th, tw) = ((height / 2).max(1), (width / 2).max(1));
+        let windows = plan_row_windows(&quadrant, strategy, th, tw);
 
         let mut sw = quadrant.clone();
         let sw_pass = run_pass(&mut sw, Axis::Row, &windows, None);
 
-        let jobs: Vec<LineJob> = (0..side)
+        let jobs: Vec<LineJob> = (0..height)
             .map(|l| LineJob {
                 line: l,
                 bits: quadrant.row_bits(l).to_vec(),
-                window: windows.get(l).copied().unwrap_or((0, side)),
+                window: windows.get(l).copied().unwrap_or((0, width)),
                 enabled: true,
             })
             .collect();
-        let trace = ShiftUnit::new(side).run(Axis::Row, &jobs);
+        let trace = ShiftUnit::new(width).run(Axis::Row, &jobs);
         prop_assert_eq!(trace.to_local_pass(), sw_pass);
 
-        let mut hw = AtomGrid::new(side, side).unwrap();
+        let mut hw = AtomGrid::new(height, width).unwrap();
         for (line, bits) in trace.out_lines() {
             hw.set_row_bits(*line, bits);
         }
         prop_assert_eq!(hw, sw);
         // the pipeline cycle count is static: lines + depth
-        prop_assert_eq!(trace.cycles(), (side + side) as u64);
+        prop_assert_eq!(trace.cycles(), (height + width) as u64);
     }
 
     #[test]
     fn shift_unit_conserves_atoms(quadrant in arb_quadrant()) {
-        let side = quadrant.height();
-        let jobs: Vec<LineJob> = (0..side)
+        let (height, width) = quadrant.dims();
+        let jobs: Vec<LineJob> = (0..height)
             .map(|l| LineJob {
                 line: l,
                 bits: quadrant.row_bits(l).to_vec(),
-                window: (0, side),
+                window: (0, width),
                 enabled: true,
             })
             .collect();
-        let trace = ShiftUnit::new(side).run(Axis::Row, &jobs);
+        let trace = ShiftUnit::new(width).run(Axis::Row, &jobs);
         let total: usize = trace
             .out_lines()
             .iter()

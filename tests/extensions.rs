@@ -136,10 +136,8 @@ fn sen_masking_blocks_selected_lines_globally() {
     cfg.col_enable = Some(vec![false; 10]);
     let out = ShiftKernel::new(cfg).run(&quadrant).unwrap();
     for pass in &out.passes {
-        for wave in &pass.waves {
-            for shift in &wave.shifts {
-                assert!(mask[shift.line], "masked line {} fired", shift.line);
-            }
+        for shift in pass.waves().flatten() {
+            assert!(mask[shift.line], "masked line {} fired", shift.line);
         }
     }
     // masked rows' atoms did not move at all (columns disabled too)
