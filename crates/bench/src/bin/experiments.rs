@@ -657,7 +657,8 @@ fn print_fig7a() {
         "paper_fpga_us",
         "paper_speedup"
     );
-    for row in fig7a(15) {
+    let reps = 15;
+    for row in fig7a(reps) {
         println!(
             "{:>6} {:>12.1} {:>14.1} {:>12.2} {:>9.0}x | {:>14.1} {:>14}",
             row.size,
@@ -673,7 +674,8 @@ fn print_fig7a() {
     }
     println!("(cpu_kernel_us matches the paper's CPU measurement scope — the QRM shift-command");
     println!(
-        " analysis; cpu_full_us adds global AOD-legal merging/batching. Paper CPU: i7-1185G7.)\n"
+        " analysis; cpu_full_us adds global AOD-legal merging/batching. Both are the best of\n \
+         {reps} timed calls after one untimed warm-up. Paper CPU: i7-1185G7.)\n"
     );
 }
 

@@ -199,16 +199,19 @@ pub fn paper_instance(size: usize, seed: u64) -> (AtomGrid, Rect) {
     (grid, target)
 }
 
-/// Median wall time of `f` over `reps` runs, in microseconds.
-pub fn median_us<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut times = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        times.push(t0.elapsed().as_secs_f64() * 1e6);
-    }
-    times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    times[reps / 2]
+/// Best wall time of `f` over `reps` timed runs (at least one), in
+/// microseconds, after one untimed warm-up call. Host load only ever
+/// adds time, so the best run is the steadiest estimate of the work
+/// itself (perfbench reduces each input to its best time too).
+pub fn best_us<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
+    std::hint::black_box(f());
+    (0..reps.max(1))
+        .map(|_| {
+            let t0 = Instant::now();
+            std::hint::black_box(f());
+            t0.elapsed().as_secs_f64() * 1e6
+        })
+        .fold(f64::INFINITY, f64::min)
 }
 
 /// One row of the Fig. 7(a) reproduction.
@@ -242,8 +245,8 @@ pub fn fig7a(reps: usize) -> Vec<Fig7aRow> {
         .iter()
         .map(|&(size, paper_us)| {
             let (grid, target) = paper_instance(size, 1000 + size as u64);
-            let cpu_us = median_us(reps, || scheduler.plan(&grid, &target).expect("plan"));
-            let cpu_kernel_us = median_us(reps, || {
+            let cpu_us = best_us(reps, || scheduler.plan(&grid, &target).expect("plan"));
+            let cpu_kernel_us = best_us(reps, || {
                 scheduler.quadrant_outcomes(&grid, &target).expect("plan")
             });
             let fpga_us = accel.run(&grid, &target).expect("run").time_us;
@@ -306,7 +309,7 @@ pub fn fig7b(reps: usize, instances: usize) -> Vec<Fig7bRow> {
 
     let mut rows = Vec::new();
     // The paper's CPU measurement scope: kernel analysis only.
-    let qrm_kernel_us = median_us(reps, || {
+    let qrm_kernel_us = best_us(reps, || {
         for (grid, target) in &grids {
             std::hint::black_box(qrm.quadrant_outcomes(grid, target).expect("plan"));
         }
@@ -314,7 +317,7 @@ pub fn fig7b(reps: usize, instances: usize) -> Vec<Fig7bRow> {
     let mut qrm_us = f64::NAN;
     for (planner, paper_us) in planners {
         let mut filled = 0usize;
-        let analysis_us = median_us(reps, || {
+        let analysis_us = best_us(reps, || {
             for (grid, target) in &grids {
                 std::hint::black_box(planner.plan(grid, target).expect("plan"));
             }
@@ -353,7 +356,7 @@ pub fn fig7b(reps: usize, instances: usize) -> Vec<Fig7bRow> {
         },
     );
     let balanced = QrmScheduler::new(QrmConfig::default());
-    let bal_us = median_us(reps, || {
+    let bal_us = best_us(reps, || {
         for (grid, target) in &grids {
             std::hint::black_box(balanced.plan(grid, target).expect("plan"));
         }
@@ -450,13 +453,13 @@ pub fn headline(reps: usize) -> Headline {
     let (grid, target) = paper_instance(50, 42);
     let scheduler = QrmScheduler::new(QrmConfig::paper());
     let accel = QrmAccelerator::new(AcceleratorConfig::paper());
-    let cpu_full_us = median_us(reps, || scheduler.plan(&grid, &target).expect("plan"));
-    let cpu_kernel_us = median_us(reps, || {
+    let cpu_full_us = best_us(reps, || scheduler.plan(&grid, &target).expect("plan"));
+    let cpu_kernel_us = best_us(reps, || {
         scheduler.quadrant_outcomes(&grid, &target).expect("plan")
     });
     let report = accel.run(&grid, &target).expect("run");
     let tetris = TetrisScheduler::default();
-    let tetris_us = median_us(reps.max(3), || tetris.plan(&grid, &target).expect("plan"));
+    let tetris_us = best_us(reps.max(3), || tetris.plan(&grid, &target).expect("plan"));
     Headline {
         fpga_us: report.time_us,
         cpu_full_us,
@@ -594,7 +597,7 @@ pub struct EngineRow {
     /// Batch worker count: `1` runs the task graph inline, `0` runs
     /// every quadrant kernel as a job on the pool (one worker per core).
     pub workers: usize,
-    /// Median wall time of the whole batch (µs).
+    /// Best wall time of the whole batch (µs).
     pub batch_us: f64,
     /// Speedup over the serial (mapped `plan`) baseline.
     pub speedup: f64,
@@ -609,14 +612,14 @@ pub struct EngineRow {
 pub fn engine_scaling(size: usize, shots: usize, reps: usize) -> (f64, [EngineRow; 2]) {
     let jobs = engine_workload(size, shots);
     let serial = QrmScheduler::new(QrmConfig::default());
-    let serial_us = median_us(reps, || {
+    let serial_us = best_us(reps, || {
         jobs.iter()
             .map(|(g, t)| serial.plan(g, t).expect("plan"))
             .collect::<Vec<_>>()
     });
     let rows = [1, 0].map(|workers| {
         let scheduler = QrmScheduler::new(QrmConfig::default()).with_workers(workers);
-        let batch_us = median_us(reps, || scheduler.plan_batch(&jobs).expect("plan"));
+        let batch_us = best_us(reps, || scheduler.plan_batch(&jobs).expect("plan"));
         EngineRow {
             workers,
             batch_us,

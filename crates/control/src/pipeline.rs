@@ -41,8 +41,7 @@ pub mod reference;
 ///
 /// (Previously named `Planner`; that name now refers to the trait in
 /// [`qrm_core::planner`].)
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum PlannerChoice {
     /// Software QRM on the host (Fig. 2(a) role).
     Software(QrmConfig),
@@ -241,8 +240,7 @@ impl Default for PipelineConfig {
 }
 
 /// Report of one cycle round.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct RoundReport {
     /// Detection fidelity against the true occupancy.
     pub detection_fidelity: f64,
@@ -259,8 +257,7 @@ pub struct RoundReport {
 }
 
 /// Report of a full multi-round run.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct PipelineReport {
     /// Per-round details.
     pub rounds: Vec<RoundReport>,

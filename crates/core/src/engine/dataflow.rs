@@ -92,8 +92,7 @@ pub trait ShotProgram: Send {
 /// Scheduling diagnostics of one dataflow run. Counters describe the
 /// *schedule*, not the results: they vary with worker count and timing
 /// while the *reports* stay bit-identical.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct DataflowStats {
     /// Pool tasks the scheduler ran (observe + plan-group + execute).
     pub tasks_dispatched: u64,

@@ -15,8 +15,19 @@ use crate::error::Error;
 /// let p = Position::new(3, 7);
 /// assert_eq!((p.row, p.col), (3, 7));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(
+    Debug,
+    Clone,
+    Copy,
+    PartialEq,
+    Eq,
+    PartialOrd,
+    Ord,
+    Hash,
+    Default,
+    serde::Serialize,
+    serde::Deserialize,
+)]
 pub struct Position {
     /// Row index (0 = north edge).
     pub row: usize,
@@ -66,8 +77,7 @@ impl From<(usize, usize)> for Position {
 ///
 /// `Row` means "along a row" (horizontal motion changes the column);
 /// `Col` means "along a column" (vertical motion changes the row).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum Axis {
     /// Horizontal: positions along a row, indexed by column.
     Row,
@@ -97,8 +107,7 @@ impl fmt::Display for Axis {
 /// A compass movement direction for atoms.
 ///
 /// `North` decreases the row index, `West` decreases the column index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum Direction {
     /// Toward row 0.
     North,
@@ -170,8 +179,7 @@ impl fmt::Display for Direction {
 
 /// An axis-aligned rectangle of trap sites, `height x width` at origin
 /// `(row, col)` (inclusive origin, exclusive far edge).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct Rect {
     /// Origin row (north edge of the rect).
     pub row: usize,
@@ -290,8 +298,7 @@ impl fmt::Display for Rect {
 }
 
 /// Identifier of one of the four array quadrants (paper §III-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum QuadrantId {
     /// North-west: rows `0..H/2`, cols `0..W/2`.
     Nw,

@@ -31,8 +31,7 @@ const WORD_BITS: usize = 64;
 /// assert_eq!(g.atom_count(), 1);
 /// # Ok::<(), qrm_core::Error>(())
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct AtomGrid {
     height: usize,
     width: usize,

@@ -132,8 +132,9 @@ impl LocalPass {
 }
 
 /// Kernel scheduling strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize, serde::Deserialize,
+)]
 pub enum KernelStrategy {
     /// Paper-faithful greedy compaction: flush every line to the corner.
     Greedy,

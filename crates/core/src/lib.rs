@@ -57,7 +57,6 @@
 //! | [`codec`] | bit-packed movement-record stream (accelerator output contract) |
 //! | [`engine`] | parallel planning engine: every quadrant kernel of a batch as one job on the persistent worker pool |
 //! | [`merge`] | cross-quadrant command merging (paper §IV-C) |
-//! | [`optimize`] | simulation-validated schedule coalescing (fewer AWG commands) |
 //! | [`planner`] | [`Planner`](planner::Planner): the unified planner interface every algorithm implements |
 //! | [`scheduler`] | [`QrmScheduler`](scheduler::QrmScheduler): the top-level QRM planner |
 //! | [`typical`] | the "typical rearrangement procedure" of paper §III-A |
@@ -106,7 +105,6 @@ pub mod kernel;
 pub mod loading;
 pub mod merge;
 pub mod moves;
-pub mod optimize;
 pub mod planner;
 pub mod quadrant;
 pub mod schedule;

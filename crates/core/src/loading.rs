@@ -26,8 +26,7 @@ pub fn seeded_rng(seed: u64) -> StdRng {
 }
 
 /// Spatial profile of the loading probability across the array.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum FillProfile {
     /// Identical probability at every site (the paper's workload).
     Uniform,
@@ -51,8 +50,7 @@ pub enum FillProfile {
 /// assert_eq!(g.dims(), (20, 20));
 /// # Ok::<(), qrm_core::Error>(())
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct LoadModel {
     fill: f64,
     profile: FillProfile,

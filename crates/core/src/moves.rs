@@ -28,8 +28,7 @@ use crate::geometry::{Axis, Direction, Position};
 /// assert_eq!(mv.step(), 1);
 /// # Ok::<(), qrm_core::Error>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct ParallelMove {
     rows: Vec<usize>,
     cols: Vec<usize>,
@@ -169,8 +168,7 @@ impl fmt::Display for ParallelMove {
 }
 
 /// Record of one atom's displacement during schedule execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct MoveRecord {
     /// Index of the [`ParallelMove`] within the schedule.
     pub move_index: usize,

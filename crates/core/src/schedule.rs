@@ -24,8 +24,7 @@ use crate::moves::ParallelMove;
 /// assert_eq!(s.stats().max_traps, 2);
 /// # Ok::<(), qrm_core::Error>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct Schedule {
     height: usize,
     width: usize,
@@ -144,8 +143,7 @@ impl fmt::Display for Schedule {
 }
 
 /// Summary statistics of a [`Schedule`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub struct ScheduleStats {
     /// Number of parallel moves (AWG commands).
     pub num_moves: usize,
@@ -201,8 +199,7 @@ impl fmt::Display for ScheduleStats {
 /// hundred µs total and inter-site transport of tens of µs per site
 /// (Barredo et al. 2016, Ebadi et al. 2021). Defaults follow those orders
 /// of magnitude; experiments can override every field.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct MotionModel {
     /// Time to ramp tweezers on and pick atoms up, per move (µs).
     pub pickup_us: f64,

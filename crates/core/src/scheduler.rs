@@ -45,8 +45,7 @@ impl Plan {
 }
 
 /// Configuration of the [`QrmScheduler`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct QrmConfig {
     /// Per-quadrant kernel strategy.
     pub strategy: KernelStrategy,

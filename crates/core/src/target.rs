@@ -22,8 +22,7 @@ use crate::grid::AtomGrid;
 /// assert_eq!((rect.height, rect.width), (30, 30));
 /// # Ok::<(), qrm_core::Error>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum TargetSpec {
     /// A fixed-size rectangle centred in the array.
     Centered {

@@ -47,8 +47,7 @@ use crate::grid::AtomGrid;
 /// One atom's recorded displacement: it left `from` and (for a
 /// transfer) arrived at `to`, or (for an ejection) collided with the
 /// stationary atom at `to`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct Transfer {
     /// Source trap site the atom left.
     pub from: Position,
@@ -61,8 +60,7 @@ pub struct Transfer {
 /// atoms (plus each ejection's stationary partner): an atom either
 /// arrived (`transfers`), vanished in transit (`lost`), or collided
 /// with a stationary atom and removed both (`ejected`).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct TracedMove {
     /// Atoms that arrived: `from` → `to`, in the executor's
     /// deterministic (row-major trapped) order.
@@ -85,8 +83,7 @@ impl TracedMove {
 /// The trace of one executed pipeline round: one [`TracedMove`] per
 /// parallel move of the round's schedule, index-aligned (a move that
 /// trapped no atoms contributes an empty entry).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct RoundTrace {
     /// Per-move event records, in schedule order.
     pub moves: Vec<TracedMove>,
@@ -101,8 +98,7 @@ impl RoundTrace {
 
 /// The full trace of one shot: one [`RoundTrace`] per executed
 /// image→plan→move round, in round order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct ShotTrace {
     /// Per-round traces, in execution order.
     pub rounds: Vec<RoundTrace>,

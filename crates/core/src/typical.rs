@@ -10,7 +10,6 @@
 //! machinery: it serves as the §III-A reference, as a differential-testing
 //! oracle for QRM, and as an additional CPU comparison point.
 
-use crate::aod::AodBatcher;
 use crate::bitline;
 use crate::error::Error;
 use crate::executor::Executor;
@@ -77,7 +76,6 @@ impl Planner for TypicalScheduler {
             working: grid.clone(),
             schedule: Schedule::new(grid.height(), grid.width()),
             executor: Executor::new(),
-            batcher: AodBatcher::new(),
         };
 
         let mut iterations = 0;
@@ -108,7 +106,6 @@ struct Engine {
     working: AtomGrid,
     schedule: Schedule,
     executor: Executor,
-    batcher: AodBatcher,
 }
 
 impl Engine {
@@ -143,29 +140,20 @@ impl Engine {
     /// has no fillable hole left.
     fn fill_column_from(&mut self, c: usize, dir: Direction) -> Result<(), Error> {
         let (h, w) = self.working.dims();
+        // Atoms on the feeding side of the hole.
+        let feed = match dir {
+            Direction::East => bitline::range_mask(bitline::words_for(w), 0, c),
+            Direction::West => bitline::range_mask(bitline::words_for(w), c + 1, w),
+            _ => unreachable!("horizontal fill uses east/west"),
+        };
+        let (dr, dc) = dir.delta();
         loop {
-            let mut movers: Vec<(usize, Vec<u64>)> = Vec::new();
-            for r in 0..h {
-                if self.working.get_unchecked(r, c) {
-                    continue;
-                }
-                let occ = self.working.row_bits(r);
-                // Atoms on the feeding side of the hole.
-                let mask = match dir {
-                    Direction::East => bitline::range_mask(occ.len(), 0, c),
-                    Direction::West => bitline::range_mask(occ.len(), c + 1, w),
-                    _ => unreachable!("horizontal fill uses east/west"),
-                };
-                let movers_mask: Vec<u64> =
-                    mask.iter().zip(occ.iter()).map(|(m, o)| m & o).collect();
-                if bitline::count_ones(&movers_mask) > 0 {
-                    movers.push((r, movers_mask));
-                }
-            }
-            if movers.is_empty() {
+            let lines = (0..h).filter(|&r| !self.working.get_unchecked(r, c));
+            let Some((rows, cols)) = feeding_move(lines, &feed, w, |r| self.working.row_bits(r))
+            else {
                 return Ok(());
-            }
-            self.emit_horizontal(&movers, dir)?;
+            };
+            self.apply(ParallelMove::new(rows, cols, dr, dc)?)?;
         }
     }
 
@@ -173,67 +161,23 @@ impl Engine {
     /// `r` has no fillable hole inside the target's column range.
     fn fill_row_from(&mut self, r: usize, dir: Direction, target: &Rect) -> Result<(), Error> {
         let h = self.working.dims().0;
+        // Atoms on the feeding side of the hole, along a column.
+        let feed = match dir {
+            Direction::South => bitline::range_mask(bitline::words_for(h), 0, r),
+            Direction::North => bitline::range_mask(bitline::words_for(h), r + 1, h),
+            _ => unreachable!("vertical fill uses north/south"),
+        };
+        let (dr, dc) = dir.delta();
         loop {
             let wt = self.working.transpose();
-            let mut movers: Vec<(usize, Vec<u64>)> = Vec::new();
-            for c in target.col..target.col_end() {
-                if self.working.get_unchecked(r, c) {
-                    continue;
-                }
-                let occ = wt.row_bits(c); // column c as a line over rows
-                let mask = match dir {
-                    Direction::South => bitline::range_mask(occ.len(), 0, r),
-                    Direction::North => bitline::range_mask(occ.len(), r + 1, h),
-                    _ => unreachable!("vertical fill uses north/south"),
-                };
-                let movers_mask: Vec<u64> =
-                    mask.iter().zip(occ.iter()).map(|(m, o)| m & o).collect();
-                if bitline::count_ones(&movers_mask) > 0 {
-                    movers.push((c, movers_mask));
-                }
-            }
-            if movers.is_empty() {
+            let lines =
+                (target.col..target.col_end()).filter(|&c| !self.working.get_unchecked(r, c));
+            // Column c of the working grid is line c of its transpose.
+            let Some((cols, rows)) = feeding_move(lines, &feed, h, |c| wt.row_bits(c)) else {
                 return Ok(());
-            }
-            self.emit_vertical(&movers, dir, &wt)?;
+            };
+            self.apply(ParallelMove::new(rows, cols, dr, dc)?)?;
         }
-    }
-
-    fn emit_horizontal(
-        &mut self,
-        movers: &[(usize, Vec<u64>)],
-        dir: Direction,
-    ) -> Result<(), Error> {
-        let occ: Vec<&[u64]> = (0..self.working.height())
-            .map(|l| self.working.row_bits(l))
-            .collect();
-        let (dr, dc) = dir.delta();
-        let batches = self.batcher.batch(&occ, movers);
-        let width = self.working.width();
-        for batch in batches {
-            let cols = batch.positions(width);
-            let mv = ParallelMove::new(batch.lines, cols, dr, dc)?;
-            self.apply(mv)?;
-        }
-        Ok(())
-    }
-
-    fn emit_vertical(
-        &mut self,
-        movers: &[(usize, Vec<u64>)],
-        dir: Direction,
-        wt: &AtomGrid,
-    ) -> Result<(), Error> {
-        let occ: Vec<&[u64]> = (0..wt.height()).map(|l| wt.row_bits(l)).collect();
-        let (dr, dc) = dir.delta();
-        let batches = self.batcher.batch(&occ, movers);
-        let height = wt.width();
-        for batch in batches {
-            let rows = batch.positions(height);
-            let mv = ParallelMove::new(rows, batch.lines, dr, dc)?;
-            self.apply(mv)?;
-        }
-        Ok(())
     }
 
     fn apply(&mut self, mv: ParallelMove) -> Result<(), Error> {
@@ -244,6 +188,34 @@ impl Engine {
         self.schedule.push(mv);
         Ok(())
     }
+}
+
+/// The one move that shifts every atom in `feed` on each of `lines`:
+/// the lines that hold any such atom, and the union of their atom
+/// positions (`len` positions per line). `None` when no line does.
+///
+/// Every line moves the same feeding range, so the union never covers
+/// an atom of a selected line that stays put, and the cross product is
+/// AOD-legal as one move.
+fn feeding_move<'a>(
+    lines: impl Iterator<Item = usize>,
+    feed: &[u64],
+    len: usize,
+    occupancy: impl Fn(usize) -> &'a [u64],
+) -> Option<(Vec<usize>, Vec<usize>)> {
+    let mut selected = Vec::new();
+    let mut union = vec![0u64; feed.len()];
+    for line in lines {
+        let mut any = 0;
+        for ((u, f), o) in union.iter_mut().zip(feed).zip(occupancy(line)) {
+            *u |= f & o;
+            any |= f & o;
+        }
+        if any != 0 {
+            selected.push(line);
+        }
+    }
+    (!selected.is_empty()).then(|| (selected, bitline::ones(&union, len)))
 }
 
 #[cfg(test)]

@@ -27,8 +27,7 @@ use crate::ocm::{OcmConfig, OutputModule};
 use crate::qpm::{QpmConfig, QpmReport, QuadrantProcessor};
 
 /// Accelerator configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct AcceleratorConfig {
     /// Programmable-logic clock (paper: 250 MHz).
     pub clock: ClockDomain,

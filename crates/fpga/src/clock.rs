@@ -10,8 +10,7 @@ use std::fmt;
 /// assert!((clk.us(250) - 1.0).abs() < 1e-12);
 /// assert_eq!(clk.cycles_for_us(2.0), 500);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ClockDomain {
     freq_hz: f64,
 }

@@ -15,8 +15,7 @@ use crate::memory::DdrModel;
 use crate::stream::AxiStream;
 
 /// LDM configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
 pub struct LdmConfig {
     /// AXI link carrying the bitfield.
     pub axi: AxiStream,

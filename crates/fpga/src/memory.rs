@@ -8,8 +8,7 @@
 //! to make the I/O contribution explicit and tunable.
 
 /// DDR access-cost model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct DdrModel {
     /// First-word read latency in PL cycles.
     pub read_latency_cycles: u64,

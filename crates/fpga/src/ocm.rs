@@ -24,8 +24,7 @@ use crate::memory::DdrModel;
 use crate::stream::AxiStream;
 
 /// OCM configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct OcmConfig {
     /// AXI link for the write-back.
     pub axi: AxiStream,

@@ -7,8 +7,7 @@
 //! latency plus one cycle per beat.
 
 /// AXI-stream link parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct AxiStream {
     /// Payload bits per beat (paper: 1024).
     pub beat_bits: usize,

@@ -195,6 +195,10 @@ struct Shared {
     /// was never taken. See [`Server::debug_sever`].
     #[cfg(feature = "test-hooks")]
     severed: AtomicBool,
+    /// Set once the loop has closed its listener (`test-hooks`
+    /// feature): what [`Server::debug_sever`] waits for.
+    #[cfg(feature = "test-hooks")]
+    listener_closed: AtomicBool,
     /// Finished deferred handlers, drained by the loop after a `notify`.
     completions: Mutex<Vec<Completion>>,
 }
@@ -294,20 +298,32 @@ impl Server {
     }
 
     /// Fault-injection hook (`test-hooks` builds only): simulates this
-    /// backend dying mid-load. The listener closes (new connects are
-    /// refused) and every live connection closes **bytes-free** at its
-    /// next request dispatch — crucially *after* the parse but *before*
-    /// the service call, so the peer observes a close on a request that
-    /// was provably never executed. Requests already planning or
-    /// writing complete and respond. That is exactly the failure class
-    /// the client's safe-retry rules (and the router's failover) are
-    /// allowed to re-route, which is what `tests/fleet.rs` exercises:
-    /// failover with no double execution.
+    /// backend dying mid-load. The listener closes before this returns
+    /// (later connects are refused) and every live connection closes
+    /// **bytes-free** at its next request dispatch — crucially *after*
+    /// the parse but *before* the service call, so the peer observes a
+    /// close on a request that was provably never executed. Requests
+    /// already planning or writing complete and respond. That is
+    /// exactly the failure class the client's safe-retry rules (and the
+    /// router's failover) are allowed to re-route, which is what
+    /// `tests/fleet.rs` exercises: failover with no double execution.
     #[cfg(feature = "test-hooks")]
     pub fn debug_sever(&mut self) {
-        let shared = &self.frontend.shared;
-        shared.severed.store(true, Ordering::SeqCst);
-        shared.poller.notify();
+        let frontend = &self.frontend;
+        frontend.shared.severed.store(true, Ordering::SeqCst);
+        frontend.shared.poller.notify();
+        // Until the loop closes the listener, a new connect still
+        // completes in the kernel's accept backlog, and closing the
+        // listener later resets it after its request went out — which
+        // the peer must read as "may have been taken".
+        while !frontend.shared.listener_closed.load(Ordering::SeqCst)
+            && frontend
+                .loop_thread
+                .as_ref()
+                .is_some_and(|handle| !handle.is_finished())
+        {
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     /// Stops accepting, closes idle connections, lets in-flight
@@ -372,6 +388,8 @@ impl Frontend {
             shutdown: AtomicBool::new(false),
             #[cfg(feature = "test-hooks")]
             severed: AtomicBool::new(false),
+            #[cfg(feature = "test-hooks")]
+            listener_closed: AtomicBool::new(false),
             completions: Mutex::new(Vec::new()),
         });
         shared.poller.add(&listener, LISTENER_KEY, Interest::READ)?;
@@ -542,6 +560,9 @@ impl<R: Routes> EventLoop<R> {
     fn drop_listener(&mut self) {
         if let Some(listener) = self.listener.take() {
             let _ = self.shared.poller.delete(&listener);
+            drop(listener);
+            #[cfg(feature = "test-hooks")]
+            self.shared.listener_closed.store(true, Ordering::SeqCst);
         }
     }
 

@@ -39,8 +39,7 @@ const DEFECT_SALT: u64 = 0xdefe_c7ab_1e5a_17e5;
 /// [`UniformFill`](Scenario::UniformFill), reproduces the pre-scenario
 /// workload construction byte for byte (and is omitted from the wire
 /// encoding, keeping old fixtures canonical).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum Scenario {
     /// Independent per-trap Bernoulli loading at `fill` against the
     /// single centred target — the classic workload.
@@ -83,6 +82,12 @@ pub enum Scenario {
         /// Per-site probability of disagreeing with the cell value.
         flip_prob: f64,
     },
+}
+
+impl Scenario {
+    fn is_uniform_fill(&self) -> bool {
+        *self == Scenario::UniformFill
+    }
 }
 
 /// A [`BatchSpec`] expanded to the concrete inputs of a pipeline run:
@@ -147,7 +152,7 @@ impl Workload {
 /// bit-identical workloads, and `seed` doubles as the base seed of the
 /// batched pipeline run (each shot then derives its own stream via
 /// `Pipeline::shot_rng`).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct BatchSpec {
     /// Independent shots in the batch.
     pub shots: usize,
@@ -160,7 +165,8 @@ pub struct BatchSpec {
     pub seed: u64,
     /// Loading/target scenario. The default `UniformFill` reproduces
     /// the pre-scenario workload byte for byte and is omitted from the
-    /// wire encoding.
+    /// wire encoding, so pre-scenario specs stay canonical.
+    #[serde(default, skip_serializing_if = "Scenario::is_uniform_fill")]
     pub scenario: Scenario,
 }
 
@@ -379,41 +385,9 @@ impl BatchSpec {
     }
 }
 
-#[cfg(feature = "serde")]
-impl serde::Serialize for BatchSpec {
-    fn serialize(&self) -> serde::Value {
-        let mut fields = vec![
-            ("shots", serde::Serialize::serialize(&self.shots)),
-            ("size", serde::Serialize::serialize(&self.size)),
-            ("fill", serde::Serialize::serialize(&self.fill)),
-            ("seed", serde::Serialize::serialize(&self.seed)),
-        ];
-        // Omitted at the default: pre-scenario specs stay canonical.
-        if self.scenario != Scenario::UniformFill {
-            fields.push(("scenario", serde::Serialize::serialize(&self.scenario)));
-        }
-        serde::Value::record(fields)
-    }
-}
-
-#[cfg(feature = "serde")]
-impl serde::Deserialize for BatchSpec {
-    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
-        let map = value.as_map("BatchSpec")?;
-        Ok(BatchSpec {
-            shots: serde::field(map, "BatchSpec", "shots")?,
-            size: serde::field(map, "BatchSpec", "size")?,
-            fill: serde::field(map, "BatchSpec", "fill")?,
-            seed: serde::field(map, "BatchSpec", "seed")?,
-            scenario: serde::field::<Option<Scenario>>(map, "BatchSpec", "scenario")?
-                .unwrap_or_default(),
-        })
-    }
-}
-
 /// A batch submission: which registered planner should run which
 /// workload, and whether to return the replayable move traces.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SubmitBatch {
     /// Registration name (chosen at
     /// [`register`](crate::PlanServiceBuilder::register) time).
@@ -424,7 +398,9 @@ pub struct SubmitBatch {
     /// in [`BatchReport::trace`]. Tracing only observes: `reports` are
     /// bit-identical with it on or off. Traced responses bypass the
     /// response cache and are subject to the service's event cap
-    /// (`trace_too_large`).
+    /// (`trace_too_large`). Omitted from the wire encoding when false,
+    /// so pre-trace submissions stay canonical.
+    #[serde(default, skip_serializing_if = "std::ops::Not::not")]
     pub trace: bool,
 }
 
@@ -506,33 +482,6 @@ impl SubmitBatch {
     }
 }
 
-#[cfg(feature = "serde")]
-impl serde::Serialize for SubmitBatch {
-    fn serialize(&self) -> serde::Value {
-        let mut fields = vec![
-            ("planner", serde::Serialize::serialize(&self.planner)),
-            ("spec", serde::Serialize::serialize(&self.spec)),
-        ];
-        // Omitted when false: pre-trace submissions stay canonical.
-        if self.trace {
-            fields.push(("trace", serde::Serialize::serialize(&self.trace)));
-        }
-        serde::Value::record(fields)
-    }
-}
-
-#[cfg(feature = "serde")]
-impl serde::Deserialize for SubmitBatch {
-    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
-        let map = value.as_map("SubmitBatch")?;
-        Ok(SubmitBatch {
-            planner: serde::field(map, "SubmitBatch", "planner")?,
-            spec: serde::field(map, "SubmitBatch", "spec")?,
-            trace: serde::field::<Option<bool>>(map, "SubmitBatch", "trace")?.unwrap_or(false),
-        })
-    }
-}
-
 /// The service's response to one [`SubmitBatch`].
 ///
 /// `reports` is the deterministic payload: it is **bit-identical** to
@@ -545,8 +494,7 @@ impl serde::Deserialize for SubmitBatch {
 /// `trace`, when requested, is payload too: replaying shot `i`'s trace
 /// on the spec's truth grid `i` reproduces `reports[i].final_state`
 /// bit-exactly.
-#[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Deserialize))]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct BatchReport {
     /// Registration name that served the batch.
     pub planner: String,
@@ -555,24 +503,10 @@ pub struct BatchReport {
     /// Wall-clock service time of the batch (µs), queueing excluded.
     pub wall_us: f64,
     /// Replayable per-shot move traces, in shot order — present iff
-    /// the submission set [`SubmitBatch::trace`].
+    /// the submission set [`SubmitBatch::trace`]. Omitted from the wire
+    /// encoding when absent, so untraced reports stay canonical.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub trace: Option<Vec<ShotTrace>>,
-}
-
-#[cfg(feature = "serde")]
-impl serde::Serialize for BatchReport {
-    fn serialize(&self) -> serde::Value {
-        let mut fields = vec![
-            ("planner", serde::Serialize::serialize(&self.planner)),
-            ("reports", serde::Serialize::serialize(&self.reports)),
-            ("wall_us", serde::Serialize::serialize(&self.wall_us)),
-        ];
-        // Omitted when absent: untraced reports stay canonical.
-        if self.trace.is_some() {
-            fields.push(("trace", serde::Serialize::serialize(&self.trace)));
-        }
-        serde::Value::record(fields)
-    }
 }
 
 impl BatchReport {

@@ -21,8 +21,7 @@ const BUCKETS: usize = 22;
 /// behind a mutex without becoming a hot spot. Bucket `i` spans
 /// `[2^i, 2^(i+1))` µs (bucket 0 also catches sub-µs values); the last
 /// bucket is open-ended.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct LatencyHistogram {
     buckets: [u64; BUCKETS],
     count: u64,
@@ -131,8 +130,7 @@ impl LatencyHistogram {
 }
 
 /// Per-registration snapshot inside a [`ServiceStats`].
-#[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct PlannerStats {
     /// Registration name.
     pub name: String,
@@ -155,8 +153,7 @@ pub struct PlannerStats {
 /// The wire form of a planner's former warm-context pool, as older
 /// [`PlannerStats::contexts`] snapshots carry it. Nothing produces it
 /// now; it exists so those snapshots still decode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub struct ContextPoolStats {
     /// Parked warm contexts that were available for checkout.
     pub idle_contexts: usize,
@@ -178,8 +175,7 @@ pub struct ContextPoolStats {
 /// On the wire this is an **additive** `ServiceStats` field: decoding a
 /// pre-dataflow snapshot (no `scheduler` key) yields all zeros rather
 /// than an error, per the `docs/PROTOCOL.md` schema-evolution rules.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct SchedulerTotals {
     /// Pool tasks the shot scheduler dispatched (observe + plan-group
     /// + execute).
@@ -207,29 +203,6 @@ impl SchedulerTotals {
     }
 }
 
-// Hand-written (not derived) so a snapshot from a pre-dataflow peer —
-// whose `ServiceStats` has no `scheduler` key at all — decodes as
-// zeros instead of failing on the missing field. The derive would use
-// the default `deserialize_missing` (an error); overriding it is the
-// vendored-serde idiom for additive schema evolution.
-#[cfg(feature = "serde")]
-impl serde::Deserialize for SchedulerTotals {
-    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
-        let map = value.as_map("SchedulerTotals")?;
-        Ok(SchedulerTotals {
-            tasks_dispatched: serde::field(map, "SchedulerTotals", "tasks_dispatched")?,
-            plan_groups: serde::field(map, "SchedulerTotals", "plan_groups")?,
-            planned_shots: serde::field(map, "SchedulerTotals", "planned_shots")?,
-            rounds_overlapped: serde::field(map, "SchedulerTotals", "rounds_overlapped")?,
-            max_shot_lag: serde::field(map, "SchedulerTotals", "max_shot_lag")?,
-        })
-    }
-
-    fn deserialize_missing(_ty: &str, _field: &str) -> Result<Self, serde::Error> {
-        Ok(SchedulerTotals::default())
-    }
-}
-
 /// Response-cache counters, the wire-visible snapshot of
 /// [`ResponseCache::stats`](crate::ResponseCache::stats).
 ///
@@ -241,8 +214,7 @@ impl serde::Deserialize for SchedulerTotals {
 /// [`SchedulerTotals`]: decoding a pre-cache snapshot (no `cache` key)
 /// yields all zeros rather than an error, per the `docs/PROTOCOL.md`
 /// schema-evolution rules.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct CacheStats {
     /// Cache probes (`hits + misses`).
     pub lookups: u64,
@@ -265,31 +237,6 @@ pub struct CacheStats {
     pub budget_bytes: u64,
 }
 
-// Hand-written for the same reason as `SchedulerTotals` above: a
-// snapshot from a pre-cache peer has no `cache` key, and must decode as
-// zeros instead of failing on the missing field.
-#[cfg(feature = "serde")]
-impl serde::Deserialize for CacheStats {
-    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
-        let map = value.as_map("CacheStats")?;
-        Ok(CacheStats {
-            lookups: serde::field(map, "CacheStats", "lookups")?,
-            hits: serde::field(map, "CacheStats", "hits")?,
-            misses: serde::field(map, "CacheStats", "misses")?,
-            insertions: serde::field(map, "CacheStats", "insertions")?,
-            evictions: serde::field(map, "CacheStats", "evictions")?,
-            entries: serde::field(map, "CacheStats", "entries")?,
-            bytes: serde::field(map, "CacheStats", "bytes")?,
-            peak_bytes: serde::field(map, "CacheStats", "peak_bytes")?,
-            budget_bytes: serde::field(map, "CacheStats", "budget_bytes")?,
-        })
-    }
-
-    fn deserialize_missing(_ty: &str, _field: &str) -> Result<Self, serde::Error> {
-        Ok(CacheStats::default())
-    }
-}
-
 /// HTTP front-end connection gauges, maintained by `qrm_net`'s
 /// readiness event loop and spliced into the `GET /v1/stats` snapshot
 /// (an in-process [`PlanService::stats`](crate::PlanService::stats)
@@ -305,8 +252,7 @@ impl serde::Deserialize for CacheStats {
 /// [`SchedulerTotals`] and [`CacheStats`]: decoding a pre-net snapshot
 /// (no `net` key) yields all zeros rather than an error, per the
 /// `docs/PROTOCOL.md` schema-evolution rules.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct NetStats {
     /// Connections currently open (accepted, not yet closed).
     pub open_connections: u64,
@@ -340,35 +286,6 @@ pub struct NetStats {
     pub closed_over_capacity: u64,
 }
 
-// Hand-written for the same reason as `SchedulerTotals` and
-// `CacheStats` above: a snapshot from a pre-net peer has no `net` key,
-// and must decode as zeros instead of failing on the missing field.
-#[cfg(feature = "serde")]
-impl serde::Deserialize for NetStats {
-    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
-        let map = value.as_map("NetStats")?;
-        Ok(NetStats {
-            open_connections: serde::field(map, "NetStats", "open_connections")?,
-            peak_open: serde::field(map, "NetStats", "peak_open")?,
-            accepted_total: serde::field(map, "NetStats", "accepted_total")?,
-            closed_total: serde::field(map, "NetStats", "closed_total")?,
-            requests_served: serde::field(map, "NetStats", "requests_served")?,
-            auth_failures: serde::field(map, "NetStats", "auth_failures")?,
-            closed_idle: serde::field(map, "NetStats", "closed_idle")?,
-            closed_request_timeout: serde::field(map, "NetStats", "closed_request_timeout")?,
-            closed_write_stalled: serde::field(map, "NetStats", "closed_write_stalled")?,
-            closed_peer: serde::field(map, "NetStats", "closed_peer")?,
-            closed_framing: serde::field(map, "NetStats", "closed_framing")?,
-            closed_shutdown: serde::field(map, "NetStats", "closed_shutdown")?,
-            closed_over_capacity: serde::field(map, "NetStats", "closed_over_capacity")?,
-        })
-    }
-
-    fn deserialize_missing(_ty: &str, _field: &str) -> Result<Self, serde::Error> {
-        Ok(NetStats::default())
-    }
-}
-
 /// One consistent snapshot of the whole service, from
 /// [`PlanService::stats`](crate::PlanService::stats).
 ///
@@ -376,8 +293,7 @@ impl serde::Deserialize for NetStats {
 /// nothing (no planners registered) — what a router-side load report
 /// carries in its service-stats slot, since a router exposes
 /// `RouterStats` instead.
-#[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
 pub struct ServiceStats {
     /// Submissions currently waiting for admission (queue depth).
     pub queued: usize,
@@ -399,15 +315,18 @@ pub struct ServiceStats {
     /// Dataflow-scheduler totals across all served batches. Additive
     /// field: pre-dataflow decoders ignore the unknown key, and
     /// pre-dataflow snapshots decode here as zeros.
+    #[serde(default)]
     pub scheduler: SchedulerTotals,
     /// Response-cache counters. Additive field, same rule: pre-cache
     /// decoders ignore the unknown key, and pre-cache snapshots decode
     /// here as zeros.
+    #[serde(default)]
     pub cache: CacheStats,
     /// HTTP front-end connection gauges, spliced in by `qrm_net`'s
     /// event loop (zeros in-process). Declared (and serialized) last,
     /// same additive rule: pre-net decoders ignore the unknown key,
     /// and pre-net snapshots decode here as zeros.
+    #[serde(default)]
     pub net: NetStats,
 }
 

@@ -341,3 +341,32 @@ fn unknown_fields_are_ignored() {
     assert_eq!(request.planner, "qrm");
     assert_eq!(request.spec.shots, 1);
 }
+
+#[test]
+fn explicit_null_for_a_defaulted_key_is_a_decode_error() {
+    // `scenario` and `trace` take their defaults only when the key is
+    // missing. A key that is present must hold the field's type, and
+    // neither a `Scenario` nor a bool is null-able.
+    let spec = "\"shots\":1,\"size\":8,\"fill\":0.5,\"seed\":1";
+    for (text, field) in [
+        (
+            format!("{{\"planner\":\"qrm\",\"spec\":{{{spec},\"scenario\":null}}}}"),
+            "BatchSpec.scenario",
+        ),
+        (
+            format!("{{\"planner\":\"qrm\",\"spec\":{{{spec}}},\"trace\":null}}"),
+            "SubmitBatch.trace",
+        ),
+    ] {
+        let err = SubmitBatch::from_json(&text).unwrap_err();
+        assert!(
+            matches!(&err, qrm_wire::WireError::Decode(_)) && err.to_string().contains(field),
+            "input {text:?} gave {err}"
+        );
+    }
+    let missing = format!("{{\"planner\":\"qrm\",\"spec\":{{{spec}}}}}");
+    assert_eq!(
+        SubmitBatch::from_json(&missing).expect("decode"),
+        SubmitBatch::new("qrm", BatchSpec::new(1, 8, 1).with_fill(0.5))
+    );
+}
