@@ -675,7 +675,8 @@ fn print_fig7a() {
     println!("(cpu_kernel_us matches the paper's CPU measurement scope — the QRM shift-command");
     println!(
         " analysis; cpu_full_us adds global AOD-legal merging/batching. Both are the best of\n \
-         {reps} timed calls after one untimed warm-up. Paper CPU: i7-1185G7.)\n"
+         {reps} warm timed calls, one per pass over all sizes, the passes 20 ms apart.\n \
+         Paper CPU: i7-1185G7.)\n"
     );
 }
 

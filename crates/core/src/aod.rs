@@ -1,68 +1,16 @@
-//! AOD cross-product legality checking and greedy move batching.
+//! Greedy batching of mover sets into AOD cross-product moves.
 //!
 //! The 2D-AOD generates a tweezer at *every* intersection of its selected
 //! row and column tones (paper §II-B). A planner that wants to move a
 //! specific set of atoms must therefore choose selections whose cross
 //! product does not trap any bystander atom; when that is impossible "the
-//! two atom sites will have to be addressed in separate moves". This
-//! module provides:
-//!
-//! * [`trapped_atoms`] / [`verify_intent`] — what a move actually picks up
-//!   and whether that matches the planner's intent;
-//! * [`AodBatcher`] — greedy partitioning of per-line mover sets into the
-//!   fewest legal cross-product moves (the paper's Row Combination Unit
-//!   performs this merge on the FPGA, §IV-C).
+//! two atom sites will have to be addressed in separate moves".
+//! [`AodBatcher`] partitions per-line mover sets into the fewest such
+//! moves (the paper's Row Combination Unit performs this merge on the
+//! FPGA, §IV-C). The executor ([`crate::executor`]) decides what a move
+//! actually picks up.
 
 use crate::bitline;
-use crate::error::Error;
-use crate::geometry::Position;
-use crate::grid::AtomGrid;
-use crate::moves::ParallelMove;
-
-/// The atoms a move would actually pick up from `grid`: every occupied
-/// site of the selection cross product.
-///
-/// ```
-/// use qrm_core::aod::trapped_atoms;
-/// use qrm_core::grid::AtomGrid;
-/// use qrm_core::moves::ParallelMove;
-///
-/// let g = AtomGrid::parse("#.#\n...\n#..")?;
-/// let mv = ParallelMove::new(vec![0, 2], vec![0, 2], 0, -1)?;
-/// let atoms = trapped_atoms(&g, &mv);
-/// assert_eq!(atoms.len(), 3); // (0,0), (0,2), (2,0)
-/// # Ok::<(), qrm_core::Error>(())
-/// ```
-pub fn trapped_atoms(grid: &AtomGrid, mv: &ParallelMove) -> Vec<Position> {
-    mv.trap_sites()
-        .filter(|p| {
-            p.row < grid.height() && p.col < grid.width() && grid.get_unchecked(p.row, p.col)
-        })
-        .collect()
-}
-
-/// Verifies that the move traps exactly the intended atoms and nothing
-/// else.
-///
-/// `intended` must be sorted in row-major order (as produced by
-/// [`trapped_atoms`] or grid iteration).
-///
-/// # Errors
-///
-/// Returns [`Error::UnintendedTrap`] naming the first bystander atom the
-/// cross product would pick up.
-pub fn verify_intent(
-    grid: &AtomGrid,
-    mv: &ParallelMove,
-    intended: &[Position],
-) -> Result<(), Error> {
-    for p in trapped_atoms(grid, mv) {
-        if intended.binary_search(&p).is_err() {
-            return Err(Error::UnintendedTrap { site: p });
-        }
-    }
-    Ok(())
-}
 
 /// One batch produced by the [`AodBatcher`]: a set of lines that can move
 /// together in a single cross-product selection.
@@ -207,30 +155,6 @@ mod tests {
             bitline::set(&mut m, b, true);
         }
         m
-    }
-
-    #[test]
-    fn trapped_and_intent() {
-        let g = AtomGrid::parse("#.#\n...\n#..").unwrap();
-        let mv = ParallelMove::new(vec![0, 2], vec![0, 2], 0, -1).unwrap();
-        let atoms = trapped_atoms(&g, &mv);
-        assert_eq!(
-            atoms,
-            vec![
-                Position::new(0, 0),
-                Position::new(0, 2),
-                Position::new(2, 0)
-            ]
-        );
-        assert!(verify_intent(&g, &mv, &atoms).is_ok());
-        // Claiming we only intended (0,0) and (0,2): (2,0) is a bystander.
-        let intent = vec![Position::new(0, 0), Position::new(0, 2)];
-        assert_eq!(
-            verify_intent(&g, &mv, &intent),
-            Err(Error::UnintendedTrap {
-                site: Position::new(2, 0)
-            })
-        );
     }
 
     #[test]

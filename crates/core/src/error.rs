@@ -68,8 +68,8 @@ pub enum Error {
         /// Index of the offending move within its schedule.
         move_index: usize,
     },
-    /// A move is not axis-aligned but the executor was configured to
-    /// require axis-aligned motion.
+    /// A move is not axis-aligned: the executor moves atoms along one
+    /// axis at a time.
     DiagonalMove {
         /// Index of the offending move within its schedule.
         move_index: usize,
@@ -93,20 +93,6 @@ pub enum Error {
         move_index: usize,
         /// Occupied site on the transit path.
         site: Position,
-    },
-    /// An AOD move selection traps an atom that the planner did not intend
-    /// to move (violated cross-product constraint, paper §II-B).
-    UnintendedTrap {
-        /// Site of the accidentally trapped atom.
-        site: Position,
-    },
-    /// The scheduler exhausted its iteration budget without filling the
-    /// target.
-    IterationBudgetExhausted {
-        /// Iterations performed.
-        iterations: usize,
-        /// Target holes remaining.
-        remaining_defects: usize,
     },
     /// A serialized artifact could not be parsed.
     Parse {
@@ -185,18 +171,6 @@ impl fmt::Display for Error {
                 f,
                 "move {move_index} sweeps through a stationary atom at ({}, {})",
                 site.row, site.col
-            ),
-            Error::UnintendedTrap { site } => write!(
-                f,
-                "AOD selection traps unintended atom at ({}, {})",
-                site.row, site.col
-            ),
-            Error::IterationBudgetExhausted {
-                iterations,
-                remaining_defects,
-            } => write!(
-                f,
-                "iteration budget ({iterations}) exhausted with {remaining_defects} defects left"
             ),
             Error::Parse { reason } => write!(f, "parse error: {reason}"),
             Error::InvalidSpec { reason } => write!(f, "invalid spec: {reason}"),

@@ -1,18 +1,45 @@
-//! Schedule execution, validation, and failure injection.
+//! Schedule execution and failure injection: the workspace's one move
+//! semantics.
 //!
-//! The [`Executor`] models the physical trap array: it applies each
-//! [`ParallelMove`] with AOD semantics (every occupied site of the
-//! selection cross product moves by the common displacement) and validates
-//! that the motion is physically sound — in bounds, collision-free, and
-//! with clear transit paths for multi-step moves. It is the ground truth
-//! that every planner in the workspace is tested against.
+//! The [`Executor`] models the physical trap array. It applies each
+//! [`ParallelMove`] with AOD semantics: every occupied site of the
+//! selection cross product moves by the common displacement, all at
+//! once. It is the ground truth that every planner in the workspace is
+//! tested against.
+//!
+//! [`Executor::run`], [`Executor::run_with_loss`] and
+//! [`Executor::run_with_loss_traced`] apply a move through one path,
+//! whose only input besides the grid is which trapped atoms survive
+//! transport. The checks run in this order, and the first failure is
+//! returned with the index of the offending move:
+//!
+//! 1. A zero displacement is [`Error::NullMove`]; a displacement along
+//!    both axes is [`Error::DiagonalMove`].
+//! 2. Every trapped atom, in row-major order, must have its destination
+//!    in bounds ([`Error::MoveOutOfBounds`]), survivor or not: a move
+//!    that leaves the array is malformed whatever the loss draw.
+//! 3. Every trapped atom is lifted. Each survivor, in row-major order,
+//!    is checked against the stationary atoms only, so co-moving atoms
+//!    never block each other: first landing on one
+//!    ([`Error::Collision`], under [`CollisionPolicy::Fail`]), then
+//!    sweeping across one ([`Error::PathBlocked`], under
+//!    [`PathPolicy::Strict`]).
+//! 4. The survivors land. Under [`CollisionPolicy::Eject`] a survivor
+//!    that lands on a stationary atom removes both.
+//!
+//! RNG contract: `run` lets every trapped atom survive and draws
+//! nothing. The lossy pair draw exactly one `gen_bool(loss_prob)` per
+//! trapped atom, in row-major trap order, before any atom of the move
+//! lands, and they do so at `loss_prob == 0.0` too. Tracing only
+//! observes: the traced and untraced runs leave the caller's RNG in the
+//! same state.
 
 use rand::Rng;
 
 use crate::error::Error;
 use crate::geometry::{Position, Rect};
 use crate::grid::AtomGrid;
-use crate::moves::{MoveRecord, ParallelMove};
+use crate::moves::ParallelMove;
 use crate::schedule::Schedule;
 use crate::trace::{RoundTrace, TracedMove, Transfer};
 
@@ -63,11 +90,10 @@ pub enum CollisionPolicy {
 pub struct Executor {
     path_policy: PathPolicy,
     collision_policy: CollisionPolicy,
-    allow_diagonal: bool,
 }
 
 impl Executor {
-    /// An executor with strict path checking and axis-aligned moves only.
+    /// An executor with strict path checking that fails on collisions.
     pub fn new() -> Self {
         Executor::default()
     }
@@ -86,47 +112,26 @@ impl Executor {
         self
     }
 
-    /// Permits diagonal displacements (both 2D-AOD axes ramping at once).
-    #[must_use]
-    pub fn with_diagonal_moves(mut self, allow: bool) -> Self {
-        self.allow_diagonal = allow;
-        self
-    }
-
-    /// Executes a schedule on a copy of `grid`.
+    /// Executes a schedule on a copy of `grid`; every trapped atom
+    /// survives.
     ///
     /// # Errors
     ///
-    /// Returns the first validation failure:
-    /// [`Error::MoveOutOfBounds`], [`Error::DiagonalMove`],
-    /// [`Error::Collision`], or [`Error::PathBlocked`], each carrying the
-    /// index of the offending move.
+    /// Returns the first failure of the checks listed in the
+    /// [module docs](self): [`Error::NullMove`], [`Error::DiagonalMove`],
+    /// [`Error::MoveOutOfBounds`], [`Error::Collision`] or
+    /// [`Error::PathBlocked`], each carrying the index of the offending
+    /// move.
     pub fn run(&self, grid: &AtomGrid, schedule: &Schedule) -> Result<ExecutionReport, Error> {
-        let mut state = grid.clone();
-        let mut records = Vec::new();
-        let mut max_parallel_atoms = 0usize;
-        let mut ejected_atoms = 0usize;
-        for (index, mv) in schedule.iter().enumerate() {
-            let (moved, ejected) = self.apply_move(&mut state, mv, index)?;
-            max_parallel_atoms = max_parallel_atoms.max(moved.len());
-            ejected_atoms += ejected;
-            records.extend(moved);
-        }
-        Ok(ExecutionReport {
-            atom_moves: records.len(),
-            max_parallel_atoms,
-            final_grid: state,
-            records,
-            lost_atoms: 0,
-            ejected_atoms,
-        })
+        self.execute(grid, schedule, || true, None)
     }
 
     /// Executes a schedule with independent per-atom transport loss: each
     /// trapped atom survives a move with probability `1 - loss_prob`.
     ///
-    /// Collisions involving surviving atoms still fail; a lost atom simply
-    /// vanishes (it leaves its source trap and never arrives).
+    /// A lost atom leaves its source trap and never arrives, so it can
+    /// neither collide nor block a path; its destination must still be
+    /// in bounds.
     ///
     /// # Errors
     ///
@@ -142,7 +147,7 @@ impl Executor {
         loss_prob: f64,
         rng: &mut R,
     ) -> Result<ExecutionReport, Error> {
-        self.run_with_loss_impl(grid, schedule, loss_prob, rng, None)
+        self.execute(grid, schedule, survival(loss_prob, rng), None)
     }
 
     /// [`run_with_loss`](Self::run_with_loss), additionally recording a
@@ -171,132 +176,87 @@ impl Executor {
         rng: &mut R,
     ) -> Result<(ExecutionReport, RoundTrace), Error> {
         let mut trace = RoundTrace::default();
-        let report = self.run_with_loss_impl(grid, schedule, loss_prob, rng, Some(&mut trace))?;
+        let report = self.execute(grid, schedule, survival(loss_prob, rng), Some(&mut trace))?;
         Ok((report, trace))
     }
 
-    fn run_with_loss_impl<R: Rng + ?Sized>(
+    /// Applies every move of `schedule` to a copy of `grid`, summing the
+    /// report's counters over the per-move outcomes.
+    fn execute(
         &self,
         grid: &AtomGrid,
         schedule: &Schedule,
-        loss_prob: f64,
-        rng: &mut R,
+        mut survives: impl FnMut() -> bool,
         mut trace: Option<&mut RoundTrace>,
     ) -> Result<ExecutionReport, Error> {
-        assert!(
-            (0.0..=1.0).contains(&loss_prob),
-            "loss probability {loss_prob} outside [0, 1]"
-        );
-        let mut state = grid.clone();
-        let mut records = Vec::new();
-        let mut lost_atoms = 0usize;
-        let mut ejected_atoms = 0usize;
-        let mut max_parallel_atoms = 0usize;
+        let mut report = ExecutionReport {
+            final_grid: grid.clone(),
+            atom_moves: 0,
+            max_parallel_atoms: 0,
+            lost_atoms: 0,
+            ejected_atoms: 0,
+        };
         for (index, mv) in schedule.iter().enumerate() {
-            let moved = self.apply_move_lossy(&mut state, mv, index, loss_prob, rng)?;
+            let moved = self.apply_move(&mut report.final_grid, mv, index, &mut survives)?;
+            report.atom_moves += moved.transfers.len();
+            report.max_parallel_atoms = report.max_parallel_atoms.max(moved.transfers.len());
+            report.lost_atoms += moved.lost.len();
+            report.ejected_atoms += 2 * moved.ejected.len();
             if let Some(round) = trace.as_deref_mut() {
-                round.moves.push(TracedMove {
-                    transfers: moved
-                        .records
-                        .iter()
-                        .map(|r| Transfer {
-                            from: r.from,
-                            to: r.to,
-                        })
-                        .collect(),
-                    lost: moved.lost.clone(),
-                    ejected: moved.ejected.clone(),
-                });
+                round.moves.push(moved);
             }
-            lost_atoms += moved.lost.len();
-            ejected_atoms += 2 * moved.ejected.len();
-            max_parallel_atoms = max_parallel_atoms.max(moved.records.len());
-            records.extend(moved.records);
         }
-        Ok(ExecutionReport {
-            atom_moves: records.len(),
-            max_parallel_atoms,
-            final_grid: state,
-            records,
-            lost_atoms,
-            ejected_atoms,
-        })
+        Ok(report)
     }
 
-    /// Validates a schedule without keeping per-atom records (slightly
-    /// cheaper; used by property tests over large batches).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run).
-    pub fn validate(&self, grid: &AtomGrid, schedule: &Schedule) -> Result<AtomGrid, Error> {
-        Ok(self.run(grid, schedule)?.final_grid)
-    }
-
-    fn check_move_shape(
-        &self,
-        grid: &AtomGrid,
-        mv: &ParallelMove,
-        index: usize,
-    ) -> Result<(), Error> {
-        let (dr, dc) = mv.delta();
-        if dr == 0 && dc == 0 {
-            return Err(Error::NullMove { move_index: index });
-        }
-        if !self.allow_diagonal && !mv.is_axis_aligned() {
-            return Err(Error::DiagonalMove { move_index: index });
-        }
-        let _ = grid;
-        Ok(())
-    }
-
-    /// Collects the trapped atoms of `mv` in row-major order.
-    fn trapped(&self, grid: &AtomGrid, mv: &ParallelMove) -> Vec<Position> {
-        mv.trap_sites()
-            .filter(|p| {
-                p.row < grid.height() && p.col < grid.width() && grid.get_unchecked(p.row, p.col)
-            })
-            .collect()
-    }
-
+    /// Applies one move to `grid` in the order the module docs give and
+    /// returns what it did. On an error `grid` is left part-way; the
+    /// callers own it and drop it with the error.
     fn apply_move(
         &self,
         grid: &mut AtomGrid,
         mv: &ParallelMove,
         index: usize,
-    ) -> Result<(Vec<MoveRecord>, usize), Error> {
-        self.check_move_shape(grid, mv, index)?;
-        let trapped = self.trapped(grid, mv);
+        survives: &mut impl FnMut() -> bool,
+    ) -> Result<TracedMove, Error> {
         let (dr, dc) = mv.delta();
-
-        // Destination validation.
-        let mut dests = Vec::with_capacity(trapped.len());
-        for &p in &trapped {
-            let dest = p
+        if dr == 0 && dc == 0 {
+            return Err(Error::NullMove { move_index: index });
+        }
+        if !mv.is_axis_aligned() {
+            return Err(Error::DiagonalMove { move_index: index });
+        }
+        let (height, width) = grid.dims();
+        let mut moved = TracedMove::default();
+        for from in mv.trap_sites() {
+            if from.row >= height || from.col >= width || !grid.get_unchecked(from.row, from.col) {
+                continue;
+            }
+            let to = from
                 .offset(dr, dc)
-                .filter(|d| d.row < grid.height() && d.col < grid.width())
+                .filter(|d| d.row < height && d.col < width)
                 .ok_or(Error::MoveOutOfBounds { move_index: index })?;
-            dests.push(dest);
+            if survives() {
+                moved.transfers.push(Transfer { from, to });
+            } else {
+                moved.lost.push(from);
+            }
         }
 
-        // Remove movers, then check destinations and transit paths against
-        // the stationary population.
-        for &p in &trapped {
+        let sources = moved.transfers.iter().map(|t| t.from);
+        for p in sources.chain(moved.lost.iter().copied()) {
             grid.set_unchecked(p.row, p.col, false);
         }
-        for (&from, &to) in trapped.iter().zip(&dests) {
-            if grid.get_unchecked(to.row, to.col) && self.collision_policy == CollisionPolicy::Fail
+        for &Transfer { from, to } in &moved.transfers {
+            if self.collision_policy == CollisionPolicy::Fail && grid.get_unchecked(to.row, to.col)
             {
-                // restore before failing so callers can inspect the grid
-                self.restore(grid, &trapped);
                 return Err(Error::Collision {
                     move_index: index,
                     site: to,
                 });
             }
             if self.path_policy == PathPolicy::Strict {
-                if let Some(site) = self.blocked_on_path(grid, from, dr, dc) {
-                    self.restore(grid, &trapped);
+                if let Some(site) = blocked_on_path(grid, from, dr, dc) {
                     return Err(Error::PathBlocked {
                         move_index: index,
                         site,
@@ -304,123 +264,43 @@ impl Executor {
                 }
             }
         }
-        let mut records = Vec::with_capacity(trapped.len());
-        let mut ejected = 0usize;
-        for (&from, &to) in trapped.iter().zip(&dests) {
-            if grid.get_unchecked(to.row, to.col) {
-                // CollisionPolicy::Eject (Fail returned above): the
-                // light-assisted collision removes both atoms.
-                grid.set_unchecked(to.row, to.col, false);
-                ejected += 2;
-                continue;
-            }
-            grid.set_unchecked(to.row, to.col, true);
-            records.push(MoveRecord {
-                move_index: index,
-                from,
-                to,
-            });
-        }
-        Ok((records, ejected))
-    }
 
-    fn apply_move_lossy<R: Rng + ?Sized>(
-        &self,
-        grid: &mut AtomGrid,
-        mv: &ParallelMove,
-        index: usize,
-        loss_prob: f64,
-        rng: &mut R,
-    ) -> Result<LossyOutcome, Error> {
-        self.check_move_shape(grid, mv, index)?;
-        let trapped = self.trapped(grid, mv);
-        let (dr, dc) = mv.delta();
-        let mut records = Vec::new();
-        let mut lost = Vec::new();
-        // Remove all movers first (they leave their traps together).
-        for &p in &trapped {
-            grid.set_unchecked(p.row, p.col, false);
-        }
-        let mut ejected = Vec::new();
-        let mut survivors = Vec::with_capacity(trapped.len());
-        for &p in &trapped {
-            if rng.gen_bool(loss_prob) {
-                lost.push(p);
-            } else {
-                survivors.push(p);
+        let ejected = &mut moved.ejected;
+        moved.transfers.retain(|&t| {
+            // Occupied only under `CollisionPolicy::Eject` (`Fail` returned
+            // above): the light-assisted collision removes both atoms.
+            let collides = grid.get_unchecked(t.to.row, t.to.col);
+            grid.set_unchecked(t.to.row, t.to.col, !collides);
+            if collides {
+                ejected.push(t);
             }
-        }
-        for &from in &survivors {
-            let to = from
-                .offset(dr, dc)
-                .filter(|d| d.row < grid.height() && d.col < grid.width())
-                .ok_or(Error::MoveOutOfBounds { move_index: index })?;
-            if grid.get_unchecked(to.row, to.col) {
-                match self.collision_policy {
-                    CollisionPolicy::Fail => {
-                        return Err(Error::Collision {
-                            move_index: index,
-                            site: to,
-                        })
-                    }
-                    CollisionPolicy::Eject => {
-                        grid.set_unchecked(to.row, to.col, false);
-                        ejected.push(Transfer { from, to });
-                        continue;
-                    }
-                }
-            }
-            if self.path_policy == PathPolicy::Strict {
-                if let Some(site) = self.blocked_on_path(grid, from, dr, dc) {
-                    return Err(Error::PathBlocked {
-                        move_index: index,
-                        site,
-                    });
-                }
-            }
-            grid.set_unchecked(to.row, to.col, true);
-            records.push(MoveRecord {
-                move_index: index,
-                from,
-                to,
-            });
-        }
-        Ok(LossyOutcome {
-            records,
-            lost,
-            ejected,
-        })
+            !collides
+        });
+        Ok(moved)
     }
+}
 
-    fn restore(&self, grid: &mut AtomGrid, trapped: &[Position]) {
-        for &p in trapped {
-            grid.set_unchecked(p.row, p.col, true);
-        }
-    }
+/// The lossy runs' survival draw: one `gen_bool(loss_prob)` per call.
+fn survival<R: Rng + ?Sized>(loss_prob: f64, rng: &mut R) -> impl FnMut() -> bool + '_ {
+    assert!(
+        (0.0..=1.0).contains(&loss_prob),
+        "loss probability {loss_prob} outside [0, 1]"
+    );
+    move || !rng.gen_bool(loss_prob)
+}
 
-    /// First stationary atom on the open transit path of an atom moving
-    /// from `from` by `(dr, dc)` (endpoints excluded). Only axis-aligned
-    /// paths are sweepable; diagonal moves skip this check.
-    fn blocked_on_path(
-        &self,
-        grid: &AtomGrid,
-        from: Position,
-        dr: isize,
-        dc: isize,
-    ) -> Option<Position> {
-        if dr != 0 && dc != 0 {
-            return None;
+/// First stationary atom on the open transit path of an atom moving
+/// axis-aligned from `from` by `(dr, dc)` (endpoints excluded).
+fn blocked_on_path(grid: &AtomGrid, from: Position, dr: isize, dc: isize) -> Option<Position> {
+    let steps = dr.unsigned_abs().max(dc.unsigned_abs());
+    let (ur, uc) = (dr.signum(), dc.signum());
+    for k in 1..steps as isize {
+        let p = from.offset(ur * k, uc * k)?;
+        if grid.get_unchecked(p.row, p.col) {
+            return Some(p);
         }
-        let steps = dr.unsigned_abs().max(dc.unsigned_abs());
-        let (ur, uc) = (dr.signum(), dc.signum());
-        for k in 1..steps as isize {
-            let p = from.offset(ur * k, uc * k)?;
-            if grid.get_unchecked(p.row, p.col) {
-                return Some(p);
-            }
-        }
-        None
     }
+    None
 }
 
 /// Outcome of executing a schedule.
@@ -428,8 +308,6 @@ impl Executor {
 pub struct ExecutionReport {
     /// Final trap-array occupancy.
     pub final_grid: AtomGrid,
-    /// Per-atom displacement records, in execution order.
-    pub records: Vec<MoveRecord>,
     /// Total atom displacements performed.
     pub atom_moves: usize,
     /// Largest number of atoms moved by a single parallel move.
@@ -451,15 +329,6 @@ impl ExecutionReport {
     pub fn target_filled(&self, target: &Rect) -> Result<bool, Error> {
         self.final_grid.is_filled(target)
     }
-}
-
-struct LossyOutcome {
-    records: Vec<MoveRecord>,
-    /// Source sites of atoms lost in transit.
-    lost: Vec<Position>,
-    /// Light-assisted collision pairs (mover's source, occupied
-    /// destination); each pair removed **two** atoms.
-    ejected: Vec<Transfer>,
 }
 
 #[cfg(test)]
@@ -518,7 +387,28 @@ mod tests {
     }
 
     #[test]
-    fn collision_detected_and_grid_restored_in_error_path() {
+    fn out_of_bounds_is_rejected_whatever_the_loss_draw() {
+        // The atom of `...#` pushed east leaves the array. Losing it in
+        // transit does not make the move well formed.
+        let g = AtomGrid::parse("...#").unwrap();
+        let s = sched(
+            1,
+            4,
+            vec![ParallelMove::new(vec![0], vec![3], 0, 1).unwrap()],
+        );
+        let oob = Err(Error::MoveOutOfBounds { move_index: 0 });
+        assert_eq!(Executor::new().run(&g, &s), oob);
+        for loss_prob in [0.0, 1.0] {
+            let mut rng = seeded_rng(3);
+            assert_eq!(
+                Executor::new().run_with_loss(&g, &s, loss_prob, &mut rng),
+                oob
+            );
+        }
+    }
+
+    #[test]
+    fn collision_detected() {
         let g = AtomGrid::parse("##").unwrap();
         // moving only col 1 west collides with the stationary atom at col 0
         let s = sched(
@@ -545,6 +435,36 @@ mod tests {
             vec![ParallelMove::new(vec![0], vec![1, 2], 0, -1).unwrap()],
         );
         assert!(Executor::new().run(&g, &s).is_ok());
+    }
+
+    #[test]
+    fn co_moving_atoms_never_block_each_other_in_any_run() {
+        // Both atoms of `##..` jump two sites east. The trailing atom's
+        // path crosses the site the leading atom lands on; only
+        // stationary atoms block a path, so every run accepts the move,
+        // along a row and along a column alike.
+        let row = AtomGrid::parse("##..").unwrap();
+        let row_moved = AtomGrid::parse("..##").unwrap();
+        let cases = [
+            (
+                row.transpose(),
+                ParallelMove::new(vec![0, 1], vec![0], 2, 0).unwrap(),
+                row_moved.transpose(),
+            ),
+            (
+                row,
+                ParallelMove::new(vec![0], vec![0, 1], 0, 2).unwrap(),
+                row_moved,
+            ),
+        ];
+        for (g, mv, expected) in cases {
+            let s = sched(g.height(), g.width(), vec![mv]);
+            let rep = Executor::new().run(&g, &s).unwrap();
+            assert_eq!(rep.final_grid, expected);
+            let mut rng = seeded_rng(5);
+            let lossless = Executor::new().run_with_loss(&g, &s, 0.0, &mut rng);
+            assert_eq!(lossless, Ok(rep));
+        }
     }
 
     #[test]
@@ -586,11 +506,6 @@ mod tests {
             Executor::new().run(&g, &s),
             Err(Error::DiagonalMove { move_index: 0 })
         );
-        let rep = Executor::new()
-            .with_diagonal_moves(true)
-            .run(&g, &s)
-            .unwrap();
-        assert!(rep.final_grid.get_unchecked(1, 1));
     }
 
     #[test]

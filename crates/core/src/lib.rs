@@ -50,7 +50,7 @@
 //! | [`target`] | target-region specification and feasibility checks |
 //! | [`moves`] | [`ParallelMove`](moves::ParallelMove): the AOD trap-grid move primitive |
 //! | [`schedule`] | [`Schedule`](schedule::Schedule), statistics, physical motion-time model |
-//! | [`aod`] | AOD cross-product legality checking and greedy move batching |
+//! | [`aod`] | [`AodBatcher`](aod::AodBatcher): greedy batching of mover sets into AOD cross-product moves |
 //! | [`quadrant`] | split/flip/restore coordinate mapping (paper §III-B, Fig. 4) |
 //! | [`kernel`] | canonical per-quadrant shift kernel, greedy and balanced strategies (paper §IV-C, Fig. 6) |
 //! | [`bitline`] | bit-vector line primitives shared with the FPGA model |
@@ -60,7 +60,7 @@
 //! | [`planner`] | [`Planner`](planner::Planner): the unified planner interface every algorithm implements |
 //! | [`scheduler`] | [`QrmScheduler`](scheduler::QrmScheduler): the top-level QRM planner |
 //! | [`typical`] | the "typical rearrangement procedure" of paper §III-A |
-//! | [`executor`] | schedule execution, validation, loss injection, defect checks |
+//! | [`executor`] | the one move semantics: schedule execution, validation, loss injection, defect checks |
 //! | [`trace`] | replayable move traces, [`TraceReplayer`](trace::TraceReplayer) independent witness |
 //!
 //! ## Architecture: pool + `Planner`

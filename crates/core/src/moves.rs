@@ -17,7 +17,8 @@ use crate::geometry::{Axis, Direction, Position};
 /// The AOD selects the cross product `rows x cols`; every **occupied**
 /// selected site is picked up and translated by `delta = (dr, dc)`.
 /// Planners must ensure every atom caught in the cross product is one they
-/// intend to move (see [`crate::aod`] for the legality check and batching).
+/// intend to move (see [`crate::aod`] for batching mover sets into such
+/// moves).
 ///
 /// ```
 /// use qrm_core::moves::ParallelMove;
@@ -167,23 +168,6 @@ impl fmt::Display for ParallelMove {
     }
 }
 
-/// Record of one atom's displacement during schedule execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
-pub struct MoveRecord {
-    /// Index of the [`ParallelMove`] within the schedule.
-    pub move_index: usize,
-    /// Site the atom left.
-    pub from: Position,
-    /// Site the atom arrived at.
-    pub to: Position,
-}
-
-impl fmt::Display for MoveRecord {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "#{}: {} -> {}", self.move_index, self.from, self.to)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,11 +225,5 @@ mod tests {
     fn display_forms() {
         let mv = ParallelMove::new(vec![1, 2], vec![3], 0, -1).unwrap();
         assert_eq!(mv.to_string(), "move 2r x 1c by (+0, -1)");
-        let rec = MoveRecord {
-            move_index: 2,
-            from: Position::new(0, 1),
-            to: Position::new(0, 0),
-        };
-        assert_eq!(rec.to_string(), "#2: (0, 1) -> (0, 0)");
     }
 }

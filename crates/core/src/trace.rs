@@ -315,7 +315,7 @@ mod tests {
         let events: usize = trace.events();
         assert_eq!(
             events,
-            report.records.len() + report.lost_atoms + report.ejected_atoms / 2
+            report.atom_moves + report.lost_atoms + report.ejected_atoms / 2
         );
     }
 

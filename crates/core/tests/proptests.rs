@@ -1,10 +1,15 @@
 //! Property-based tests for the core data structures.
 
+use proptest::collection;
 use proptest::prelude::*;
 use qrm_core::bitline;
+use qrm_core::executor::{CollisionPolicy, Executor, PathPolicy};
 use qrm_core::geometry::{Position, Rect};
 use qrm_core::grid::AtomGrid;
+use qrm_core::moves::ParallelMove;
 use qrm_core::quadrant::QuadrantMap;
+use qrm_core::schedule::Schedule;
+use qrm_core::trace::{ShotTrace, TraceReplayer};
 use rand::SeedableRng;
 
 /// Even-sided grids, up to 30 sites on one side and 140 on the other in
@@ -23,6 +28,40 @@ fn arb_grid() -> impl Strategy<Value = AtomGrid> {
             let (h, w) = if tall { (long, short) } else { (short, long) };
             AtomGrid::random(h * 2, w * 2, fill, &mut rng)
         })
+}
+
+/// One raw move: a row and a column selection, each a base (a fraction
+/// of the side) plus up to three offsets of 0–3 sites, so co-moving atoms
+/// often sit closer than the step; an axis (0–2 row, 3–5 column, 6
+/// diagonal); and a signed step of 1–3 sites, 0 meaning +1.
+type RawMove = ((f64, Vec<usize>), (f64, Vec<usize>), u8, isize);
+
+fn arb_moves() -> impl Strategy<Value = Vec<RawMove>> {
+    let selection = || (0.0f64..1.0, collection::vec(0usize..4, 1..4));
+    collection::vec((selection(), selection(), 0u8..7, -3isize..4), 1..6)
+}
+
+/// The schedule `raw` describes on `grid`. Selections are clamped to the
+/// array, but steps are not, so atoms near an edge can be pushed out.
+fn schedule_from(grid: &AtomGrid, raw: &[RawMove]) -> Schedule {
+    let (height, width) = grid.dims();
+    let lines = |(base, offsets): &(f64, Vec<usize>), side: usize| -> Vec<usize> {
+        let base = (base * side as f64) as usize;
+        offsets.iter().map(|o| (base + o).min(side - 1)).collect()
+    };
+    let mut schedule = Schedule::new(height, width);
+    for (rows, cols, axis, step) in raw {
+        let step = if *step == 0 { 1 } else { *step };
+        let (dr, dc) = match axis {
+            0..=2 => (0, step),
+            3..=5 => (step, 0),
+            _ => (step, -step),
+        };
+        let mv = ParallelMove::new(lines(rows, height), lines(cols, width), dr, dc)
+            .expect("nonempty selections and a nonzero step");
+        schedule.push(mv);
+    }
+    schedule
 }
 
 fn arb_line() -> impl Strategy<Value = (Vec<u64>, usize)> {
@@ -179,5 +218,44 @@ proptest! {
         prop_assert_eq!(grid.is_filled(&rect).unwrap(), pointwise == rect.area());
         let whole = Rect::new(0, 0, height, width);
         prop_assert_eq!(grid.count_in(&whole).unwrap(), grid.atom_count());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn every_run_applies_the_same_move_semantics(
+        grid in arb_grid(),
+        raw in arb_moves(),
+        loss_prob in 0.0f64..1.0,
+        seed in any::<u64>(),
+    ) {
+        let schedule = schedule_from(&grid, &raw);
+        for path in [PathPolicy::Strict, PathPolicy::EndpointsOnly] {
+            for collision in [CollisionPolicy::Fail, CollisionPolicy::Eject] {
+                let executor = Executor::new()
+                    .with_path_policy(path)
+                    .with_collision_policy(collision);
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                prop_assert_eq!(
+                    executor.run_with_loss(&grid, &schedule, 0.0, &mut rng),
+                    executor.run(&grid, &schedule),
+                    "{:?} {:?}: lossless run differs from run",
+                    path,
+                    collision
+                );
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                if let Ok((report, round)) =
+                    executor.run_with_loss_traced(&grid, &schedule, loss_prob, &mut rng)
+                {
+                    let trace = ShotTrace { rounds: vec![round] };
+                    prop_assert_eq!(
+                        TraceReplayer::replay(&grid, &trace),
+                        Ok(report.final_grid)
+                    );
+                }
+            }
+        }
     }
 }

@@ -51,7 +51,6 @@
 
 pub mod accelerator;
 pub mod clock;
-pub mod fifo;
 pub mod latency;
 pub mod ldm;
 pub mod memory;

@@ -13,8 +13,6 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use rayon::prelude::*;
-
 /// Spin-wait work whose cost scales with `units`, opaque to the
 /// optimiser.
 fn busy_work(units: usize) -> u64 {
@@ -67,10 +65,15 @@ fn uneven_job_sizes_fill_every_slot_in_order() {
     // deques + FIFO stealing the tiny jobs migrate while the big one
     // runs, and slot-indexed results keep the output order exact.
     let sizes: Vec<usize> = (0..64).map(|i| if i == 0 { 2000 } else { i % 7 }).collect();
-    let results: Vec<(usize, u64)> = sizes
-        .clone()
-        .into_par_iter()
-        .map(|units| (units, busy_work(units)))
+    let slots: Vec<Mutex<Option<(usize, u64)>>> = sizes.iter().map(|_| Mutex::new(None)).collect();
+    rayon::scope(|s| {
+        for (&units, slot) in sizes.iter().zip(&slots) {
+            s.spawn(move |_| *slot.lock().unwrap() = Some((units, busy_work(units))));
+        }
+    });
+    let results: Vec<(usize, u64)> = slots
+        .into_iter()
+        .map(|slot| slot.into_inner().unwrap().expect("every slot filled"))
         .collect();
     assert_eq!(results.len(), sizes.len());
     for (slot, (units, value)) in results.iter().enumerate() {
@@ -116,7 +119,13 @@ fn panicking_jobs_neither_deadlock_nor_kill_workers() {
         );
     }
     // Workers survived: the pool still runs jobs, on the same threads.
-    let check: Vec<usize> = (0..32usize).into_par_iter().map(|x| x * 3).collect();
+    let check: Vec<AtomicUsize> = (0..32).map(|_| AtomicUsize::new(0)).collect();
+    rayon::scope(|s| {
+        for (x, slot) in check.iter().enumerate() {
+            s.spawn(move |_| slot.store(x * 3, Ordering::SeqCst));
+        }
+    });
+    let check: Vec<usize> = check.into_iter().map(AtomicUsize::into_inner).collect();
     assert_eq!(check, (0..32usize).map(|x| x * 3).collect::<Vec<_>>());
     let after = rayon::global_pool_stats();
     assert_eq!(
@@ -162,9 +171,8 @@ fn stealing_preserves_slot_indexed_determinism_under_load() {
     // A mixed workload re-run repeatedly must produce the same results
     // every time regardless of which threads steal what, and local
     // pops + steals + injector takes all feed the same executed-jobs
-    // counter (monotone view). Spawned through `scope` directly — one
-    // pool job per slot — so the pool is exercised even on a 1-core
-    // host where the parallel iterators fall back to inline execution.
+    // counter (monotone view). One scoped pool job per slot, so the
+    // pool is exercised even on a 1-core host.
     let expected: Vec<u64> = (0..48usize).map(|i| busy_work(i % 11)).collect();
     let baseline = rayon::global_pool_stats();
     for _ in 0..5 {
