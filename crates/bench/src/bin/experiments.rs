@@ -686,7 +686,8 @@ fn print_fig7b() {
         "{:<32} {:>12} {:>10} {:>12} {:>8}",
         "planner", "analysis_us", "rel_qrm", "paper_us", "filled"
     );
-    for row in fig7b(5, 8) {
+    let (reps, instances) = (5, 8);
+    for row in fig7b(reps, instances) {
         println!(
             "{:<32} {:>12.2} {:>9.2}x {:>12} {:>5}/{}",
             row.name,
@@ -701,7 +702,11 @@ fn print_fig7b() {
             row.total
         );
     }
-    println!("(paper_us: 0.9 quoted for the FPGA; baselines derived from the quoted 20x/246x/1000x ratios)\n");
+    println!(
+        "(paper_us: 0.9 quoted for the FPGA; baselines derived from the quoted 20x/246x/1000x ratios.\n \
+         analysis_us: each row's best of {reps} warm timed runs over all {instances} instances, one per\n \
+         pass over all rows, the passes 20 ms apart, divided by {instances}.)\n"
+    );
 }
 
 fn print_fig8() {
@@ -718,7 +723,8 @@ fn print_fig8() {
 
 fn print_headline() {
     println!("== Headline: 50x50 -> 30x30 rearrangement analysis ==");
-    let h = headline(15);
+    let reps = 15;
+    let h = headline(reps);
     println!(
         "  FPGA model:         {:.2} us ({} cycles @ 250 MHz)  [paper: ~1.0 us]",
         h.fpga_us, h.cycles
@@ -735,7 +741,9 @@ fn print_headline() {
         "  Tetris (this host): {:.0} us -> {:.0}x vs FPGA      [paper: ~300x vs Tetris on the RFSoC ARM core]",
         h.tetris_us, h.vs_tetris_host
     );
-    println!();
+    println!(
+        "  (CPU and Tetris times: best of {reps} warm timed calls, one per pass, 20 ms apart)\n"
+    );
 }
 
 fn print_quality() {
@@ -793,7 +801,8 @@ fn print_ablations() {
 fn print_engine() {
     println!("== E-x5: parallel planning engine, serial vs batched (100x100, 16 shots) ==");
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let (serial_us, rows) = engine_scaling(100, 16, 5);
+    let reps = 5;
+    let (serial_us, rows) = engine_scaling(100, 16, reps);
     println!("{:>22} {:>14} {:>10}", "", "batch_us", "speedup");
     println!(
         "{:>22} {serial_us:>14.0} {:>9.2}x",
@@ -807,7 +816,8 @@ fn print_engine() {
         println!("{label:>22} {:>14.0} {:>9.2}x", row.batch_us, row.speedup);
     }
     println!(
-        "(host has {cores} core(s); speedup > 1 requires > 1 — the software analogue of the\n paper's four parallel QPMs. Plans are bit-identical to the serial path either way.)\n"
+        "(host has {cores} core(s); speedup > 1 requires > 1 — the software analogue of the\n paper's four parallel QPMs. Plans are bit-identical to the serial path either way.\n \
+         Each row: best of {reps} warm timed calls, one per pass over all rows, 20 ms apart.)\n"
     );
 }
 

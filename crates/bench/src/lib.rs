@@ -199,19 +199,33 @@ pub fn paper_instance(size: usize, seed: u64) -> (AtomGrid, Rect) {
     (grid, target)
 }
 
-/// Best wall time of `f` over `reps` timed runs (at least one), in
-/// microseconds, after one untimed warm-up call. Host load only ever
-/// adds time, so the best run is the steadiest estimate of the work
-/// itself (perfbench reduces each input to its best time too).
-pub fn best_us<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    std::hint::black_box(f());
-    (0..reps.max(1))
-        .map(|_| {
+/// Pause between the timing passes of [`best_us_over_passes`].
+const PASS_GAP: Duration = Duration::from_millis(20);
+
+/// Times the `cells` of a table, in microseconds: cell `i` is one call of
+/// `run(i)`, and each cell's time is its best of `reps` timed calls (at
+/// least one), one per pass over all cells. Host load only ever adds
+/// time, so the best call is the steadiest estimate of the work itself
+/// (perfbench reduces each input to its best time too). Within a pass
+/// every timed call follows an untimed call of the same cell, so it runs
+/// warm, and the passes are 20 ms apart: a table takes tens of
+/// milliseconds of CPU, so back-to-back reps would all fall inside one
+/// loaded stretch of the host. `run` should pass its results through
+/// [`std::hint::black_box`].
+pub fn best_us_over_passes(reps: usize, cells: usize, mut run: impl FnMut(usize)) -> Vec<f64> {
+    let mut best = vec![f64::INFINITY; cells];
+    for pass in 0..reps.max(1) {
+        if pass > 0 {
+            std::thread::sleep(PASS_GAP);
+        }
+        for (cell, best) in best.iter_mut().enumerate() {
+            run(cell);
             let t0 = Instant::now();
-            std::hint::black_box(f());
-            t0.elapsed().as_secs_f64() * 1e6
-        })
-        .fold(f64::INFINITY, f64::min)
+            run(cell);
+            *best = best.min(t0.elapsed().as_secs_f64() * 1e6);
+        }
+    }
+    best
 }
 
 /// One row of the Fig. 7(a) reproduction.
@@ -235,49 +249,34 @@ pub struct Fig7aRow {
     pub paper_speedup: Option<f64>,
 }
 
-/// Pause between [`fig7a`]'s timing passes.
-const FIG7A_PASS_GAP: Duration = Duration::from_millis(20);
-
 /// E-7a: CPU vs FPGA execution time across array sizes 10..90.
 ///
-/// Each CPU cell is its best of `reps` timed calls (at least one), one
-/// per pass over all sizes. Within a pass every timed call follows an
-/// untimed call of the same cell, so it runs warm, and the passes are
-/// 20 ms apart: the whole table takes tens of milliseconds of CPU, so
-/// back-to-back reps would all fall inside one loaded stretch of the
-/// host.
+/// Each size has two CPU cells (the full plan and the kernels alone),
+/// timed by [`best_us_over_passes`] with `reps` passes.
 pub fn fig7a(reps: usize) -> Vec<Fig7aRow> {
     let paper_fpga = [(10, 0.8), (30, 0.9), (50, 1.0), (70, 1.4), (90, 1.9)];
     let paper_speedup = [(50usize, 54.0), (90, 134.0)];
     let scheduler = QrmScheduler::new(QrmConfig::paper());
     let accel = QrmAccelerator::new(AcceleratorConfig::paper());
-    // Per size: the instance and its best (cpu_us, cpu_kernel_us) so far.
-    let mut cells: Vec<(AtomGrid, Rect, f64, f64)> = paper_fpga
+    let instances: Vec<(AtomGrid, Rect)> = paper_fpga
         .iter()
-        .map(|&(size, _)| {
-            let (grid, target) = paper_instance(size, 1000 + size as u64);
-            (grid, target, f64::INFINITY, f64::INFINITY)
-        })
+        .map(|&(size, _)| paper_instance(size, 1000 + size as u64))
         .collect();
-    for pass in 0..reps.max(1) {
-        if pass > 0 {
-            std::thread::sleep(FIG7A_PASS_GAP);
+    let times = best_us_over_passes(reps, 2 * instances.len(), |cell| {
+        let (grid, target) = &instances[cell / 2];
+        if cell % 2 == 0 {
+            std::hint::black_box(scheduler.plan(grid, target).expect("plan"));
+        } else {
+            std::hint::black_box(scheduler.quadrant_outcomes(grid, target).expect("plan"));
         }
-        for (grid, target, cpu_us, cpu_kernel_us) in &mut cells {
-            let full = best_us(1, || scheduler.plan(grid, target).expect("plan"));
-            let kernel = best_us(1, || {
-                scheduler.quadrant_outcomes(grid, target).expect("plan")
-            });
-            *cpu_us = cpu_us.min(full);
-            *cpu_kernel_us = cpu_kernel_us.min(kernel);
-        }
-    }
+    });
     paper_fpga
         .iter()
-        .zip(cells)
-        .map(|(&(size, paper_us), cell)| {
-            let (grid, target, cpu_us, cpu_kernel_us) = cell;
-            let fpga_us = accel.run(&grid, &target).expect("run").time_us;
+        .zip(&instances)
+        .zip(times.chunks(2))
+        .map(|((&(size, paper_us), (grid, target)), cpu)| {
+            let (cpu_us, cpu_kernel_us) = (cpu[0], cpu[1]);
+            let fpga_us = accel.run(grid, target).expect("run").time_us;
             Fig7aRow {
                 size,
                 cpu_us,
@@ -335,43 +334,51 @@ pub fn fig7b(reps: usize, instances: usize) -> Vec<Fig7bRow> {
         (&mta1, 5400.0),
     ];
 
-    let mut rows = Vec::new();
-    // The paper's CPU measurement scope: kernel analysis only.
-    let qrm_kernel_us = best_us(reps, || {
+    let balanced = QrmScheduler::new(QrmConfig::default());
+    // Cell 0 is the kernel analysis alone (the paper's CPU measurement
+    // scope); cell `i > 0` is the full plan of `timed[i - 1]`: every
+    // planner above, then the balanced extension.
+    let timed: Vec<&dyn Planner> = planners
+        .iter()
+        .map(|&(planner, _)| planner)
+        .chain([&balanced as &dyn Planner])
+        .collect();
+    let times = best_us_over_passes(reps, timed.len() + 1, |cell| {
         for (grid, target) in &grids {
-            std::hint::black_box(qrm.quadrant_outcomes(grid, target).expect("plan"));
-        }
-    }) / instances as f64;
-    let mut qrm_us = f64::NAN;
-    for (planner, paper_us) in planners {
-        let mut filled = 0usize;
-        let analysis_us = best_us(reps, || {
-            for (grid, target) in &grids {
-                std::hint::black_box(planner.plan(grid, target).expect("plan"));
+            if cell == 0 {
+                std::hint::black_box(qrm.quadrant_outcomes(grid, target).expect("plan"));
+            } else {
+                std::hint::black_box(timed[cell - 1].plan(grid, target).expect("plan"));
             }
-        }) / instances as f64;
+        }
+    });
+    let per_instance = |cell: usize| times[cell] / instances as f64;
+    let qrm_us = per_instance(1);
+
+    let mut rows = Vec::new();
+    for (i, (planner, paper_us)) in planners.iter().enumerate() {
+        let analysis_us = per_instance(i + 1);
         // sanity: schedules must execute under the planner's own
         // transport contract — supplied by the trait, not guessed here.
         let executor = planner.executor();
+        let mut filled = 0usize;
         for (grid, target) in &grids {
             let plan = planner.plan(grid, target).expect("plan");
             executor.run(grid, &plan.schedule).expect("valid schedule");
             filled += usize::from(plan.filled);
         }
-        if planner.name().starts_with("QRM") {
-            qrm_us = analysis_us;
-        }
         rows.push(Fig7bRow {
             name: planner.name(),
             analysis_us,
             relative: analysis_us / qrm_us,
-            paper_us,
+            paper_us: *paper_us,
             filled,
             total: instances,
         });
     }
 
     // The kernel-only row (paper CPU scope) and the balanced extension.
+    let qrm_kernel_us = per_instance(0);
     rows.insert(
         1,
         Fig7bRow {
@@ -383,12 +390,7 @@ pub fn fig7b(reps: usize, instances: usize) -> Vec<Fig7bRow> {
             total: instances,
         },
     );
-    let balanced = QrmScheduler::new(QrmConfig::default());
-    let bal_us = best_us(reps, || {
-        for (grid, target) in &grids {
-            std::hint::black_box(balanced.plan(grid, target).expect("plan"));
-        }
-    }) / instances as f64;
+    let bal_us = per_instance(timed.len());
     let bal_filled: usize = grids
         .iter()
         .map(|(g, t)| usize::from(balanced.plan(g, t).expect("plan").filled))
@@ -481,13 +483,18 @@ pub fn headline(reps: usize) -> Headline {
     let (grid, target) = paper_instance(50, 42);
     let scheduler = QrmScheduler::new(QrmConfig::paper());
     let accel = QrmAccelerator::new(AcceleratorConfig::paper());
-    let cpu_full_us = best_us(reps, || scheduler.plan(&grid, &target).expect("plan"));
-    let cpu_kernel_us = best_us(reps, || {
-        scheduler.quadrant_outcomes(&grid, &target).expect("plan")
-    });
-    let report = accel.run(&grid, &target).expect("run");
     let tetris = TetrisScheduler::default();
-    let tetris_us = best_us(reps.max(3), || tetris.plan(&grid, &target).expect("plan"));
+    let times = best_us_over_passes(reps, 3, |cell| {
+        if cell == 0 {
+            std::hint::black_box(scheduler.plan(&grid, &target).expect("plan"));
+        } else if cell == 1 {
+            std::hint::black_box(scheduler.quadrant_outcomes(&grid, &target).expect("plan"));
+        } else {
+            std::hint::black_box(tetris.plan(&grid, &target).expect("plan"));
+        }
+    });
+    let (cpu_full_us, cpu_kernel_us, tetris_us) = (times[0], times[1], times[2]);
+    let report = accel.run(&grid, &target).expect("run");
     Headline {
         fpga_us: report.time_us,
         cpu_full_us,
@@ -640,19 +647,25 @@ pub struct EngineRow {
 pub fn engine_scaling(size: usize, shots: usize, reps: usize) -> (f64, [EngineRow; 2]) {
     let jobs = engine_workload(size, shots);
     let serial = QrmScheduler::new(QrmConfig::default());
-    let serial_us = best_us(reps, || {
-        jobs.iter()
-            .map(|(g, t)| serial.plan(g, t).expect("plan"))
-            .collect::<Vec<_>>()
-    });
-    let rows = [1, 0].map(|workers| {
-        let scheduler = QrmScheduler::new(QrmConfig::default()).with_workers(workers);
-        let batch_us = best_us(reps, || scheduler.plan_batch(&jobs).expect("plan"));
-        EngineRow {
-            workers,
-            batch_us,
-            speedup: serial_us / batch_us,
+    let workers = [1, 0];
+    let batched = workers.map(|w| QrmScheduler::new(QrmConfig::default()).with_workers(w));
+    // Cell 0 is the serial baseline, cell `i > 0` the batch on `batched[i - 1]`.
+    let times = best_us_over_passes(reps, 1 + batched.len(), |cell| {
+        if cell == 0 {
+            std::hint::black_box(
+                jobs.iter()
+                    .map(|(g, t)| serial.plan(g, t).expect("plan"))
+                    .collect::<Vec<_>>(),
+            );
+        } else {
+            std::hint::black_box(batched[cell - 1].plan_batch(&jobs).expect("plan"));
         }
+    });
+    let serial_us = times[0];
+    let rows = std::array::from_fn(|i| EngineRow {
+        workers: workers[i],
+        batch_us: times[i + 1],
+        speedup: serial_us / times[i + 1],
     });
     (serial_us, rows)
 }
@@ -1312,6 +1325,14 @@ mod tests {
     #[test]
     fn latency_model_consistent() {
         assert!(latency_model_check());
+    }
+
+    #[test]
+    fn every_pass_times_each_cell_once_after_an_untimed_call() {
+        let mut calls = [0usize; 3];
+        let times = best_us_over_passes(2, 3, |cell| calls[cell] += 1);
+        assert_eq!(calls, [4, 4, 4]);
+        assert!(times.iter().all(|t| t.is_finite() && *t >= 0.0));
     }
 
     #[test]

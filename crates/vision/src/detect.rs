@@ -1,4 +1,9 @@
 //! Atom detection: per-trap photometry and thresholding.
+//!
+//! The background level is the frame's 25th-percentile pixel, read by
+//! selection (`select_nth_unstable_by`, linear time) instead of a sort of
+//! the whole frame (`n log n`): selection returns the element a sort
+//! would put at that index, so the estimate is the same either way.
 
 use qrm_core::error::Error;
 use qrm_core::grid::AtomGrid;
@@ -98,12 +103,14 @@ impl Detector {
         layout: &TrapLayout,
     ) -> Result<DetectionReport, Error> {
         let (rows, cols) = (layout.rows(), layout.cols());
-        // Background estimate: median of ROI-corner samples is overkill;
-        // a global per-pixel mean over non-ROI pixels suffices at these
-        // SNRs. Use the frame's lower percentile as a robust estimate.
-        let mut sorted: Vec<f32> = frame.pixels().to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs in frames"));
-        let background = sorted[sorted.len() / 4] as f64;
+        // Background estimate: the frame's 25th-percentile pixel, a
+        // robust floor at these SNRs.
+        let mut pixels: Vec<f32> = frame.pixels().to_vec();
+        let quartile = pixels.len() / 4;
+        let (_, &mut background, _) = pixels.select_nth_unstable_by(quartile, |a, b| {
+            a.partial_cmp(b).expect("no NaNs in frames")
+        });
+        let background = f64::from(background);
 
         let r = self.roi_radius_px as isize;
         let roi_area = ((2 * r + 1) * (2 * r + 1)) as f64;

@@ -5,7 +5,7 @@ use rand::Rng;
 use qrm_core::grid::AtomGrid;
 
 use crate::layout::TrapLayout;
-use crate::noise::{poisson, standard_normal};
+use crate::noise::{standard_normal, Poisson};
 
 /// Physical parameters of the imaging model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,16 +83,6 @@ impl FluorescenceImage {
         }
     }
 
-    /// Mutable pixel access.
-    ///
-    /// # Panics
-    ///
-    /// Panics outside the frame.
-    pub fn at_mut(&mut self, y: usize, x: usize) -> &mut f32 {
-        assert!(y < self.height && x < self.width, "pixel out of frame");
-        &mut self.pixels[y * self.width + x]
-    }
-
     /// Raw pixel buffer (row-major).
     pub fn pixels(&self) -> &[f32] {
         &self.pixels
@@ -109,6 +99,13 @@ impl FluorescenceImage {
 /// Every occupied trap emits a Poisson-distributed photon count spread
 /// over a Gaussian PSF; background photons and Gaussian read noise are
 /// added per pixel.
+///
+/// The PSF is separable: a spot's weight at `(y, x)` is its trap row's
+/// Gaussian factor at `y` times its trap column's factor at `x`. The
+/// factors are computed once per trap row and trap column, so an atom
+/// costs multiplies, not `exp()` calls, whether or not the trap centres
+/// fall on whole pixels. The background sampler's table is built once
+/// per call for the configured mean (see [`crate::noise`]).
 pub fn render<R: Rng + ?Sized>(
     truth: &AtomGrid,
     layout: &TrapLayout,
@@ -124,35 +121,58 @@ pub fn render<R: Rng + ?Sized>(
     let mut img = FluorescenceImage::new(h, w);
 
     // Atom spots.
-    let reach = (4.0 * config.psf_sigma_px).ceil() as isize;
-    let sigma2 = config.psf_sigma_px * config.psf_sigma_px;
-    let norm = 1.0 / (2.0 * std::f64::consts::PI * sigma2);
+    let sigma = config.psf_sigma_px;
+    let rows = psf_axis((0..layout.rows()).map(|r| layout.center(r, 0).0), h, sigma);
+    let cols = psf_axis((0..layout.cols()).map(|c| layout.center(0, c).1), w, sigma);
+    let photons = Poisson::new(config.photons_per_atom);
     for p in truth.occupied() {
-        let (cy, cx) = layout.center(p.row, p.col);
-        let photons = poisson(config.photons_per_atom, rng) as f64;
-        let iy = cy.round() as isize;
-        let ix = cx.round() as isize;
-        for dy in -reach..=reach {
-            for dx in -reach..=reach {
-                let (y, x) = (iy + dy, ix + dx);
-                if y < 0 || x < 0 || y as usize >= h || x as usize >= w {
-                    continue;
-                }
-                let fy = y as f64 - cy;
-                let fx = x as f64 - cx;
-                let weight = norm * (-(fy * fy + fx * fx) / (2.0 * sigma2)).exp();
-                *img.at_mut(y as usize, x as usize) += (photons * weight) as f32;
+        let count = photons.sample(rng) as f64;
+        let (x0, fx) = &cols[p.col];
+        let (y0, fy) = &rows[p.row];
+        for (y, gy) in (*y0..).zip(fy) {
+            let scale = count * gy;
+            let line = &mut img.pixels[y * w + x0..][..fx.len()];
+            for (px, gx) in line.iter_mut().zip(fx) {
+                *px += (scale * gx) as f32;
             }
         }
     }
 
     // Background + read noise.
+    let background = Poisson::new(config.background_per_px);
     for px in img.pixels.iter_mut() {
-        let bg = poisson(config.background_per_px, rng) as f64;
+        let bg = background.sample(rng) as f64;
         let read = config.read_noise * standard_normal(rng);
         *px = (*px as f64 + bg + read).max(0.0) as f32;
     }
     img
+}
+
+/// One axis of the separable PSF. For each trap centre on the axis: the
+/// first pixel its spot covers and the normalised 1-D Gaussian factors
+/// from there, out to four sigma and clipped to the frame's `pixels`.
+fn psf_axis(
+    centres: impl Iterator<Item = f64>,
+    pixels: usize,
+    sigma: f64,
+) -> Vec<(usize, Vec<f64>)> {
+    let reach = (4.0 * sigma).ceil() as isize;
+    // The 2-D normalisation 1 / (2π σ²), split evenly over the two axes.
+    let norm = 1.0 / ((2.0 * std::f64::consts::PI).sqrt() * sigma);
+    centres
+        .map(|centre| {
+            let nearest = centre.round() as isize;
+            let first = (nearest - reach).max(0);
+            let last = (nearest + reach).min(pixels as isize - 1);
+            let factors = (first..=last)
+                .map(|p| {
+                    let d = p as f64 - centre;
+                    norm * (-(d * d) / (2.0 * sigma * sigma)).exp()
+                })
+                .collect();
+            (first as usize, factors)
+        })
+        .collect()
 }
 
 #[cfg(test)]
