@@ -3,8 +3,8 @@
 //!
 //! Usage: `cargo run --release -p qrm-bench --bin experiments -- [cmd]`
 //! where `cmd` is one of `fig7a`, `fig7b`, `fig8`, `headline`,
-//! `quality`, `ablations`, `engine`, `system`, `sweep`, `serve`,
-//! `route`, or `all` (default; every command except `route`).
+//! `quality`, `ablations`, `engine`, `kernels`, `system`, `sweep`,
+//! `serve`, `route`, or `all` (default; every command except `route`).
 //!
 //! `sweep` runs the full image→detect→plan→execute pipeline for one or
 //! all seven planners and prints per-planner fill/round/motion numbers
@@ -69,7 +69,7 @@ use qrm_bench::*;
 
 /// Every command `main` dispatches on; anything else prints this list
 /// and exits 2.
-const COMMANDS: [&str; 12] = [
+const COMMANDS: [&str; 13] = [
     "fig7a",
     "fig7b",
     "fig8",
@@ -77,6 +77,7 @@ const COMMANDS: [&str; 12] = [
     "quality",
     "ablations",
     "engine",
+    "kernels",
     "system",
     "sweep",
     "serve",
@@ -108,6 +109,9 @@ fn main() {
     }
     if all || cmd == "engine" {
         print_engine();
+    }
+    if all || cmd == "kernels" {
+        print_kernels();
     }
     if all || cmd == "system" {
         print_system();
@@ -686,7 +690,9 @@ fn print_fig7b() {
         "{:<32} {:>12} {:>10} {:>12} {:>8}",
         "planner", "analysis_us", "rel_qrm", "paper_us", "filled"
     );
-    let (reps, instances) = (5, 8);
+    // A pass over the table's cells takes about 25 ms of CPU, so 15
+    // passes, 20 ms apart, span about as long as `engine`'s five.
+    let (reps, instances) = (15, 8);
     for row in fig7b(reps, instances) {
         println!(
             "{:<32} {:>12.2} {:>9.2}x {:>12} {:>5}/{}",
@@ -818,6 +824,18 @@ fn print_engine() {
     println!(
         "(host has {cores} core(s); speedup > 1 requires > 1 — the software analogue of the\n paper's four parallel QPMs. Plans are bit-identical to the serial path either way.\n \
          Each row: best of {reps} warm timed calls, one per pass over all rows, 20 ms apart.)\n"
+    );
+}
+
+fn print_kernels() {
+    println!("== Kernel primitives at the headline quadrant size (25x25, 15x15 corner target) ==");
+    let reps = 20;
+    for (name, us) in kernels(reps) {
+        println!("{name:>22} {us:>10.3} us per call");
+    }
+    println!(
+        "(each row: best of {reps} warm timed cells, one per pass over all rows, 20 ms apart;\n \
+         a cell repeats its primitive so that it runs well above the timer's resolution)\n"
     );
 }
 

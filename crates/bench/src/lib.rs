@@ -3,8 +3,9 @@
 //! Shared workload generation, timing helpers, and one function per
 //! table/figure of the paper (experiments E-7a … E-x5; the workspace
 //! README's "Reproduced results" section indexes them). The
-//! `experiments` binary prints the tables; the Criterion benches in
-//! `benches/` measure the wall-clock analysis times on this machine.
+//! `experiments` binary prints the tables, and its `kernels` command
+//! times the kernel primitives ([`kernels`]); every timed cell goes
+//! through [`best_us_over_passes`].
 //!
 //! Paper reference numbers carried in the rows come from two sources:
 //! values the text quotes directly (1.0 µs at 50×50, 54× and 134×
@@ -35,46 +36,43 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use qrm_baselines::{HybridScheduler, Mta1Scheduler, PscaScheduler, TetrisScheduler};
+use qrm_baselines::{Mta1Scheduler, PscaScheduler, TetrisScheduler};
 use qrm_control::pipeline::{Pipeline, PipelineConfig, PipelineReport, PlannerChoice};
 use qrm_control::system::{Architecture, SystemModel};
-use qrm_core::geometry::Rect;
+use qrm_core::bitline;
+use qrm_core::geometry::{Axis, Rect};
 use qrm_core::grid::AtomGrid;
-use qrm_core::kernel::KernelStrategy;
+use qrm_core::kernel::{plan_row_windows, run_pass, KernelConfig, KernelStrategy, ShiftKernel};
 use qrm_core::loading::{seeded_rng, LoadModel};
 use qrm_core::planner::Planner;
 use qrm_core::scheduler::{QrmConfig, QrmScheduler};
 use qrm_core::typical::TypicalScheduler;
-use qrm_fpga::accelerator::{AcceleratorConfig, QrmAccelerator};
-use qrm_fpga::latency::LatencyModel;
+use qrm_fpga::accelerator::{AcceleratorConfig, CycleBreakdown, QrmAccelerator};
 use qrm_fpga::resources::ResourceModel;
+use qrm_fpga::shift_unit::{LineJob, ShiftUnit};
 use qrm_wire::ToJson;
 
 /// Every planner of the workspace as a `dyn Planner` trait object — QRM
 /// (software, paper config), the typical §III-A procedure, the three
-/// published baselines, the hybrid extension, and the cycle-accurate
-/// FPGA model. This is the harness's single construction point: all
-/// benchmark and contract code dispatches through the trait (executor
-/// policy included, via [`Planner::executor`]), so adding a planner here
-/// adds it to every comparison with no new match arms.
+/// published baselines, the hybrid extension, and the FPGA model: the
+/// [`planner_choices`] resolved at the automatic worker count, in the
+/// same order. All benchmark and contract code dispatches through the
+/// trait (executor policy included, via [`Planner::executor`]), so
+/// adding a planner to the registry adds it to every comparison with no
+/// new match arms.
 pub fn planner_matrix() -> Vec<Box<dyn Planner>> {
-    vec![
-        Box::new(QrmScheduler::new(QrmConfig::paper())),
-        Box::new(TypicalScheduler::default()),
-        Box::new(TetrisScheduler::default()),
-        Box::new(PscaScheduler::default()),
-        Box::new(Mta1Scheduler::default()),
-        Box::new(HybridScheduler::default()),
-        Box::new(QrmAccelerator::new(AcceleratorConfig::paper())),
-    ]
+    planner_choices()
+        .into_iter()
+        .map(|(_, choice)| choice.resolve(0))
+        .collect()
 }
 
 /// The seven planners as **pipeline configurations**
 /// ([`PlannerChoice`]), keyed by the CLI name the `experiments` binary
-/// accepts. This is the config-level twin of [`planner_matrix`] (same
-/// seven planners, same order), for consumers that need to *construct*
-/// pipelines — end-to-end sweeps, the cross-worker determinism suite —
-/// rather than dispatch through `dyn Planner`.
+/// accepts: the harness's single construction point, which
+/// [`planner_matrix`] resolves for consumers that dispatch through
+/// `dyn Planner` and end-to-end sweeps and the cross-worker determinism
+/// suite use to *construct* pipelines.
 pub fn planner_choices() -> Vec<(&'static str, PlannerChoice)> {
     vec![
         ("qrm", PlannerChoice::Software(QrmConfig::paper())),
@@ -567,13 +565,14 @@ pub fn ablation_quadrants() -> Vec<(usize, f64, f64)> {
         .map(|&size| {
             let (grid, target) = paper_instance(size, 4000 + size as u64);
             let report = accel.run(&grid, &target).expect("run");
-            let parallel = report.cycles;
-            // Serial: the four QPM computations queue on one unit.
-            let serial_compute: u64 = report.quadrant_cycles.iter().sum();
-            let serial_cycles =
-                parallel.control + parallel.input + serial_compute + parallel.combine;
+            // Serial: the four quadrants, all of one shape, queue on one
+            // QPM.
+            let serial = CycleBreakdown {
+                compute: 4 * report.cycles.compute,
+                ..report.cycles
+            };
             let clock = accel.config().clock;
-            (size, report.time_us, clock.us(serial_cycles))
+            (size, report.time_us, clock.us(serial.analysis()))
         })
         .collect()
 }
@@ -668,6 +667,78 @@ pub fn engine_scaling(size: usize, shots: usize, reps: usize) -> (f64, [EngineRo
         speedup: serial_us / times[i + 1],
     });
     (serial_us, rows)
+}
+
+/// The kernel primitives of [`kernels`], each with the calls one timed
+/// cell makes of it.
+const KERNELS: [(&str, usize); 4] = [
+    ("bitline_suffix_shift", 10_000),
+    ("kernel_row_pass_25", 1_000),
+    ("kernel_run_25", 100),
+    ("shift_unit_sim_25", 100),
+];
+
+/// The kernel primitives at the headline quadrant size: a 25x25 quadrant
+/// of a 50x50 array at 50 % fill, with the 15x15 corner target of its
+/// 30x30 target. Returns each primitive's name with its time per call
+/// (µs), the best of `reps` passes of [`best_us_over_passes`]; a timed
+/// cell repeats its primitive so that it runs well above the timer's
+/// resolution.
+///
+/// * `bitline_suffix_shift`: the lowest-hole search and one suffix
+///   shift on the quadrant's first row;
+/// * `kernel_row_pass_25`: one greedy row pass ([`run_pass`]) including
+///   its grid clone;
+/// * `kernel_run_25`: one whole [`ShiftKernel::run`] under the paper
+///   config (greedy, four iterations with early exit), the unit
+///   [`fig7a`]'s 50x50 `cpu_kernel_us` runs four of;
+/// * `shift_unit_sim_25`: the cycle-accurate [`ShiftUnit`] simulation of
+///   the same row pass.
+pub fn kernels(reps: usize) -> [(&'static str, f64); 4] {
+    let mut rng = seeded_rng(1);
+    let quadrant = AtomGrid::random(25, 25, 0.5, &mut rng);
+    let windows = plan_row_windows(&quadrant, KernelStrategy::Greedy, 15, 15);
+    let paper = QrmConfig::paper();
+    let kernel = ShiftKernel::new(
+        KernelConfig::new(15, 15)
+            .with_strategy(paper.strategy)
+            .with_max_iterations(paper.max_iterations),
+    );
+    let jobs: Vec<LineJob> = (0..25)
+        .map(|line| LineJob {
+            line,
+            bits: quadrant.row_bits(line).to_vec(),
+            window: windows[line],
+            enabled: true,
+        })
+        .collect();
+    let unit = ShiftUnit::new(25);
+    let row = quadrant.row_bits(0);
+    let mut line = row.to_vec();
+    let times = best_us_over_passes(reps, KERNELS.len(), |cell| {
+        for _ in 0..KERNELS[cell].1 {
+            match cell {
+                0 => {
+                    line.copy_from_slice(row);
+                    if let Some(hole) = bitline::lowest_zero_in(&line, 0, 25) {
+                        bitline::suffix_shift(&mut line, hole, 25);
+                    }
+                    std::hint::black_box(&line);
+                }
+                1 => {
+                    let mut grid = quadrant.clone();
+                    std::hint::black_box(run_pass(&mut grid, Axis::Row, &windows, None));
+                }
+                2 => {
+                    std::hint::black_box(kernel.run(&quadrant).expect("target fits"));
+                }
+                _ => {
+                    std::hint::black_box(unit.run(Axis::Row, &jobs));
+                }
+            }
+        }
+    });
+    std::array::from_fn(|i| (KERNELS[i].0, times[i] / KERNELS[i].1 as f64))
 }
 
 /// Parameters of a service load run (the `experiments serve` command):
@@ -1088,18 +1159,6 @@ pub fn wait_for_server(addr: &str, timeout: std::time::Duration) -> bool {
     }
 }
 
-/// Consistency guard used by the latency-model sweep in the bin.
-pub fn latency_model_check() -> bool {
-    let cfg = AcceleratorConfig::paper();
-    let model = LatencyModel::new(cfg);
-    let accel = QrmAccelerator::new(cfg);
-    [10usize, 50, 90].iter().all(|&size| {
-        let (grid, target) = paper_instance(size, 6000 + size as u64);
-        let report = accel.run(&grid, &target).expect("run");
-        model.analysis_cycles(size, target.height) == report.cycles.analysis()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1323,8 +1382,10 @@ mod tests {
     }
 
     #[test]
-    fn latency_model_consistent() {
-        assert!(latency_model_check());
+    fn kernels_time_every_primitive() {
+        let rows = kernels(1);
+        assert_eq!(rows.map(|(name, _)| name), KERNELS.map(|(name, _)| name));
+        assert!(rows.iter().all(|(_, us)| us.is_finite() && *us >= 0.0));
     }
 
     #[test]

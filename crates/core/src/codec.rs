@@ -279,8 +279,9 @@ mod tests {
 
     #[test]
     fn record_size_matches_ocm_cost_model() {
-        // qrm-fpga's OutputModule charges width + height + 8 bits per
-        // record; the codec must agree.
+        // A record is a row mask, a column mask and a direction/step
+        // byte: width + height + 8 bits, what qrm-fpga's write-back
+        // cost streams per move.
         assert_eq!(record_bits(50, 50), 108);
         assert_eq!(record_bits(90, 90), 188);
     }

@@ -73,11 +73,14 @@
 //! ## Sharing with the FPGA model
 //!
 //! [`decompose`] is the single source of the quadrant decomposition
-//! (map, per-quadrant target extent, canonical quadrant grids). The
-//! cycle-accurate accelerator in `qrm-fpga` consumes the same
-//! [`QuadrantWork`] and drives the same task graph through
-//! [`run_task_graph`] with its quadrant-processor model as the per-job
-//! body, so hardware and software cannot drift apart structurally.
+//! (map, per-quadrant target extent, canonical quadrant grids), and
+//! [`plan_shots`] the single batch body. The software scheduler and the
+//! accelerator model in `qrm-fpga` both plan through it, each with its
+//! own kernel configuration: the accelerator's is the kernel in its
+//! static-iterations mode, whose passes its pipelined shift unit
+//! reproduces bit for bit. So hardware and software plans cannot drift
+//! apart. The accelerator's cycles come from a closed form of its
+//! static pass schedule, not from the task graph.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -85,7 +88,7 @@ use std::sync::Mutex;
 use crate::error::Error;
 use crate::geometry::Rect;
 use crate::grid::AtomGrid;
-use crate::kernel::{KernelConfig, KernelOutcome};
+use crate::kernel::{KernelConfig, KernelOutcome, ShiftKernel};
 use crate::merge::{merge_outcomes, MergeConfig, MergeOutput};
 use crate::quadrant::QuadrantMap;
 use crate::scheduler::{Plan, QrmConfig};
@@ -128,8 +131,8 @@ pub fn decompose(grid: &AtomGrid, target: &Rect) -> Result<QuadrantWork, Error> 
 }
 
 /// One decomposed shot of a batch: the borrowed inputs plus their
-/// quadrant decomposition. Produced by [`decompose_batch`] and consumed
-/// by every batched planner (software engine and FPGA model alike).
+/// quadrant decomposition. Produced by [`decompose_batch`] (or built
+/// around one [`decompose`]) and planned by [`plan_shots`].
 #[derive(Debug)]
 pub struct BatchShot<'a> {
     /// The shot's occupancy grid.
@@ -217,6 +220,42 @@ pub fn assemble_plan(
 ) -> Result<Plan, Error> {
     let (merged, iterations) = merge_shot(grid, map, outcomes, merge_cfg)?;
     validate_shot(target, merged, iterations)
+}
+
+/// Plans decomposed shots on the task graph and returns the plans in
+/// input order. Each quadrant job runs a [`ShiftKernel`] under the
+/// configuration `kernel` gives for its shot's decomposition, and each
+/// shot's four outcomes go through [`assemble_plan`]. `workers` follows
+/// [`run_task_graph`]: `1` plans inline, in input order.
+///
+/// This is the one batch body of the QRM planners: the software
+/// scheduler passes [`kernel_config_for`], the FPGA model the same
+/// kernel with static iterations.
+///
+/// # Errors
+///
+/// Returns kernel and merge errors as [`run_task_graph`] orders them.
+pub fn plan_shots<K>(
+    shots: &[BatchShot<'_>],
+    workers: usize,
+    kernel: K,
+    merge_cfg: &MergeConfig,
+) -> Result<Vec<Plan>, Error>
+where
+    K: Fn(&QuadrantWork) -> KernelConfig + Sync,
+{
+    run_task_graph(
+        shots.len(),
+        workers,
+        |i, q| {
+            let work = &shots[i].work;
+            ShiftKernel::new(kernel(work)).run(&work.quadrants[q])
+        },
+        |i, outcomes| {
+            let BatchShot { grid, target, work } = &shots[i];
+            assemble_plan(grid, target, &work.map, &outcomes, merge_cfg)
+        },
+    )
 }
 
 /// One shot's slot in [`run_task_graph`]: a quadrant job writes its
@@ -358,8 +397,8 @@ where
 /// worker per available core", and any count is capped by the number of
 /// quadrant jobs in the batch. [`run_task_graph`] runs inline when the
 /// result is 1 and on the pool otherwise. Exposed so every batched
-/// consumer (the software engine, the FPGA model) resolves workers
-/// identically.
+/// consumer (the two QRM planners around [`plan_shots`], the pipeline's
+/// shot scheduler) resolves workers identically.
 pub fn resolve_workers(configured: usize, shots: usize) -> usize {
     let max_useful = shots.saturating_mul(4).max(1);
     if configured == 0 {

@@ -6,8 +6,7 @@
 use std::fmt;
 
 use crate::engine::{
-    assemble_plan, decompose, decompose_batch, kernel_config_for, resolve_workers, run_task_graph,
-    BatchShot,
+    assemble_plan, decompose, decompose_batch, kernel_config_for, plan_shots, resolve_workers,
 };
 use crate::error::Error;
 use crate::geometry::Rect;
@@ -152,8 +151,7 @@ impl QrmScheduler {
 
     /// Runs only the per-quadrant kernels, returning the four outcomes in
     /// [`QuadrantId::ALL`](crate::geometry::QuadrantId::ALL) order — the
-    /// intermediate the FPGA model and the ablation benches consume
-    /// directly.
+    /// kernel analysis alone, which the paper's CPU timings measure.
     ///
     /// # Errors
     ///
@@ -195,18 +193,11 @@ impl Planner for QrmScheduler {
     /// [`plan`](Self::plan) (the engine's determinism guarantee).
     fn plan_batch(&self, jobs: &[(AtomGrid, Rect)]) -> Result<Vec<Plan>, Error> {
         let shots = decompose_batch(jobs)?;
-        let merge_cfg = self.merge_config();
-        run_task_graph(
-            shots.len(),
+        plan_shots(
+            &shots,
             resolve_workers(self.workers, shots.len()),
-            |i, q| {
-                let work = &shots[i].work;
-                ShiftKernel::new(kernel_config_for(&self.config, work)).run(&work.quadrants[q])
-            },
-            |i, outcomes| {
-                let BatchShot { grid, target, work } = &shots[i];
-                assemble_plan(grid, target, &work.map, &outcomes, &merge_cfg)
-            },
+            |work| kernel_config_for(&self.config, work),
+            &self.merge_config(),
         )
     }
 }

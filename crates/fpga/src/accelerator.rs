@@ -1,10 +1,23 @@
 //! The full QRM accelerator top (paper Fig. 5).
 //!
-//! Wires the [`LoadDataModule`], four
-//! [`QuadrantProcessor`]s running in
-//! parallel, and the [`OutputModule`] into the
-//! complete dataflow design, producing both the functional plan and an
-//! exact cycle breakdown at the configured clock.
+//! The accelerator's pass schedule is static: each of the four parallel
+//! quadrant processors runs the same row and column passes over a
+//! quadrant of the same shape, whatever the data, so its latency
+//! "correlates solely with the initial size of the array and the number
+//! of iterations" (§V-B). The model therefore computes its two outputs
+//! separately:
+//!
+//! * the functional plan, through the software planning engine
+//!   ([`qrm_core::engine::plan_shots`]) with the kernel in its
+//!   static-iterations mode, whose passes the pipelined shift unit
+//!   reproduces bit for bit;
+//! * the cycle breakdown, from one closed form ([`compute_cycles`]) plus
+//!   the input term of [`LdmConfig`] and the tail and write-back terms
+//!   of [`OcmConfig`].
+//!
+//! The cycle-by-cycle [`QuadrantProcessor`](crate::qpm::QuadrantProcessor)
+//! and [`ShiftUnit`](crate::shift_unit::ShiftUnit) are the witness:
+//! the tests check both outputs against them.
 //!
 //! The *analysis latency* — the quantity Fig. 7 reports — covers control
 //! hand-off, input DMA, the quadrant pipelines, and the combination
@@ -12,19 +25,19 @@
 //! (it overlaps the PS-side pulse generation in a real system).
 
 use qrm_core::engine::{
-    decompose, decompose_batch, resolve_workers, run_task_graph, BatchShot, QuadrantWork,
+    decompose, decompose_batch, plan_shots, resolve_workers, BatchShot, QuadrantWork,
 };
 use qrm_core::error::Error;
 use qrm_core::geometry::Rect;
 use qrm_core::grid::AtomGrid;
-use qrm_core::kernel::{KernelOutcome, KernelStrategy};
+use qrm_core::kernel::{KernelConfig, KernelStrategy};
+use qrm_core::merge::MergeConfig;
 use qrm_core::planner::Planner;
 use qrm_core::scheduler::Plan;
 
 use crate::clock::ClockDomain;
-use crate::ldm::{LdmConfig, LoadDataModule};
-use crate::ocm::{OcmConfig, OutputModule};
-use crate::qpm::{QpmConfig, QpmReport, QuadrantProcessor};
+use crate::ldm::LdmConfig;
+use crate::ocm::OcmConfig;
 
 /// Accelerator configuration.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -81,6 +94,25 @@ impl AcceleratorConfig {
         self.strategy = strategy;
         self
     }
+
+    /// The cycle breakdown of one shot whose plan has `moves` moves: a
+    /// function of the array's shape, the quadrant target and this
+    /// configuration, except for the data-dependent write-back.
+    fn cycles(&self, shot: &BatchShot<'_>, moves: usize) -> CycleBreakdown {
+        let (height, width) = shot.grid.dims();
+        CycleBreakdown {
+            control: self.control_overhead_cycles,
+            input: self.ldm.input_cycles(height, width),
+            compute: compute_cycles(
+                (height / 2, width / 2),
+                shot.work.target_width,
+                self.iterations,
+                self.strategy,
+            ),
+            combine: self.ocm.combine_tail_cycles,
+            writeback: self.ocm.writeback_cycles(height, width, moves),
+        }
+    }
 }
 
 impl Default for AcceleratorConfig {
@@ -96,7 +128,7 @@ pub struct CycleBreakdown {
     pub control: u64,
     /// Input DMA (DDR + AXI streaming).
     pub input: u64,
-    /// Quadrant pipelines (max over the four parallel QPMs).
+    /// Quadrant pipelines (the four parallel QPMs take the same time).
     pub compute: u64,
     /// Row Combination Unit drain tail.
     pub combine: u64,
@@ -116,6 +148,43 @@ impl CycleBreakdown {
     }
 }
 
+/// Compute cycles of one quadrant processor on a `quadrant` of (height,
+/// width) `(qh, qw)` with a corner target `target_width` columns wide.
+///
+/// Each of the `iterations` static iterations runs a row pass (`qh`
+/// lines through `qw` stages) and a column pass (`qw` lines through
+/// `qh` stages). Lines enter one per cycle and a pass starts as soon as
+/// the one before has issued its last line, so an iteration issues for
+/// `qh + qw` cycles; the balanced strategy adds a `qh + target_width`
+/// cycle planning scan before each row pass. The last column pass then
+/// drains its `qh` stages:
+///
+/// `iterations * (qh + qw + planning) + qh`, and 0 with no iterations.
+///
+/// ```
+/// use qrm_core::kernel::KernelStrategy;
+/// use qrm_fpga::accelerator::compute_cycles;
+/// // The headline 50x50 array: 25x25 quadrants, 4 greedy iterations.
+/// assert_eq!(compute_cycles((25, 25), 15, 4, KernelStrategy::Greedy), 9 * 25);
+/// assert_eq!(compute_cycles((25, 25), 15, 0, KernelStrategy::Greedy), 0);
+/// ```
+pub fn compute_cycles(
+    quadrant: (usize, usize),
+    target_width: usize,
+    iterations: usize,
+    strategy: KernelStrategy,
+) -> u64 {
+    if iterations == 0 {
+        return 0;
+    }
+    let (qh, qw) = (quadrant.0 as u64, quadrant.1 as u64);
+    let planning = match strategy {
+        KernelStrategy::Balanced => qh + target_width as u64,
+        KernelStrategy::Greedy | KernelStrategy::GreedyTargetOnly => 0,
+    };
+    iterations as u64 * (qh + qw + planning) + qh
+}
+
 /// Result of one accelerator run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AcceleratorReport {
@@ -127,8 +196,6 @@ pub struct AcceleratorReport {
     pub time_us: f64,
     /// End-to-end latency including write-back, in microseconds.
     pub total_time_us: f64,
-    /// Per-quadrant compute cycles (NW, NE, SW, SE).
-    pub quadrant_cycles: [u64; 4],
 }
 
 /// The four-quadrant rearrangement accelerator.
@@ -150,7 +217,7 @@ impl QrmAccelerator {
     }
 
     /// Overrides the host-side worker count used by batched runs (`0`
-    /// restores the automatic policy). Simulated cycle counts are
+    /// restores the automatic policy). Modelled cycle counts are
     /// unaffected — host parallelism only changes wall-clock time.
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
@@ -163,73 +230,44 @@ impl QrmAccelerator {
         &self.config
     }
 
-    /// The quadrant-processor model configured for one decomposition.
-    fn qpm_for(&self, work: &QuadrantWork) -> QuadrantProcessor {
-        QuadrantProcessor::new(QpmConfig {
-            target_height: work.target_height,
-            target_width: work.target_width,
-            iterations: self.config.iterations,
-            strategy: self.config.strategy,
-        })
+    /// The kernel configuration of one decomposition: the software
+    /// kernel with the accelerator's static iteration schedule.
+    fn kernel_config(&self, work: &QuadrantWork) -> KernelConfig {
+        KernelConfig::new(work.target_height, work.target_width)
+            .with_strategy(self.config.strategy)
+            .with_max_iterations(self.config.iterations)
+            .with_static_iterations(true)
     }
 
-    /// The merge stage: Row Combination Unit over the four quadrant
-    /// reports, returning the OCM result and the per-quadrant cycles.
-    fn combine(
+    /// Plans `shots` on the engine and adds each plan's cycle breakdown.
+    fn reports(
         &self,
-        grid: &AtomGrid,
-        work: &QuadrantWork,
-        reports: [QpmReport; 4],
-    ) -> Result<(crate::ocm::OcmReport, [u64; 4]), Error> {
-        let mut outcomes: Vec<KernelOutcome> = Vec::with_capacity(4);
-        let mut quadrant_cycles = [0u64; 4];
-        for (i, report) in reports.into_iter().enumerate() {
-            quadrant_cycles[i] = report.total_cycles;
-            outcomes.push(report.outcome);
-        }
-        let outcomes: [KernelOutcome; 4] = outcomes.try_into().expect("four quadrants");
-        let ocm = OutputModule::new(self.config.ocm);
-        Ok((ocm.combine(grid, &work.map, &outcomes)?, quadrant_cycles))
+        shots: &[BatchShot<'_>],
+        workers: usize,
+    ) -> Result<Vec<AcceleratorReport>, Error> {
+        let plans = plan_shots(
+            shots,
+            workers,
+            |work| self.kernel_config(work),
+            &MergeConfig::default(),
+        )?;
+        Ok(shots
+            .iter()
+            .zip(plans)
+            .map(|(shot, plan)| {
+                let cycles = self.config.cycles(shot, plan.schedule.len());
+                AcceleratorReport {
+                    plan,
+                    time_us: self.config.clock.us(cycles.analysis()),
+                    total_time_us: self.config.clock.us(cycles.total()),
+                    cycles,
+                }
+            })
+            .collect())
     }
 
-    /// The validate stage: fill check plus cycle/latency book-keeping.
-    fn finalize(
-        &self,
-        grid: &AtomGrid,
-        target: &Rect,
-        combined: crate::ocm::OcmReport,
-        quadrant_cycles: [u64; 4],
-    ) -> Result<AcceleratorReport, Error> {
-        let compute = quadrant_cycles.iter().copied().max().unwrap_or(0);
-        let (input_cycles, _bits) =
-            LoadDataModule::new(self.config.ldm).stream_timing(grid.height(), grid.width());
-        let cycles = CycleBreakdown {
-            control: self.config.control_overhead_cycles,
-            input: input_cycles,
-            compute,
-            combine: combined.combine_cycles,
-            writeback: combined.writeback_cycles,
-        };
-        let filled = combined.final_grid.is_filled(target)?;
-        Ok(AcceleratorReport {
-            plan: Plan {
-                schedule: combined.schedule,
-                predicted: combined.final_grid,
-                filled,
-                iterations: self.config.iterations,
-            },
-            time_us: self.config.clock.us(cycles.analysis()),
-            total_time_us: self.config.clock.us(cycles.total()),
-            cycles,
-            quadrant_cycles,
-        })
-    }
-
-    /// Runs one complete rearrangement analysis.
-    ///
-    /// The decomposition comes from [`qrm_core::engine::decompose`] — the
-    /// same structure the software planning engine consumes, so the
-    /// cycle-accurate model and the software path cannot drift apart.
+    /// Runs one complete rearrangement analysis, inline on the calling
+    /// thread.
     ///
     /// # Errors
     ///
@@ -237,46 +275,28 @@ impl QrmAccelerator {
     /// arrays or targets QRM cannot decompose, and propagates merge
     /// validation failures.
     pub fn run(&self, grid: &AtomGrid, target: &Rect) -> Result<AcceleratorReport, Error> {
-        let work = decompose(grid, target)?;
-        let qpm = self.qpm_for(&work);
-        let mut reports: Vec<QpmReport> = Vec::with_capacity(4);
-        for quadrant in &work.quadrants {
-            reports.push(qpm.process(quadrant)?);
-        }
-        let reports: [QpmReport; 4] = reports.try_into().expect("four quadrants");
-        let (combined, quadrant_cycles) = self.combine(grid, &work, reports)?;
-        self.finalize(grid, target, combined, quadrant_cycles)
+        let shot = BatchShot {
+            grid,
+            target,
+            work: decompose(grid, target)?,
+        };
+        let mut reports = self.reports(std::slice::from_ref(&shot), 1)?;
+        Ok(reports.pop().expect("one report per shot"))
     }
 
-    /// Runs a batch of analyses through the shared task-graph engine
-    /// ([`qrm_core::engine::run_task_graph`]): each quadrant-processor
-    /// simulation is one pool job, exactly as the software scheduler runs
-    /// its kernels. The worker count set by
-    /// [`with_workers`](Self::with_workers) follows the engine's policy
-    /// ([`resolve_workers`]: `0` = one per core; `1` runs inline). Reports
-    /// are in input order and identical to calling [`run`](Self::run) per
-    /// shot (modelled cycle counts included — simulated time is
-    /// unaffected by host-side parallelism).
+    /// Runs a batch of analyses on the engine's task graph, with the
+    /// worker count set by [`with_workers`](Self::with_workers) under the
+    /// engine's policy ([`resolve_workers`]: `0` = one per core; `1` runs
+    /// inline). Reports are in input order and identical to calling
+    /// [`run`](Self::run) per shot.
     ///
     /// # Errors
     ///
     /// Returns the first decomposition error in input order, or the
-    /// first processing error the task graph hits.
+    /// first planning error the task graph hits.
     pub fn run_batch(&self, jobs: &[(AtomGrid, Rect)]) -> Result<Vec<AcceleratorReport>, Error> {
         let shots = decompose_batch(jobs)?;
-        run_task_graph(
-            shots.len(),
-            resolve_workers(self.workers, shots.len()),
-            |i, q| {
-                let work = &shots[i].work;
-                self.qpm_for(work).process(&work.quadrants[q])
-            },
-            |i, reports| {
-                let BatchShot { grid, target, work } = &shots[i];
-                let (combined, quadrant_cycles) = self.combine(grid, work, reports)?;
-                self.finalize(grid, target, combined, quadrant_cycles)
-            },
-        )
+        self.reports(&shots, resolve_workers(self.workers, shots.len()))
     }
 }
 
@@ -294,7 +314,7 @@ impl Planner for QrmAccelerator {
     }
 
     /// Batched planning through [`run_batch`](QrmAccelerator::run_batch)
-    /// — the same task graph the software engine uses.
+    /// — the engine path the software scheduler takes.
     fn plan_batch(&self, jobs: &[(AtomGrid, Rect)]) -> Result<Vec<Plan>, Error> {
         Ok(self
             .run_batch(jobs)?

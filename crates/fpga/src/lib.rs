@@ -1,29 +1,31 @@
-//! # qrm-fpga — cycle-accurate model of the QRM rearrangement accelerator
+//! # qrm-fpga — model of the QRM rearrangement accelerator
 //!
-//! This crate reproduces the FPGA design of paper §IV (Fig. 5/6) as a
-//! cycle-level simulator:
+//! This crate reproduces the FPGA design of paper §IV (Fig. 5/6). Its
+//! pass schedule is static, so its latency depends only on the array's
+//! shape and the iteration count (§V-B): the model plans in software
+//! and takes its cycles from one formula, and a cycle-by-cycle
+//! simulator of the same pipeline is the witness for both.
 //!
-//! * [`shift_unit`] — the pipelined Shift Kernel of Fig. 6, modelled
-//!   register-by-register with initiation interval 1 (a new line enters
-//!   every clock cycle). Its command stream is bit-exact with the
-//!   software kernel in [`qrm_core::kernel`].
-//! * [`qpm`] — the Quadrant Processing Module: alternating row/column
-//!   passes over one canonical quadrant, with dataflow overlap between
-//!   passes (the column pass starts as soon as the row pass has streamed
-//!   its last line).
-//! * [`ldm`] / [`ocm`] — Load Data Module (DMA in + quadrant flips) and
-//!   Output Concatenation Module (Row Combination Unit + DMA out).
-//! * [`accelerator`] — the full four-quadrant dataflow top; produces both
-//!   a functional [`Plan`](qrm_core::scheduler::Plan) and a cycle
-//!   breakdown at a configurable clock (250 MHz by default).
-//! * [`latency`] — closed-form latency model cross-checked against the
-//!   simulator (used for fast parameter sweeps).
+//! * [`accelerator`] — the four-quadrant top. It plans through the
+//!   software engine with the kernel in its static-iterations mode and
+//!   fills the cycle breakdown from one closed form
+//!   ([`accelerator::compute_cycles`] plus the LDM and OCM terms) at a
+//!   configurable clock (250 MHz by default).
+//! * [`ldm`] / [`ocm`] — the cost terms of the Load Data Module (DMA in;
+//!   the quadrant flips are free wiring) and the Output Concatenation
+//!   Module (Row Combination Unit drain tail, DMA out).
+//! * [`qpm`] and [`shift_unit`] — the witness: the Quadrant Processing
+//!   Module's alternating row/column passes with dataflow overlap
+//!   between them, over the pipelined Shift Kernel of Fig. 6 modelled
+//!   register by register (a new line enters every clock cycle). The
+//!   tests check the formula's cycles and the engine's plans against
+//!   them; `examples/fpga_trace.rs` prints their stage-by-stage trace.
 //! * [`resources`] — LUT/FF/BRAM cost model on the RFSoC device budget,
 //!   calibrated to the utilisation anchors the paper reports (Fig. 8).
 //!
-//! Why a simulator instead of silicon: the paper's reported numbers are
-//! cycle counts at a fixed 250 MHz clock, so simulating the same
-//! pipeline at cycle granularity reproduces the measured quantity.
+//! Why cycles instead of silicon: the paper's reported numbers are
+//! cycle counts at a fixed 250 MHz clock, so counting the same
+//! pipeline's cycles reproduces the measured quantity.
 //!
 //! ## Quick example
 //!
@@ -51,7 +53,6 @@
 
 pub mod accelerator;
 pub mod clock;
-pub mod latency;
 pub mod ldm;
 pub mod memory;
 pub mod ocm;

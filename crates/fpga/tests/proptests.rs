@@ -1,11 +1,20 @@
-//! Property-based hardware/software equivalence for the shift unit.
+//! Property-based hardware/software equivalence for the shift unit, and
+//! the cycle formula against the quadrant-processor simulator.
 
 use proptest::prelude::*;
 use qrm_core::geometry::Axis;
 use qrm_core::grid::AtomGrid;
 use qrm_core::kernel::{plan_row_windows, run_pass, KernelStrategy};
+use qrm_fpga::accelerator::compute_cycles;
+use qrm_fpga::qpm::{QpmConfig, QuadrantProcessor};
 use qrm_fpga::shift_unit::{LineJob, ShiftUnit};
 use rand::SeedableRng;
+
+const STRATEGIES: [KernelStrategy; 3] = [
+    KernelStrategy::Greedy,
+    KernelStrategy::GreedyTargetOnly,
+    KernelStrategy::Balanced,
+];
 
 /// Quadrants of independent sides from 2 to 140, so lines span one,
 /// two or three `u64` words.
@@ -24,11 +33,7 @@ proptest! {
         quadrant in arb_quadrant(),
         strategy_idx in 0usize..3,
     ) {
-        let strategy = [
-            KernelStrategy::Greedy,
-            KernelStrategy::GreedyTargetOnly,
-            KernelStrategy::Balanced,
-        ][strategy_idx];
+        let strategy = STRATEGIES[strategy_idx];
         let (height, width) = quadrant.dims();
         let (th, tw) = ((height / 2).max(1), (width / 2).max(1));
         let windows = plan_row_windows(&quadrant, strategy, th, tw);
@@ -74,5 +79,34 @@ proptest! {
             .map(|(_, bits)| qrm_core::bitline::count_ones(bits))
             .sum();
         prop_assert_eq!(total, quadrant.atom_count());
+    }
+
+    #[test]
+    fn compute_cycles_equal_the_quadrant_processor(
+        height in 1usize..71,
+        width in 1usize..71,
+        (th, tw) in (1usize..71, 1usize..71),
+        iterations in 0usize..13,
+        strategy_idx in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        // Sides up to 70, so lines span one or two words; targets from
+        // one site up to the whole quadrant.
+        let (th, tw) = (1 + (th - 1) % height, 1 + (tw - 1) % width);
+        let strategy = STRATEGIES[strategy_idx];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let quadrant = AtomGrid::random(height, width, 0.5, &mut rng);
+        let simulated = QuadrantProcessor::new(QpmConfig {
+            target_height: th,
+            target_width: tw,
+            iterations,
+            strategy,
+        })
+        .process(&quadrant)
+        .unwrap();
+        prop_assert_eq!(
+            compute_cycles((height, width), tw, iterations, strategy),
+            simulated.total_cycles
+        );
     }
 }

@@ -1,6 +1,8 @@
-//! Inspect the FPGA accelerator at cycle granularity: per-quadrant pass
-//! timing, the pipelined shift unit's stage-by-stage trace for the first
-//! rows, and the full cycle breakdown.
+//! Inspect the FPGA accelerator at cycle granularity: the pipelined
+//! shift unit's stage-by-stage trace for the first rows and one
+//! quadrant processor's pass timing (the cycle-accurate simulator),
+//! then the accelerator's cycle breakdown, which its closed form gives
+//! without simulating.
 //!
 //! Run with: `cargo run --example fpga_trace`
 
@@ -70,8 +72,8 @@ fn main() -> Result<(), qrm_core::Error> {
     println!("  control   {:>5}", c.control);
     println!("  input DMA {:>5}", c.input);
     println!(
-        "  compute   {:>5}  (per quadrant: {:?})",
-        c.compute, run.quadrant_cycles
+        "  compute   {:>5}  (each of the four QPMs; the simulated NW QPM took {})",
+        c.compute, report.total_cycles
     );
     println!("  combine   {:>5}", c.combine);
     println!("  writeback {:>5}  (off the analysis path)", c.writeback);

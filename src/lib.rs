@@ -13,7 +13,7 @@
 //! | Crate | Content |
 //! |-------|---------|
 //! | [`core`](qrm_core) | atom grids, AOD move model, QRM scheduler, parallel planning engine, executor |
-//! | [`fpga`](qrm_fpga) | cycle-accurate accelerator model, latency + resource models |
+//! | [`fpga`](qrm_fpga) | accelerator model: one cycle formula, with the cycle-accurate simulator as its witness; resource model |
 //! | [`baselines`](qrm_baselines) | Tetris, PSCA, MTA1 reimplementations |
 //! | [`vision`](qrm_vision) | synthetic fluorescence imaging + atom detection |
 //! | [`control`](qrm_control) | AWG tone programs, system budgets, end-to-end pipeline |
@@ -33,7 +33,7 @@
 //!
 //! // Software QRM...
 //! let plan = QrmScheduler::new(QrmConfig::default()).plan(&grid, &target)?;
-//! // ...or the cycle-accurate FPGA accelerator model.
+//! // ...or the FPGA accelerator model.
 //! let report = QrmAccelerator::new(AcceleratorConfig::balanced()).run(&grid, &target)?;
 //!
 //! let exec = Executor::new().run(&grid, &report.plan.schedule)?;
@@ -106,7 +106,6 @@ pub mod prelude {
     pub use qrm_control::system::{Architecture, SystemModel};
     pub use qrm_core::prelude::*;
     pub use qrm_fpga::accelerator::{AcceleratorConfig, QrmAccelerator};
-    pub use qrm_fpga::latency::LatencyModel;
     pub use qrm_fpga::resources::ResourceModel;
     pub use qrm_net::{Client, NetConfig, Server};
     pub use qrm_server::{BatchSpec, PlanService, SubmitBatch};

@@ -1,11 +1,15 @@
-//! Hardware/software equivalence: the cycle-accurate FPGA model and the
-//! software kernel in static-iterations mode must be bit-exact, and the
-//! closed-form latency model must match the simulator.
+//! Hardware/software equivalence: the cycle-accurate quadrant processor
+//! and the software kernel in static-iterations mode must be bit-exact,
+//! and the accelerator, which plans through that kernel and counts
+//! cycles in closed form, must report what the simulator does.
 
 use atom_rearrange::prelude::*;
-use qrm_core::kernel::{KernelConfig, KernelStrategy, ShiftKernel};
+use qrm_core::kernel::{KernelConfig, KernelOutcome, KernelStrategy, ShiftKernel};
+use qrm_core::merge::{merge_outcomes, MergeConfig};
 use qrm_core::quadrant::QuadrantMap;
+use qrm_fpga::accelerator::CycleBreakdown;
 use qrm_fpga::qpm::{QpmConfig, QuadrantProcessor};
+use rand::Rng;
 
 #[test]
 fn qpm_outcome_equals_static_software_kernel() {
@@ -75,21 +79,61 @@ fn accelerator_schedule_equals_software_static_schedule() {
 }
 
 #[test]
-fn latency_model_matches_simulator_over_sweep() {
+fn accelerator_reports_what_the_simulator_does() {
+    // Random even rectangular arrays (lines of one or two words) with
+    // random even centred targets. The simulator's breakdown is control
+    // + input + the slowest of the four quadrant processors + the
+    // combine tail, with the write-back of the plan's moves; its plan is
+    // the four processors' outcomes merged.
     let mut rng = qrm_core::loading::seeded_rng(7003);
-    for cfg in [AcceleratorConfig::paper(), AcceleratorConfig::balanced()] {
-        let model = LatencyModel::new(cfg);
-        let accel = QrmAccelerator::new(cfg);
-        for size in [10usize, 30, 50, 70, 90] {
-            let side = (size * 3 / 5) & !1;
-            let grid = AtomGrid::random(size, size, 0.5, &mut rng);
-            let target = Rect::centered(size, size, side, side).unwrap();
-            let report = accel.run(&grid, &target).unwrap();
+    for case in 0..12 {
+        let (height, width) = (2 * rng.gen_range(1..46), 2 * rng.gen_range(1..46));
+        let target_height = 2 * rng.gen_range(1..height / 2 + 1);
+        let target_width = 2 * rng.gen_range(1..width / 2 + 1);
+        let grid = AtomGrid::random(height, width, 0.5, &mut rng);
+        let target = Rect::centered(height, width, target_height, target_width).unwrap();
+        let map = QuadrantMap::new(height, width).unwrap();
+        let (th, tw) = map.quadrant_target(&target).unwrap();
+        let quadrants = map.split(&grid).unwrap();
+        for config in [AcceleratorConfig::paper(), AcceleratorConfig::balanced()] {
+            let report = QrmAccelerator::new(config).run(&grid, &target).unwrap();
+
+            let qpm = QuadrantProcessor::new(QpmConfig {
+                target_height: th,
+                target_width: tw,
+                iterations: config.iterations,
+                strategy: config.strategy,
+            });
+            let simulated: Vec<_> = quadrants.iter().map(|q| qpm.process(q).unwrap()).collect();
+            let compute = simulated.iter().map(|r| r.total_cycles).max().unwrap();
+            let outcomes: Vec<KernelOutcome> = simulated.into_iter().map(|r| r.outcome).collect();
+            let merged = merge_outcomes(
+                &grid,
+                &map,
+                &outcomes.try_into().unwrap(),
+                &MergeConfig::default(),
+            )
+            .unwrap();
+
+            let case = format!("case {case}: {height}x{width} -> {target_height}x{target_width}");
+            let expected = CycleBreakdown {
+                control: config.control_overhead_cycles,
+                input: config.ldm.input_cycles(height, width),
+                compute,
+                combine: config.ocm.combine_tail_cycles,
+                writeback: config
+                    .ocm
+                    .writeback_cycles(height, width, merged.schedule.len()),
+            };
+            assert_eq!(report.cycles, expected, "{case} {:?}", config.strategy);
+            assert_eq!(report.plan.schedule, merged.schedule, "{case}");
+            assert_eq!(report.plan.predicted, merged.final_grid, "{case}");
             assert_eq!(
-                model.analysis_cycles(size, side),
-                report.cycles.analysis(),
-                "size {size}"
+                report.plan.filled,
+                merged.final_grid.is_filled(&target).unwrap(),
+                "{case}"
             );
+            assert_eq!(report.plan.iterations, config.iterations, "{case}");
         }
     }
 }
