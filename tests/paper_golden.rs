@@ -6,9 +6,13 @@
 //! line per accelerator configuration and instance holding every
 //! [`CycleBreakdown`] field, the analysis and end-to-end latencies, the
 //! move count and the fill flag, plus one line per row of the resource
-//! table (`fig8`) and of the quadrant-parallelism ablation
-//! (`ablation_quadrants`). Nothing here is timed. A change to the cycle
-//! model that claims unchanged numbers must leave every line unchanged.
+//! table (`fig8`), of the quadrant-parallelism ablation
+//! (`ablation_quadrants`), of the schedule-quality study (`quality(10)`,
+//! E-x1) and of the command-merging ablation (`ablation_merge(5)`,
+//! E-x3), at the instance counts `experiments quality` and
+//! `experiments ablations` print. Nothing here is timed. A change to the
+//! cycle model or the planner that claims unchanged numbers must leave
+//! every line unchanged.
 //!
 //! Regenerate only for a declared model change:
 //! `cargo test --test paper_golden -- --ignored`, and name the change
@@ -18,7 +22,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use atom_rearrange::prelude::*;
-use qrm_bench::{ablation_quadrants, fig8, paper_instance};
+use qrm_bench::{ablation_merge, ablation_quadrants, fig8, paper_instance, quality};
 use qrm_fpga::accelerator::CycleBreakdown;
 
 /// Square array sizes of Fig. 7(a), each at `paper_instance(size, 1000 + size)`.
@@ -91,6 +95,21 @@ fn corpus() -> String {
         writeln!(
             out,
             "ablation_quadrants {size} parallel_us {parallel_us} serial_us {serial_us}"
+        )
+        .expect("write to string");
+    }
+    for row in quality(10) {
+        writeln!(
+            out,
+            "quality {:?} iterations {} filled {}/{} mean_defects {} mean_moves {}",
+            row.strategy, row.iterations, row.filled, row.total, row.mean_defects, row.mean_moves
+        )
+        .expect("write to string");
+    }
+    for (size, merged, unmerged) in ablation_merge(5) {
+        writeln!(
+            out,
+            "ablation_merge {size} merged_moves {merged} unmerged_moves {unmerged}"
         )
         .expect("write to string");
     }
