@@ -65,7 +65,37 @@
 //! threads are never spawned after pool initialisation, which the
 //! printed `threads_spawned` counter makes visible.
 
+use std::io::{ErrorKind, Write};
+
 use qrm_bench::*;
+
+/// Shadows the standard `println!` for this whole binary, so every line
+/// of output goes through [`write_line`] and a reader that closes stdout
+/// early (`experiments ablations | head -n 2`) ends the run cleanly.
+macro_rules! println {
+    () => {
+        write_line(format_args!(""))
+    };
+    ($($arg:tt)*) => {
+        write_line(format_args!($($arg)*))
+    };
+}
+
+/// Writes one line to stdout. A closed pipe exits with status 0, since
+/// the reader has every line it asked for; any other write error panics
+/// as the standard `println!` would.
+fn write_line(line: std::fmt::Arguments<'_>) {
+    let mut stdout = std::io::stdout().lock();
+    if let Err(err) = stdout
+        .write_fmt(line)
+        .and_then(|()| stdout.write_all(b"\n"))
+    {
+        if err.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {err}");
+    }
+}
 
 /// Every command `main` dispatches on; anything else prints this list
 /// and exits 2.

@@ -229,17 +229,30 @@ fn low_mask(bits: usize) -> u64 {
 /// Collects the set-bit positions of a line into a vector.
 pub fn ones(words: &[u64], width: usize) -> Vec<usize> {
     let mut out = Vec::with_capacity(count_ones(words));
+    for_each_one(words, |pos| {
+        if pos < width {
+            out.push(pos);
+        }
+    });
+    out
+}
+
+/// Calls `f` with each set-bit position of a line, in ascending order.
+///
+/// ```
+/// let mut seen = Vec::new();
+/// qrm_core::bitline::for_each_one(&[0b101, 1], |pos| seen.push(pos));
+/// assert_eq!(seen, [0, 2, 64]);
+/// ```
+#[inline]
+pub fn for_each_one(words: &[u64], mut f: impl FnMut(usize)) {
     for (i, &w) in words.iter().enumerate() {
         let mut w = w;
         while w != 0 {
-            let pos = i * WORD_BITS + w.trailing_zeros() as usize;
-            if pos < width {
-                out.push(pos);
-            }
+            f(i * WORD_BITS + w.trailing_zeros() as usize);
             w &= w - 1;
         }
     }
-    out
 }
 
 /// Shifts a whole line one position toward higher indices (west-to-east),

@@ -17,13 +17,16 @@
 //! The merge works on words. It keeps one live grid whose rows are the
 //! lines of the current pass axis (the grid itself for row passes, its
 //! transpose for column passes) and switches representation once per
-//! pass with the 64x64 block [`AtomGrid::transpose_into`]. A wave
+//! pass with the 64x64 block [`AtomGrid::transpose_into`]. Every shift
+//! of wave `k` has its hole at `k`, so one mover-range mask per member
+//! quadrant and wave selects the movers of all its lines. A wave
 //! group's mover masks are OR-ed into one reused union buffer and its
-//! lines into a reused bit set; the move's row and column lists come
-//! straight from those, and each line's movers shift in place on the
-//! live grid's words. Past a constant set of buffers per call, the only
-//! allocations are each emitted move's two lists and the schedule's
-//! growth.
+//! lines into a reused bit set. Those two masks are the paper's
+//! row-selection and column-selection records: the move's tone buffer
+//! is filled from their bits at exact capacity, and each selected
+//! line's movers shift in place on the live grid's words. Past a
+//! constant set of buffers per call, the only allocations are each
+//! emitted move's tone buffer and the schedule's growth.
 
 use crate::bitline::{self, WORD_BITS};
 use crate::error::Error;
@@ -81,9 +84,8 @@ pub struct MergeOutput {
 ///
 /// # Errors
 ///
-/// Propagates move-construction failures; these would indicate a merge
-/// bug and are turned into hard errors rather than silent schedule
-/// corruption.
+/// Returns [`Error::EmptyGrid`] for an empty `grid`, which no
+/// [`QuadrantMap`] describes.
 pub fn merge_outcomes(
     grid: &AtomGrid,
     map: &QuadrantMap,
@@ -97,6 +99,7 @@ pub fn merge_outcomes(
         schedule: Schedule::new(grid.height(), grid.width()),
         union: Vec::new(),
         line_set: Vec::new(),
+        range: Vec::new(),
     };
     let npasses = outcomes.iter().map(|o| o.passes.len()).max().unwrap_or(0);
     for p in 0..npasses {
@@ -123,11 +126,11 @@ pub fn merge_outcomes(
             for (direction, members) in groups {
                 if config.merge_quadrants {
                     merge.collect(map, outcomes, &members, p, w);
-                    merge.emit(direction)?;
+                    merge.emit(direction);
                 } else {
                     for q in members {
                         merge.collect(map, outcomes, &[q], p, w);
-                        merge.emit(direction)?;
+                        merge.emit(direction);
                     }
                 }
             }
@@ -152,6 +155,9 @@ struct Merge {
     union: Vec<u64>,
     /// The current group's lines that hold a mover, as a bit set.
     line_set: Vec<u64>,
+    /// The current member quadrant's mover range in wave `w`, one line
+    /// long.
+    range: Vec<u64>,
 }
 
 impl Merge {
@@ -179,8 +185,9 @@ impl Merge {
         let axis = self.axis;
         // Lines span the whole array: two quadrant extents.
         let half = self.live.width() / 2;
+        let words = bitline::words_for(self.live.width());
         self.union.clear();
-        self.union.resize(bitline::words_for(self.live.width()), 0);
+        self.union.resize(words, 0);
         self.line_set.clear();
         self.line_set
             .resize(bitline::words_for(self.live.height()), 0);
@@ -190,33 +197,38 @@ impl Merge {
                 continue;
             };
             debug_assert_eq!(pass.axis, axis, "pass axis misalignment");
-            let Some(wave) = pass.wave(w) else {
+            let Some(wave) = pass.wave(w).filter(|wave| !wave.is_empty()) else {
                 continue;
             };
             let toward_low = match axis {
                 Axis::Row => q.is_west(),
                 Axis::Col => q.is_north(),
             };
+            // Every shift of the wave has its hole at `w`, so its movers
+            // are the canonical positions beyond `w`: one global range
+            // for the whole wave.
+            let (lo, hi) = if toward_low {
+                (0, half - 1 - w)
+            } else {
+                (half + w + 1, 2 * half)
+            };
+            self.range.clear();
+            self.range
+                .extend((0..words).map(|i| bitline::range_word(i, lo, hi)));
             for shift in wave {
                 debug_assert_eq!(shift.hole, w, "wave {w} holds a shift at another hole");
                 let line = match axis {
                     Axis::Row => map.global_row(q, shift.line),
                     Axis::Col => map.global_col(q, shift.line),
                 };
-                // Canonical positions > hole, in global coordinates.
-                let (lo, hi) = if toward_low {
-                    (0, half - 1 - shift.hole)
-                } else {
-                    (half + shift.hole + 1, 2 * half)
-                };
                 let mut any = 0;
-                for (i, (u, &o)) in self
+                for ((u, &o), &r) in self
                     .union
                     .iter_mut()
                     .zip(self.live.row_bits(line))
-                    .enumerate()
+                    .zip(&self.range)
                 {
-                    let movers = o & bitline::range_word(i, lo, hi);
+                    let movers = o & r;
                     *u |= movers;
                     any |= movers;
                 }
@@ -228,31 +240,31 @@ impl Merge {
     }
 
     /// Appends the collected group as one move and applies it to the
-    /// live grid's words.
-    fn emit(&mut self, direction: Direction) -> Result<(), Error> {
-        let width = self.live.width();
-        let positions = bitline::ones(&self.union, width);
-        if positions.is_empty() {
-            return Ok(());
+    /// live grid's words. The move's tones come straight from the two
+    /// masks: `line_set` selects the lines and `union` the positions
+    /// along them.
+    fn emit(&mut self, direction: Direction) {
+        let positions = bitline::count_ones(&self.union);
+        if positions == 0 {
+            return;
         }
-        // Ascending, so the move's sort is a linear check.
-        let lines = bitline::ones(&self.line_set, self.live.height());
-        let toward_high = matches!(direction, Direction::East | Direction::South);
-        for &line in &lines {
-            shift_selected(
-                self.live.row_bits_mut(line),
-                &self.union,
-                width,
-                toward_high,
-            );
-        }
-        let (rows, cols) = match self.axis {
-            Axis::Row => (lines, positions),
-            Axis::Col => (positions, lines),
+        let (row_mask, col_mask) = match self.axis {
+            Axis::Row => (&self.line_set, &self.union),
+            Axis::Col => (&self.union, &self.line_set),
         };
+        let mut tones = Vec::with_capacity(bitline::count_ones(&self.line_set) + positions);
+        bitline::for_each_one(row_mask, |row| tones.push(row));
+        let nrows = tones.len();
+        bitline::for_each_one(col_mask, |col| tones.push(col));
+        let width = self.live.width();
+        let toward_high = matches!(direction, Direction::East | Direction::South);
+        let (live, union) = (&mut self.live, &self.union);
+        bitline::for_each_one(&self.line_set, |line| {
+            shift_selected(live.row_bits_mut(line), union, width, toward_high);
+        });
         let (dr, dc) = direction.delta();
-        self.schedule.push(ParallelMove::new(rows, cols, dr, dc)?);
-        Ok(())
+        self.schedule
+            .push(ParallelMove::from_sorted_tones(tones, nrows, dr, dc));
     }
 }
 

@@ -29,10 +29,17 @@ use crate::geometry::{Axis, Direction, Position};
 /// assert_eq!(mv.step(), 1);
 /// # Ok::<(), qrm_core::Error>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+///
+/// A move keeps its row tones and then its column tones in one buffer,
+/// so building one costs a single allocation.
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct ParallelMove {
-    rows: Vec<usize>,
-    cols: Vec<usize>,
+    /// The row tones, then the column tones, each ascending and
+    /// deduplicated.
+    tones: Vec<usize>,
+    /// How many of `tones` are row tones; at least one, and at least one
+    /// column tone follows.
+    nrows: usize,
     dr: isize,
     dc: isize,
 }
@@ -62,7 +69,33 @@ impl ParallelMove {
         rows.dedup();
         cols.sort_unstable();
         cols.dedup();
-        Ok(ParallelMove { rows, cols, dr, dc })
+        let nrows = rows.len();
+        rows.extend_from_slice(&cols);
+        Ok(ParallelMove::from_sorted_tones(rows, nrows, dr, dc))
+    }
+
+    /// Builds a move from its row tones followed by its column tones,
+    /// each already ascending and deduplicated, with neither selection
+    /// empty and a nonzero displacement. Nothing is sorted or copied, so
+    /// the merge fills `tones` straight from its bit masks. Debug builds
+    /// assert the conditions.
+    pub(crate) fn from_sorted_tones(tones: Vec<usize>, nrows: usize, dr: isize, dc: isize) -> Self {
+        debug_assert!(
+            0 < nrows && nrows < tones.len(),
+            "empty row or column selection"
+        );
+        debug_assert!(dr != 0 || dc != 0, "null move");
+        debug_assert!(
+            tones[..nrows].windows(2).all(|w| w[0] < w[1])
+                && tones[nrows..].windows(2).all(|w| w[0] < w[1]),
+            "tones not ascending"
+        );
+        ParallelMove {
+            tones,
+            nrows,
+            dr,
+            dc,
+        }
     }
 
     /// Convenience constructor for a single-atom move (one row, one col).
@@ -76,12 +109,12 @@ impl ParallelMove {
 
     /// Selected AOD row tones (sorted, deduplicated).
     pub fn rows(&self) -> &[usize] {
-        &self.rows
+        &self.tones[..self.nrows]
     }
 
     /// Selected AOD column tones (sorted, deduplicated).
     pub fn cols(&self) -> &[usize] {
-        &self.cols
+        &self.tones[self.nrows..]
     }
 
     /// Displacement `(dr, dc)` applied to every trapped atom.
@@ -92,7 +125,7 @@ impl ParallelMove {
     /// Number of trap sites generated (`|rows| * |cols|`); occupied ones
     /// actually move.
     pub fn trap_count(&self) -> usize {
-        self.rows.len() * self.cols.len()
+        self.nrows * (self.tones.len() - self.nrows)
     }
 
     /// Chebyshev step size of the displacement (1 for the unit shifts the
@@ -144,14 +177,25 @@ impl ParallelMove {
 
     /// Whether `pos` is one of the generated trap sites.
     pub fn selects(&self, pos: Position) -> bool {
-        self.rows.binary_search(&pos.row).is_ok() && self.cols.binary_search(&pos.col).is_ok()
+        self.rows().binary_search(&pos.row).is_ok() && self.cols().binary_search(&pos.col).is_ok()
     }
 
     /// Iterates over all generated trap sites (row-major).
     pub fn trap_sites(&self) -> impl Iterator<Item = Position> + '_ {
-        self.rows
+        self.rows()
             .iter()
-            .flat_map(move |&r| self.cols.iter().map(move |&c| Position::new(r, c)))
+            .flat_map(move |&r| self.cols().iter().map(move |&c| Position::new(r, c)))
+    }
+}
+
+impl fmt::Debug for ParallelMove {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ParallelMove")
+            .field("rows", &self.rows())
+            .field("cols", &self.cols())
+            .field("dr", &self.dr)
+            .field("dc", &self.dc)
+            .finish()
     }
 }
 
@@ -160,8 +204,8 @@ impl fmt::Display for ParallelMove {
         write!(
             f,
             "move {}r x {}c by ({:+}, {:+})",
-            self.rows.len(),
-            self.cols.len(),
+            self.rows().len(),
+            self.cols().len(),
             self.dr,
             self.dc
         )
@@ -219,6 +263,15 @@ mod tests {
         assert_eq!(mv.rows(), &[2]);
         assert_eq!(mv.cols(), &[5]);
         assert_eq!(mv.trap_count(), 1);
+    }
+
+    #[test]
+    fn debug_shows_rows_and_cols() {
+        let mv = ParallelMove::new(vec![3, 1], vec![4], 0, 1).unwrap();
+        assert_eq!(
+            format!("{mv:?}"),
+            "ParallelMove { rows: [1, 3], cols: [4], dr: 0, dc: 1 }"
+        );
     }
 
     #[test]

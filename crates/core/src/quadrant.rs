@@ -8,6 +8,7 @@
 //! Vector units apply the flips in hardware while streaming data in, and
 //! the movement-recording unit restores positions on the way out).
 
+use crate::bitline::WORD_BITS;
 use crate::error::Error;
 use crate::geometry::{Position, QuadrantId, Rect};
 use crate::grid::AtomGrid;
@@ -161,7 +162,11 @@ impl QuadrantMap {
     ///
     /// This is the software equivalent of the Load Data Module's four
     /// Load Vector units (paper §IV-B: "the flip operation is
-    /// automatically performed to prepare the data").
+    /// automatically performed to prepare the data"). It flips whole
+    /// words: a north quadrant takes the global rows in reverse, a south
+    /// one in order; a west quadrant's canonical row is the global row's
+    /// low half bit-reversed ([`u64::reverse_bits`]), an east one's the
+    /// high half shifted down.
     ///
     /// # Errors
     ///
@@ -177,14 +182,25 @@ impl QuadrantMap {
         let empty = AtomGrid::new(self.qh, self.qw)?;
         let mut out = [empty.clone(), empty.clone(), empty.clone(), empty];
         for (&q, canon) in QuadrantId::ALL.iter().zip(out.iter_mut()) {
-            // canonical[(r, c)] == global[to_global(q, (r, c))]: the flips
-            // that bring the centre corner to (0, 0), done point-wise.
             for r in 0..self.qh {
-                for c in 0..self.qw {
-                    let global = self.to_global(q, Position::new(r, c));
-                    if grid.get_unchecked(global.row, global.col) {
-                        canon.set_unchecked(r, c, true);
-                    }
+                let global = grid.row_bits(self.global_row(q, r));
+                for (j, word) in canon.row_bits_mut(r).iter_mut().enumerate() {
+                    // Canonical columns 64j.. are the global columns
+                    // from qw-1-64j downward (west) or from qw+64j upward
+                    // (east). Bits past the global row's ends read as
+                    // zero, so the canonical row's tail stays clear.
+                    let base = j * WORD_BITS;
+                    *word = if q.is_west() {
+                        let end = self.qw - base;
+                        let below_end = if end >= WORD_BITS {
+                            word_from(global, end - WORD_BITS)
+                        } else {
+                            word_from(global, 0) << (WORD_BITS - end)
+                        };
+                        below_end.reverse_bits()
+                    } else {
+                        word_from(global, self.qw + base)
+                    };
                 }
             }
         }
@@ -224,9 +240,9 @@ impl QuadrantMap {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidTarget`] unless the target is even-sized,
-    /// centred, and fits — QRM requires the target to split exactly across
-    /// the four quadrants.
+    /// Returns [`Error::InvalidTarget`] unless the target is non-empty,
+    /// even-sized, centred, and fits — QRM requires the target to split
+    /// exactly across the four quadrants.
     pub fn quadrant_target(&self, target: &Rect) -> Result<(usize, usize), Error> {
         if !target.height.is_multiple_of(2) || !target.width.is_multiple_of(2) {
             return Err(Error::InvalidTarget {
@@ -238,8 +254,7 @@ impl QuadrantMap {
                 reason: "target larger than array",
             });
         }
-        let centred = Rect::centered(self.height, self.width, target.height, target.width)
-            .expect("validated above");
+        let centred = Rect::centered(self.height, self.width, target.height, target.width)?;
         if *target != centred {
             return Err(Error::InvalidTarget {
                 reason: "QRM target must be centred in the array",
@@ -249,10 +264,60 @@ impl QuadrantMap {
     }
 }
 
+/// The 64 bits of a line from bit `start` upward; positions past the
+/// line's end read as zero.
+fn word_from(line: &[u64], start: usize) -> u64 {
+    let word = |i: usize| line.get(i).copied().unwrap_or(0);
+    let (i, offset) = (start / WORD_BITS, start % WORD_BITS);
+    if offset == 0 {
+        word(i)
+    } else {
+        (word(i) >> offset) | (word(i + 1) << (WORD_BITS - offset))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::loading::seeded_rng;
+    use proptest::prelude::*;
+
+    /// The reference split, one site at a time: every canonical site
+    /// reads its global site through [`QuadrantMap::to_global`].
+    fn split_by_site(map: &QuadrantMap, grid: &AtomGrid) -> [AtomGrid; 4] {
+        let empty = AtomGrid::new(map.qh, map.qw).unwrap();
+        let mut out = [empty.clone(), empty.clone(), empty.clone(), empty];
+        for (&q, canon) in QuadrantId::ALL.iter().zip(out.iter_mut()) {
+            for r in 0..map.qh {
+                for c in 0..map.qw {
+                    let global = map.to_global(q, Position::new(r, c));
+                    if grid.get_unchecked(global.row, global.col) {
+                        canon.set_unchecked(r, c, true);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn word_level_split_matches_reference_and_restores(
+            half_height in 1usize..71,
+            half_width in 1usize..71,
+            fill in 0.0f64..1.0,
+            seed in any::<u64>(),
+        ) {
+            let (height, width) = (2 * half_height, 2 * half_width);
+            let grid = AtomGrid::random(height, width, fill, &mut seeded_rng(seed));
+            let map = QuadrantMap::new(height, width).unwrap();
+            let quads = map.split(&grid).unwrap();
+            prop_assert_eq!(&quads, &split_by_site(&map, &grid), "{}x{}", height, width);
+            prop_assert_eq!(map.restore(&quads).unwrap(), grid, "{}x{}", height, width);
+        }
+    }
 
     #[test]
     fn rejects_odd_and_zero() {
@@ -356,5 +421,20 @@ mod tests {
         // off-centre target
         let off = Rect::new(0, 10, 30, 30);
         assert!(m.quadrant_target(&off).is_err());
+    }
+
+    #[test]
+    fn zero_extent_target_is_invalid_not_a_panic() {
+        let m = QuadrantMap::new(10, 10).unwrap();
+        let zero_extent = Err(Error::InvalidTarget {
+            reason: "target has zero extent",
+        });
+        for target in [
+            Rect::new(5, 5, 0, 0),
+            Rect::new(3, 5, 4, 0),
+            Rect::new(5, 3, 0, 4),
+        ] {
+            assert_eq!(m.quadrant_target(&target), zero_extent, "{target:?}");
+        }
     }
 }

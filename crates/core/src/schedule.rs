@@ -24,7 +24,7 @@ use crate::moves::ParallelMove;
 /// assert_eq!(s.stats().max_traps, 2);
 /// # Ok::<(), qrm_core::Error>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     height: usize,
     width: usize,

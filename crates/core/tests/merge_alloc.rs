@@ -1,14 +1,15 @@
-//! Allocation budgets of the quadrant kernel and the cross-quadrant
-//! merge.
+//! Allocation budgets of the quadrant kernel, the cross-quadrant merge
+//! and a whole one-shot plan.
 //!
 //! A `ShiftKernel::run` may allocate a constant number of buffers per
 //! pass (the pass's shift and wave-offset buffers, and each row pass's
 //! windows) plus a constant set it reuses across passes.
-//! `merge_outcomes` may allocate the two lists of each move it emits
-//! (its rows and columns), plus a constant set of buffers it reuses from
-//! wave to wave and the schedule's amortised growth. This binary counts
-//! the calling thread's heap allocations with a counting global
-//! allocator, so it lives in a test binary of its own.
+//! `merge_outcomes` may allocate the one tone buffer of each move it
+//! emits, plus a constant set of buffers it reuses from wave to wave and
+//! the schedule's amortised growth. A one-shot `plan_batch` adds the
+//! decomposition, four kernel runs and the plan to its merge. This
+//! binary counts the calling thread's heap allocations with a counting
+//! global allocator, so it lives in a test binary of its own.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -19,8 +20,9 @@ use qrm_core::grid::AtomGrid;
 use qrm_core::kernel::{KernelConfig, KernelOutcome, KernelStrategy, ShiftKernel};
 use qrm_core::loading::seeded_rng;
 use qrm_core::merge::{merge_outcomes, MergeConfig};
+use qrm_core::planner::Planner;
 use qrm_core::quadrant::QuadrantMap;
-use qrm_core::scheduler::QrmConfig;
+use qrm_core::scheduler::{QrmConfig, QrmScheduler};
 
 thread_local! {
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
@@ -65,12 +67,12 @@ fn allocations() -> usize {
 }
 
 /// Buffers a merge call may allocate besides its moves: the live and
-/// spare grids, the union and line-set buffers and the schedule vector,
-/// each with a few growth steps.
+/// spare grids, the union, line-set and range buffers and the schedule
+/// vector, each with a few growth steps.
 const CONSTANT: usize = 64;
 
 #[test]
-fn merge_allocates_two_lists_per_move_plus_a_constant() {
+fn merge_allocates_one_tone_buffer_per_move_plus_a_constant() {
     for (size, strategy, iterations) in [
         (16, KernelStrategy::Greedy, 4),
         (50, KernelStrategy::Greedy, 4),
@@ -102,10 +104,10 @@ fn merge_allocates_two_lists_per_move_plus_a_constant() {
                 let moves = merged.schedule.len();
                 assert!(moves > 0, "{size}x{size} seed {seed}: nothing to merge");
                 assert!(
-                    spent <= 2 * moves + CONSTANT,
+                    spent <= moves + CONSTANT,
                     "{size}x{size} {strategy:?} seed {seed} merge {merge_quadrants}: \
                      {spent} allocations for {moves} moves (budget {})",
-                    2 * moves + CONSTANT
+                    moves + CONSTANT
                 );
             }
         }
@@ -149,6 +151,36 @@ fn kernel_allocates_a_constant_per_pass() {
                 }
             }
         }
+    }
+}
+
+/// Allocations a one-shot 50x50 `plan_batch` may make besides its
+/// moves' tone buffers: the four quadrant grids, four kernel runs, the
+/// merge's constant set and the plan.
+const PLAN_SURPLUS: usize = 140;
+
+#[test]
+fn one_shot_plan_allocates_one_buffer_per_move_plus_a_bounded_surplus() {
+    // The `analysis-50` shot stream: 128 shots at 55 % fill from one
+    // seed-1 stream, each with its centred 30x30 target, planned one
+    // at a time on the calling thread.
+    let planner = QrmScheduler::new(QrmConfig::paper()).with_workers(1);
+    let target = Rect::centered(50, 50, 30, 30).unwrap();
+    let mut rng = seeded_rng(1);
+    let jobs: Vec<(AtomGrid, Rect)> = (0..128)
+        .map(|_| (AtomGrid::random(50, 50, 0.55, &mut rng), target))
+        .collect();
+    planner.plan_batch(&jobs[..1]).unwrap();
+    for (k, job) in jobs.iter().enumerate() {
+        let before = allocations();
+        let plans = planner.plan_batch(std::slice::from_ref(job)).unwrap();
+        let spent = allocations() - before;
+        let moves = plans[0].schedule.len();
+        assert!(
+            spent <= moves + PLAN_SURPLUS,
+            "shot {k}: {spent} allocations for {moves} moves (budget {})",
+            moves + PLAN_SURPLUS
+        );
     }
 }
 

@@ -191,3 +191,18 @@ fn infeasible_instance_reports_not_filled() {
     let report = Executor::new().run(&grid, &plan.schedule).unwrap();
     assert_eq!(report.final_grid.atom_count(), grid.atom_count());
 }
+
+#[test]
+fn zero_extent_target_is_an_error_for_software_and_fpga() {
+    // A zero-extent target passes the evenness and fit checks; both
+    // planning paths must still refuse it with the typed error.
+    let grid = AtomGrid::random(10, 10, 0.5, &mut qrm_core::loading::seeded_rng(106));
+    let target = Rect::new(5, 5, 0, 0);
+    let zero_extent = qrm_core::Error::InvalidTarget {
+        reason: "target has zero extent",
+    };
+    let software = QrmScheduler::new(QrmConfig::paper()).plan(&grid, &target);
+    assert_eq!(software.unwrap_err(), zero_extent);
+    let fpga = QrmAccelerator::new(AcceleratorConfig::paper()).run(&grid, &target);
+    assert_eq!(fpga.unwrap_err(), zero_extent);
+}
