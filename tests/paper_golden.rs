@@ -10,9 +10,16 @@
 //! (`ablation_quadrants`), of the schedule-quality study (`quality(10)`,
 //! E-x1) and of the command-merging ablation (`ablation_merge(5)`,
 //! E-x3), at the instance counts `experiments quality` and
-//! `experiments ablations` print. Nothing here is timed. A change to the
-//! cycle model or the planner that claims unchanged numbers must leave
-//! every line unchanged.
+//! `experiments ablations` print. The planner comparison (`fig7b(1, 8)`,
+//! the eight instances `experiments fig7b` prints) adds one line per row
+//! with its name and fill count, and the FPGA row's modelled
+//! `analysis_us`; the headline (`headline(1)`) its modelled `fpga_us`
+//! and cycles; and the E-x4 budgets (`system_budgets(54.0, 1.0)`) both
+//! totals. Those three time their other cells with one pass that never
+//! sleeps, and only their untimed fields are read. `fig7a`'s `fpga_us`
+//! is the `accel paper` lines' `time_us` (same instances). A change to
+//! the cycle model or the planner that claims unchanged numbers must
+//! leave every line unchanged.
 //!
 //! Regenerate only for a declared model change:
 //! `cargo test --test paper_golden -- --ignored`, and name the change
@@ -22,7 +29,10 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use atom_rearrange::prelude::*;
-use qrm_bench::{ablation_merge, ablation_quadrants, fig8, paper_instance, quality};
+use qrm_bench::{
+    ablation_merge, ablation_quadrants, fig7b, fig8, headline, paper_instance, quality,
+    system_budgets,
+};
 use qrm_fpga::accelerator::CycleBreakdown;
 
 /// Square array sizes of Fig. 7(a), each at `paper_instance(size, 1000 + size)`.
@@ -113,6 +123,28 @@ fn corpus() -> String {
         )
         .expect("write to string");
     }
+    // Row 0 is the FPGA's, whose `analysis_us` is modelled; the others
+    // are timed.
+    for (i, row) in fig7b(1, 8).iter().enumerate() {
+        write!(
+            out,
+            "fig7b {:?} filled {}/{}",
+            row.name, row.filled, row.total
+        )
+        .expect("write to string");
+        if i == 0 {
+            write!(out, " analysis_us {}", row.analysis_us).expect("write to string");
+        }
+        writeln!(out).expect("write to string");
+    }
+    let h = headline(1);
+    writeln!(out, "headline fpga_us {} cycles {}", h.fpga_us, h.cycles).expect("write to string");
+    let (host_us, fpga_us, _) = system_budgets(54.0, 1.0);
+    writeln!(
+        out,
+        "system_budgets host_loop_total_us {host_us} on_fpga_total_us {fpga_us}"
+    )
+    .expect("write to string");
     out
 }
 
