@@ -45,23 +45,22 @@
 //! * an empty batch returns immediately.
 //!
 //! Planning allocates. A one-shot 50x50 `plan_batch` under
-//! [`QrmConfig::paper`] makes about 285 heap allocations (counted with a
+//! [`QrmConfig::paper`] makes about 228 heap allocations (counted with a
 //! counting global allocator at `workers` 1, mean over 64 shots at 50 %
-//! load; about 300 on the pool, whose jobs are boxed):
+//! load; about 242 on the pool, whose jobs are boxed):
 //!
 //! * about 170 in the merge: one per emitted move (its tone buffer;
-//!   ≈155 moves) plus a constant ≈12 buffers per call, a budget
+//!   ≈157 moves) plus a constant ≈12 buffers per call, a budget
 //!   `crates/core/tests/merge_alloc.rs` pins;
-//! * about 28 in each of the four quadrant kernels: each pass's flat
-//!   shift buffer and wave offsets, each row pass's windows, and a
-//!   constant set per run (the working grid and transposed view, the
-//!   column windows, the wave sort's scratch, the pass list), a
-//!   per-pass budget the same test file pins;
+//! * about 13 in each of the four quadrant kernels: each pass's one
+//!   wave-mask buffer, each row pass's windows, and a constant set per
+//!   run (the working grid and transposed view, the column windows, the
+//!   pass list), a per-pass budget the same test file pins;
 //! * the rest in decomposition and validation (the four quadrant grids,
 //!   the plan).
 //!
 //! The same test file pins the whole: at most one allocation per move
-//! plus 140 for each of the `analysis-50` workload's 128 seed-1 shots.
+//! plus 80 for each of the `analysis-50` workload's 128 seed-1 shots.
 //!
 //! ## Determinism
 //!

@@ -40,14 +40,16 @@
 //! [`bitline::suffix_shift_by`]. The balanced window planner simulates
 //! each row with the same walk.
 //!
-//! A pass stores its shifts in one flat buffer ordered by (hole, line),
-//! wave `k` being a slice of it (see [`LocalPass`]). The walks find
-//! shifts in line order; a counting sort over hole positions groups
-//! them into waves. Its two buffers are allocated once per
-//! [`ShiftKernel::run`] and reused by every pass, so a pass allocates
-//! only its own shift and wave-offset buffers. The per-position scan
-//! survives as the test-only `reference` module the equivalence
-//! tests compare against.
+//! A pass stores one line mask per wave, back to back in one buffer
+//! (see [`LocalPass`]): when line `l`'s walk fires at hole `k`, it sets
+//! bit `l` of wave `k`'s mask, so no step groups shifts into waves.
+//! That is the paper's shift-command buffer, one command bit per line
+//! and scan position, and the unit the merge combines across quadrants.
+//! A pass allocates only its mask buffer, sized once for the line
+//! length; a [`ShiftKernel::run`] adds its working grid and transposed
+//! view, the windows and the pass list. The per-position scan survives
+//! as the test-only `reference` module the equivalence tests compare
+//! against.
 
 use crate::bitline;
 use crate::error::Error;
@@ -57,77 +59,75 @@ use crate::grid::AtomGrid;
 #[cfg(test)]
 mod reference;
 
-/// One unit suffix shift: in line `line`, every atom at positions
-/// `> hole` moves one site toward position 0.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct LocalShift {
-    /// Line index (row for a row pass, column for a column pass).
-    pub line: usize,
-    /// Hole position along the line; must be empty when the shift fires.
-    pub hole: usize,
-}
-
-/// One pass: all shifts produced by scanning every line along `axis`
-/// once, grouped into *waves*. Wave `k` holds the shifts that fired at
-/// scan position `k`, at most one per line, in line order; they execute
-/// simultaneously (same direction, same unit step — the multi-tweezer
-/// parallelism of §II-B).
+/// One pass: every shift produced by scanning every line along `axis`
+/// once, grouped into *waves*. Wave `k` is the set of lines that fired
+/// at scan position `k`, so each of its shifts has its hole at `k`; they
+/// execute simultaneously (same direction, same unit step — the
+/// multi-tweezer parallelism of §II-B). That per-position line mask is
+/// what the paper's shift-command buffer records and its Row
+/// Combination Unit merges (§IV-C).
 ///
-/// The shifts live in one buffer ordered by (hole, line), and each wave
-/// is a slice of it. Interior empty waves are kept, so wave `k` stays
-/// at scan position `k`; trailing empty waves are trimmed, so two passes
-/// with the same shifts compare equal however they were built.
+/// The masks live back to back in one buffer, `words_for(lines)` words
+/// each. Interior empty waves are kept, so wave `k` stays at scan
+/// position `k`; trailing empty waves never exist, so two passes with
+/// the same shifts compare equal however they were built.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LocalPass {
     /// Scan axis: [`Axis::Row`] compresses columns westward (toward local
     /// column 0), [`Axis::Col`] compresses rows northward (toward local
     /// row 0).
     pub axis: Axis,
-    /// Every shift of the pass, ordered by (hole, line).
-    shifts: Vec<LocalShift>,
-    /// Offset into `shifts` of each wave's first shift.
-    starts: Vec<usize>,
+    /// Words per wave mask.
+    words: usize,
+    /// The wave masks in scan order; bit `line` of wave `k` is set when
+    /// line `line` fired at `k`.
+    masks: Vec<u64>,
 }
 
 impl LocalPass {
-    /// Builds a pass from its waves in execution order, trimming
-    /// trailing empty waves.
-    pub fn from_waves<'a>(axis: Axis, waves: impl IntoIterator<Item = &'a [LocalShift]>) -> Self {
-        let mut pass = LocalPass {
+    /// An empty pass over `lines` lines of `len` scan positions each.
+    /// The buffer is sized for `len` waves, so firing never reallocates.
+    pub fn new(axis: Axis, lines: usize, len: usize) -> Self {
+        let words = bitline::words_for(lines).max(1);
+        LocalPass {
             axis,
-            shifts: Vec::new(),
-            starts: Vec::new(),
-        };
-        for wave in waves {
-            pass.starts.push(pass.shifts.len());
-            pass.shifts.extend_from_slice(wave);
+            words,
+            masks: Vec::with_capacity(words * len),
         }
-        while pass.starts.last() == Some(&pass.shifts.len()) {
-            pass.starts.pop();
+    }
+
+    /// Records that `line` fired at scan position `hole`, adding empty
+    /// waves up to wave `hole`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `line` reaches past a wave mask's words.
+    pub fn fire(&mut self, hole: usize, line: usize) {
+        let end = (hole + 1) * self.words;
+        if self.masks.len() < end {
+            self.masks.resize(end, 0);
         }
-        pass
+        bitline::set(&mut self.masks[end - self.words..end], line, true);
     }
 
     /// Number of waves, interior empty ones included.
     pub fn wave_count(&self) -> usize {
-        self.starts.len()
+        self.masks.len() / self.words
     }
 
-    /// The shifts of wave `k`, or `None` past the last wave.
-    pub fn wave(&self, k: usize) -> Option<&[LocalShift]> {
-        let start = *self.starts.get(k)?;
-        let end = self.starts.get(k + 1).copied().unwrap_or(self.shifts.len());
-        Some(&self.shifts[start..end])
+    /// The line mask of wave `k`, or `None` past the last wave.
+    pub fn wave(&self, k: usize) -> Option<&[u64]> {
+        self.masks.get(k * self.words..(k + 1) * self.words)
     }
 
-    /// The waves in execution order.
-    pub fn waves(&self) -> impl Iterator<Item = &[LocalShift]> + '_ {
-        (0..self.wave_count()).filter_map(|k| self.wave(k))
+    /// The wave masks in execution order.
+    pub fn waves(&self) -> impl Iterator<Item = &[u64]> + '_ {
+        self.masks.chunks_exact(self.words)
     }
 
     /// Total number of unit shifts in the pass.
     pub fn shift_count(&self) -> usize {
-        self.shifts.len()
+        bitline::count_ones(&self.masks)
     }
 }
 
@@ -285,23 +285,12 @@ impl ShiftKernel {
     pub fn run(&self, quadrant: &AtomGrid) -> Result<KernelOutcome, Error> {
         let (qh, qw) = quadrant.dims();
         let (th, tw) = (self.config.target_height, self.config.target_width);
-        if th > qh || tw > qw {
-            return Err(Error::InvalidTarget {
-                reason: "target extent exceeds quadrant",
-            });
-        }
-        if th == 0 || tw == 0 {
-            return Err(Error::InvalidTarget {
-                reason: "target has zero extent",
-            });
-        }
-        let target = Rect::new(0, 0, th, tw);
+        let target = corner_target((qh, qw), th, tw)?;
         let col_limits = plan_col_windows(self.config.strategy, qh, qw, th, tw);
         let mut grid = quadrant.clone();
         // Column passes scan this transposed view in place of the grid
         // (the hardware "column stream to row stream" trick).
         let mut view = AtomGrid::new(qw, qh)?;
-        let mut sort = WaveSort::default();
         let mut passes = Vec::new();
         let mut iterations = 0;
         while iterations < self.config.max_iterations {
@@ -315,7 +304,6 @@ impl ShiftKernel {
                 Axis::Row,
                 &row_limits,
                 self.config.row_enable.as_deref(),
-                &mut sort,
             );
             grid.transpose_into(&mut view);
             let col_pass = pass_over_lines(
@@ -323,7 +311,6 @@ impl ShiftKernel {
                 Axis::Col,
                 &col_limits,
                 self.config.col_enable.as_deref(),
-                &mut sort,
             );
             view.transpose_into(&mut grid);
             let progressed = row_pass.shift_count() + col_pass.shift_count() > 0;
@@ -341,6 +328,28 @@ impl ShiftKernel {
             filled,
         })
     }
+}
+
+/// The `th x tw` corner target of a canonical `qh x qw` quadrant, as
+/// [`ShiftKernel::run`] and the FPGA model's quadrant processor check
+/// it.
+///
+/// # Errors
+///
+/// Returns [`Error::InvalidTarget`] when the target extent exceeds the
+/// quadrant or is zero.
+pub fn corner_target((qh, qw): (usize, usize), th: usize, tw: usize) -> Result<Rect, Error> {
+    if th > qh || tw > qw {
+        return Err(Error::InvalidTarget {
+            reason: "target extent exceeds quadrant",
+        });
+    }
+    if th == 0 || tw == 0 {
+        return Err(Error::InvalidTarget {
+            reason: "target has zero extent",
+        });
+    }
+    Ok(Rect::new(0, 0, th, tw))
 }
 
 /// Computes the per-row `(floor, limit)` hole windows for a horizontal
@@ -471,10 +480,10 @@ pub fn plan_col_windows(
 /// closed-form walk (see the module docs) instead of probing every
 /// position.
 ///
-/// The returned pass holds its shifts in one buffer ordered by (hole,
-/// line); wave `k` is the slice that fired at scan position `k`
-/// (interior empty waves are retained to preserve that alignment;
-/// trailing empty waves are trimmed).
+/// The returned pass holds one line mask per wave: wave `k` is the set
+/// of lines that fired at scan position `k` (interior empty waves are
+/// retained to preserve that alignment; trailing empty waves are
+/// trimmed).
 ///
 /// `limits[line]` is the `(floor, limit)` hole window per line; lines
 /// beyond `limits.len()` use `(0, line_length)`. Lines whose `enable`
@@ -488,12 +497,11 @@ pub fn run_pass(
     // Work on lines along the pass axis: rows directly in place, or
     // columns via a transposed view (the hardware "column stream to row
     // stream" trick).
-    let mut sort = WaveSort::default();
     match axis {
-        Axis::Row => pass_over_lines(grid, axis, limits, enable, &mut sort),
+        Axis::Row => pass_over_lines(grid, axis, limits, enable),
         Axis::Col => {
             let mut view = grid.transpose();
-            let pass = pass_over_lines(&mut view, axis, limits, enable, &mut sort);
+            let pass = pass_over_lines(&mut view, axis, limits, enable);
             view.transpose_into(grid);
             pass
         }
@@ -501,27 +509,26 @@ pub fn run_pass(
 }
 
 /// The pass of [`run_pass`] over the rows of `view`, shifting them in
-/// place: one [`compact_line`] walk per enabled line, then a counting
-/// sort of the shifts into waves.
+/// place: one [`compact_line`] walk per enabled line, each fired hole
+/// setting the line's bit in that hole's wave.
 fn pass_over_lines(
     view: &mut AtomGrid,
     axis: Axis,
     limits: &[(usize, usize)],
     enable: Option<&[bool]>,
-    sort: &mut WaveSort,
 ) -> LocalPass {
     let (nlines, linelen) = (view.height(), view.width());
-    sort.found.clear();
+    let mut pass = LocalPass::new(axis, nlines, linelen);
     for line in 0..nlines {
         if enable.is_some_and(|en| !en.get(line).copied().unwrap_or(true)) {
             continue;
         }
         let window = limits.get(line).copied().unwrap_or((0, linelen));
         compact_line(view.row_bits_mut(line), linelen, window, |hole| {
-            sort.found.push(LocalShift { line, hole });
+            pass.fire(hole, line);
         });
     }
-    sort.group(axis)
+    pass
 }
 
 /// One line's pass in closed form: shifts `line` (of `width` sites) as
@@ -554,46 +561,6 @@ fn compact_line(
     }
 }
 
-/// Groups a pass's shifts into waves with a counting sort over hole
-/// positions. A [`ShiftKernel::run`] keeps one and reuses its buffers
-/// for every pass.
-#[derive(Debug, Default)]
-struct WaveSort {
-    /// The pass's shifts in line order, as the walks find them.
-    found: Vec<LocalShift>,
-    /// Shifts per hole position, then each wave's next free slot.
-    counts: Vec<usize>,
-}
-
-impl WaveSort {
-    /// Sorts `found` by (hole, line) into a new pass. Lines were walked
-    /// in ascending order, so the sort only has to be stable.
-    fn group(&mut self, axis: Axis) -> LocalPass {
-        let nwaves = self.found.iter().map(|s| s.hole + 1).max().unwrap_or(0);
-        self.counts.clear();
-        self.counts.resize(nwaves, 0);
-        for s in &self.found {
-            self.counts[s.hole] += 1;
-        }
-        let mut starts = Vec::with_capacity(nwaves);
-        let mut next = 0;
-        for slot in &mut self.counts {
-            starts.push(next);
-            next += std::mem::replace(slot, next);
-        }
-        let mut shifts = vec![LocalShift { line: 0, hole: 0 }; self.found.len()];
-        for &s in &self.found {
-            shifts[self.counts[s.hole]] = s;
-            self.counts[s.hole] += 1;
-        }
-        LocalPass {
-            axis,
-            shifts,
-            starts,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -614,23 +581,21 @@ mod tests {
     fn replay(input: &AtomGrid, outcome: &KernelOutcome) -> AtomGrid {
         let mut g = input.clone();
         for pass in &outcome.passes {
-            for wave in pass.waves() {
+            for (hole, wave) in pass.waves().enumerate() {
                 let mut view = match pass.axis {
                     Axis::Row => g.clone(),
                     Axis::Col => g.transpose(),
                 };
                 let w = view.width();
-                for s in wave {
-                    let mut bits = view.row_bits(s.line).to_vec();
+                bitline::for_each_one(wave, |line| {
+                    let mut bits = view.row_bits(line).to_vec();
                     assert!(
-                        !bitline::get(&bits, s.hole),
-                        "replay: hole {} of line {} occupied",
-                        s.hole,
-                        s.line
+                        !bitline::get(&bits, hole),
+                        "replay: hole {hole} of line {line} occupied"
                     );
-                    bitline::suffix_shift(&mut bits, s.hole, w);
-                    view.set_row_bits(s.line, &bits);
-                }
+                    bitline::suffix_shift(&mut bits, hole, w);
+                    view.set_row_bits(line, &bits);
+                });
                 g = match pass.axis {
                     Axis::Row => view,
                     Axis::Col => view.transpose(),
@@ -871,18 +836,37 @@ mod tests {
 
     #[test]
     fn passes_are_built_flat_and_trimmed() {
-        let shift = |line, hole| LocalShift { line, hole };
-        let waves: [&[LocalShift]; 4] = [&[shift(0, 0), shift(2, 0)], &[], &[shift(1, 2)], &[]];
-        let pass = LocalPass::from_waves(Axis::Col, waves);
+        // 130 lines take three words per wave; fire on both sides of
+        // each word boundary, leave wave 1 empty inside the pass and
+        // waves 3.. empty past its end.
+        let mut pass = LocalPass::new(Axis::Col, 130, 6);
+        for (hole, line) in [(0, 0), (0, 63), (2, 64), (0, 129), (2, 0)] {
+            pass.fire(hole, line);
+        }
+        let mask = |lines: &[usize]| {
+            let mut mask = vec![0u64; 3];
+            for &line in lines {
+                bitline::set(&mut mask, line, true);
+            }
+            mask
+        };
+        let waves = [mask(&[0, 63, 129]), mask(&[]), mask(&[0, 64])];
         assert_eq!(pass.wave_count(), 3);
-        assert_eq!(pass.shift_count(), 3);
-        assert_eq!(pass.wave(1), Some(&[][..]));
-        assert_eq!(pass.wave(2), Some(&[shift(1, 2)][..]));
+        assert_eq!(pass.shift_count(), 5);
+        assert_eq!(pass.wave(1), Some(&waves[1][..]));
+        assert_eq!(pass.wave(2), Some(&waves[2][..]));
         assert_eq!(pass.wave(3), None);
-        assert_eq!(pass.waves().collect::<Vec<_>>(), waves[..3].to_vec());
+        assert!(pass.waves().eq(waves.iter().map(Vec::as_slice)));
+        // The same shifts fired in another order, into a buffer sized
+        // for another line length, make an equal pass.
+        let mut again = LocalPass::new(Axis::Col, 130, 3);
+        for (hole, line) in [(2, 64), (2, 0), (0, 129), (0, 63), (0, 0)] {
+            again.fire(hole, line);
+        }
+        assert_eq!(again, pass);
         let mut g = AtomGrid::parse("#.#\n.#.").unwrap();
         let empty = run_pass(&mut g, Axis::Row, &[(0, 0), (0, 0)], None);
-        assert_eq!(empty, LocalPass::from_waves(Axis::Row, [&[][..]; 3]));
+        assert_eq!(empty, LocalPass::new(Axis::Row, 2, 3));
         assert_eq!((empty.wave_count(), empty.waves().count()), (0, 0));
     }
 

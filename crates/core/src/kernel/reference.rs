@@ -6,7 +6,7 @@
 //! module compare [`super::run_pass`], [`super::plan_row_windows`] and
 //! [`super::ShiftKernel::run`] against it.
 
-use super::{plan_col_windows, KernelConfig, KernelOutcome, KernelStrategy, LocalPass, LocalShift};
+use super::{plan_col_windows, KernelConfig, KernelOutcome, KernelStrategy, LocalPass};
 use crate::bitline;
 use crate::geometry::{Axis, Rect};
 use crate::grid::AtomGrid;
@@ -24,9 +24,8 @@ pub(super) fn run_pass(
         Axis::Col => grid.transpose(),
     };
     let (nlines, linelen) = (view.height(), view.width());
-    let mut waves: Vec<Vec<LocalShift>> = Vec::new();
+    let mut pass = LocalPass::new(axis, nlines, linelen);
     for k in 0..linelen {
-        let mut wave = Vec::new();
         for line in 0..nlines {
             if let Some(en) = enable {
                 if !en.get(line).copied().unwrap_or(true) {
@@ -41,16 +40,15 @@ pub(super) fn run_pass(
             if !bitline::get(&bits, k) && bitline::highest_one(&bits).is_some_and(|top| top > k) {
                 bitline::suffix_shift(&mut bits, k, linelen);
                 view.set_row_bits(line, &bits);
-                wave.push(LocalShift { line, hole: k });
+                pass.fire(k, line);
             }
         }
-        waves.push(wave);
     }
     *grid = match axis {
         Axis::Row => view,
         Axis::Col => view.transpose(),
     };
-    LocalPass::from_waves(axis, waves.iter().map(Vec::as_slice))
+    pass
 }
 
 /// The row windows, with the balanced planner simulating each row by

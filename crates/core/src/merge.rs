@@ -1,6 +1,7 @@
 //! Cross-quadrant command merging (paper §IV-C, Row Combination Unit).
 //!
-//! Each quadrant kernel emits waves of canonical suffix shifts. This
+//! Each quadrant kernel emits waves of canonical suffix shifts: wave `k`
+//! of a pass is the mask of lines that fired at scan position `k`. This
 //! module translates them into global coordinates and fuses them into AOD
 //! [`ParallelMove`]s:
 //!
@@ -8,7 +9,7 @@
 //! * NW and SW waves merge (both compress **east** toward the centre
 //!   column "from the west"), NE with SE (west), NW with NE (south), and
 //!   SW with SE (north);
-//! * a wave group moves as one cross-product selection: every shift of
+//! * a wave group moves as one cross-product selection: every line of
 //!   wave `k` has its hole at scan position `k`, so the group's movers
 //!   all lie in one suffix range and their union traps no atom that
 //!   stays;
@@ -17,16 +18,17 @@
 //! The merge works on words. It keeps one live grid whose rows are the
 //! lines of the current pass axis (the grid itself for row passes, its
 //! transpose for column passes) and switches representation once per
-//! pass with the 64x64 block [`AtomGrid::transpose_into`]. Every shift
+//! pass with the 64x64 block [`AtomGrid::transpose_into`]. Every line
 //! of wave `k` has its hole at `k`, so one mover-range mask per member
-//! quadrant and wave selects the movers of all its lines. A wave
-//! group's mover masks are OR-ed into one reused union buffer and its
-//! lines into a reused bit set. Those two masks are the paper's
-//! row-selection and column-selection records: the move's tone buffer
-//! is filled from their bits at exact capacity, and each selected
-//! line's movers shift in place on the live grid's words. Past a
-//! constant set of buffers per call, the only allocations are each
-//! emitted move's tone buffer and the schedule's growth.
+//! quadrant and wave selects the movers of every line the merge finds
+//! by walking the wave mask's bits. A wave group's mover masks are
+//! OR-ed into one reused union buffer and its lines into a reused bit
+//! set. Those two masks are the paper's row-selection and
+//! column-selection records: the move's tone buffer is filled from
+//! their bits at exact capacity, and each selected line's movers shift
+//! in place on the live grid's words. Past a constant set of buffers
+//! per call, the only allocations are each emitted move's tone buffer
+//! and the schedule's growth.
 
 use crate::bitline::{self, WORD_BITS};
 use crate::error::Error;
@@ -70,17 +72,14 @@ pub struct MergeOutput {
 /// into one global [`Schedule`], tracking the global occupancy so every
 /// mover mask is sampled from the grid as it stands when its wave runs.
 ///
-/// The outcomes must come from a scan, as [`ShiftKernel`] and the FPGA
-/// shift unit produce them: wave `k` of a pass holds only shifts whose
-/// hole is at position `k`. Legality then holds by construction — a
-/// wave group's movers are its lines' atoms in one suffix range, so the
-/// cross product of its lines and their union traps exactly the movers
-/// — and the executor is not re-run per move here (the test suite
-/// executes every merged schedule through the validating
+/// Wave `k` of a pass is the set of lines that fired at scan position
+/// `k`, so legality holds by construction: a wave group's movers are its
+/// lines' atoms in one suffix range, and the cross product of its lines
+/// and their union traps exactly the movers. The executor is therefore
+/// not re-run per move here (the test suite executes every merged
+/// schedule through the validating
 /// [`Executor`](crate::executor::Executor) instead). Debug builds assert
-/// the shared hole and that every shifted line keeps its atoms.
-///
-/// [`ShiftKernel`]: crate::kernel::ShiftKernel
+/// that every shifted line keeps its atoms.
 ///
 /// # Errors
 ///
@@ -171,9 +170,9 @@ impl Merge {
     }
 
     /// Gathers wave `w` of pass `p` restricted to `members`: for each
-    /// shift, the atoms of its global line that lie beyond the hole,
-    /// away from the array centre, go into `union` and the line into
-    /// `line_set`.
+    /// line in the wave's mask, the atoms of its global line that lie
+    /// beyond scan position `w`, away from the array centre, go into
+    /// `union` and the line into `line_set`.
     fn collect(
         &mut self,
         map: &QuadrantMap,
@@ -197,16 +196,16 @@ impl Merge {
                 continue;
             };
             debug_assert_eq!(pass.axis, axis, "pass axis misalignment");
-            let Some(wave) = pass.wave(w).filter(|wave| !wave.is_empty()) else {
+            let Some(wave) = pass.wave(w).filter(|wave| wave.iter().any(|&m| m != 0)) else {
                 continue;
             };
             let toward_low = match axis {
                 Axis::Row => q.is_west(),
                 Axis::Col => q.is_north(),
             };
-            // Every shift of the wave has its hole at `w`, so its movers
-            // are the canonical positions beyond `w`: one global range
-            // for the whole wave.
+            // Every line of the wave fired at `w`, so its movers are the
+            // canonical positions beyond `w`: one global range for the
+            // whole wave.
             let (lo, hi) = if toward_low {
                 (0, half - 1 - w)
             } else {
@@ -215,27 +214,28 @@ impl Merge {
             self.range.clear();
             self.range
                 .extend((0..words).map(|i| bitline::range_word(i, lo, hi)));
-            for shift in wave {
-                debug_assert_eq!(shift.hole, w, "wave {w} holds a shift at another hole");
+            let Merge {
+                live,
+                union,
+                line_set,
+                range,
+                ..
+            } = self;
+            bitline::for_each_one(wave, |local| {
                 let line = match axis {
-                    Axis::Row => map.global_row(q, shift.line),
-                    Axis::Col => map.global_col(q, shift.line),
+                    Axis::Row => map.global_row(q, local),
+                    Axis::Col => map.global_col(q, local),
                 };
                 let mut any = 0;
-                for ((u, &o), &r) in self
-                    .union
-                    .iter_mut()
-                    .zip(self.live.row_bits(line))
-                    .zip(&self.range)
-                {
+                for ((u, &o), &r) in union.iter_mut().zip(live.row_bits(line)).zip(&*range) {
                     let movers = o & r;
                     *u |= movers;
                     any |= movers;
                 }
                 if any != 0 {
-                    bitline::set(&mut self.line_set, line, true);
+                    bitline::set(line_set, line, true);
                 }
-            }
+            });
         }
     }
 

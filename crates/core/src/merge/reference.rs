@@ -154,11 +154,11 @@ fn collect_movers(
         let Some(wave) = pass.wave(w) else {
             continue;
         };
-        for shift in wave {
+        bitline::for_each_one(wave, |line| {
             let (global_line, occ, table) = match axis {
                 Axis::Row => (
-                    map.global_row(q, shift.line),
-                    working.row_bits(map.global_row(q, shift.line)),
+                    map.global_row(q, line),
+                    working.row_bits(map.global_row(q, line)),
                     if q.is_west() {
                         &h_masks.low
                     } else {
@@ -166,8 +166,8 @@ fn collect_movers(
                     },
                 ),
                 Axis::Col => (
-                    map.global_col(q, shift.line),
-                    working_t.row_bits(map.global_col(q, shift.line)),
+                    map.global_col(q, line),
+                    working_t.row_bits(map.global_col(q, line)),
                     if q.is_north() {
                         &v_masks.low
                     } else {
@@ -175,12 +175,12 @@ fn collect_movers(
                     },
                 ),
             };
-            let range = &table[shift.hole];
+            let range = &table[w];
             let mask: Vec<u64> = occ.iter().zip(range.iter()).map(|(o, m)| o & m).collect();
             if bitline::count_ones(&mask) > 0 {
                 movers.push((global_line, mask));
             }
-        }
+        });
     }
     movers
 }

@@ -2,8 +2,8 @@
 //! and a whole one-shot plan.
 //!
 //! A `ShiftKernel::run` may allocate a constant number of buffers per
-//! pass (the pass's shift and wave-offset buffers, and each row pass's
-//! windows) plus a constant set it reuses across passes.
+//! pass (the pass's one mask buffer, and each row pass's windows) plus
+//! a constant set it reuses across passes.
 //! `merge_outcomes` may allocate the one tone buffer of each move it
 //! emits, plus a constant set of buffers it reuses from wave to wave and
 //! the schedule's amortised growth. A one-shot `plan_batch` adds the
@@ -114,15 +114,16 @@ fn merge_allocates_one_tone_buffer_per_move_plus_a_constant() {
     }
 }
 
-/// Allocations a kernel run may make per pass: the pass's shift buffer
-/// and wave offsets, plus, once per iteration, the row windows (and
-/// under the balanced strategy its supply counts and line buffer).
-const KERNEL_PER_PASS: usize = 4;
+/// Allocations a kernel run may make per pass: the pass's one mask
+/// buffer (sized once, so it never grows, and with no wave offsets
+/// beside it), plus, once per iteration, the row windows (and under the
+/// balanced strategy its supply counts and line buffer).
+const KERNEL_PER_PASS: usize = 3;
 
 /// Allocations a kernel run may make once: the working grid, its
-/// transposed view, the column windows, the wave sort's two scratch
-/// buffers and the pass list, each with a few growth steps.
-const KERNEL_CONSTANT: usize = 24;
+/// transposed view, the column windows and the pass list with a few
+/// growth steps. Waves need no sort, so there is no sort scratch.
+const KERNEL_CONSTANT: usize = 12;
 
 #[test]
 fn kernel_allocates_a_constant_per_pass() {
@@ -155,9 +156,10 @@ fn kernel_allocates_a_constant_per_pass() {
 }
 
 /// Allocations a one-shot 50x50 `plan_batch` may make besides its
-/// moves' tone buffers: the four quadrant grids, four kernel runs, the
-/// merge's constant set and the plan.
-const PLAN_SURPLUS: usize = 140;
+/// moves' tone buffers: the four quadrant grids, four kernel runs (one
+/// mask buffer per pass, no wave offsets, no sort scratch), the merge's
+/// constant set and the plan.
+const PLAN_SURPLUS: usize = 80;
 
 #[test]
 fn one_shot_plan_allocates_one_buffer_per_move_plus_a_bounded_surplus() {

@@ -15,9 +15,11 @@
 //! single row" per iteration.
 
 use qrm_core::error::Error;
-use qrm_core::geometry::{Axis, Rect};
+use qrm_core::geometry::Axis;
 use qrm_core::grid::AtomGrid;
-use qrm_core::kernel::{plan_col_windows, plan_row_windows, KernelOutcome, KernelStrategy};
+use qrm_core::kernel::{
+    corner_target, plan_col_windows, plan_row_windows, KernelOutcome, KernelStrategy,
+};
 
 use crate::shift_unit::{LineJob, ShiftUnit};
 
@@ -119,16 +121,12 @@ impl QuadrantProcessor {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidTarget`] when the target exceeds the
-    /// quadrant extent.
+    /// Returns [`Error::InvalidTarget`] with the software kernel's
+    /// reason when the target extent exceeds the quadrant or is zero.
     pub fn process(&self, quadrant: &AtomGrid) -> Result<QpmReport, Error> {
         let (qh, qw) = quadrant.dims();
         let (th, tw) = (self.config.target_height, self.config.target_width);
-        if th > qh || tw > qw || th == 0 || tw == 0 {
-            return Err(Error::InvalidTarget {
-                reason: "target extent exceeds quadrant",
-            });
-        }
+        let target = corner_target((qh, qw), th, tw)?;
         let mut grid = quadrant.clone();
         let mut passes_out = Vec::new();
         let mut timings = Vec::new();
@@ -189,7 +187,6 @@ impl QuadrantProcessor {
         }
 
         let total_cycles = timings.iter().map(|t| t.finish).max().unwrap_or(0);
-        let target = Rect::new(0, 0, th, tw);
         let filled = grid.is_filled(&target)?;
         Ok(QpmReport {
             outcome: KernelOutcome {
@@ -304,11 +301,27 @@ mod tests {
     }
 
     #[test]
-    fn rejects_oversized_target() {
-        let q = AtomGrid::new(5, 5).unwrap();
-        assert!(QuadrantProcessor::new(QpmConfig::paper(6, 3))
-            .process(&q)
-            .is_err());
+    fn rejects_a_target_with_the_software_kernels_reason() {
+        let q = AtomGrid::new(6, 6).unwrap();
+        for (th, tw, reason) in [
+            (7, 3, "target extent exceeds quadrant"),
+            (3, 7, "target extent exceeds quadrant"),
+            (0, 3, "target has zero extent"),
+            (3, 0, "target has zero extent"),
+        ] {
+            let hw = QuadrantProcessor::new(QpmConfig::paper(th, tw)).process(&q);
+            let sw = ShiftKernel::new(KernelConfig::new(th, tw)).run(&q);
+            assert_eq!(
+                hw.unwrap_err(),
+                Error::InvalidTarget { reason },
+                "{th}x{tw}"
+            );
+            assert_eq!(
+                sw.unwrap_err(),
+                Error::InvalidTarget { reason },
+                "{th}x{tw}"
+            );
+        }
     }
 
     #[test]

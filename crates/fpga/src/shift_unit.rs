@@ -26,7 +26,7 @@
 
 use qrm_core::bitline;
 use qrm_core::geometry::Axis;
-use qrm_core::kernel::{LocalPass, LocalShift};
+use qrm_core::kernel::LocalPass;
 
 /// One line of work for a pass.
 #[derive(Debug, Clone)]
@@ -59,10 +59,10 @@ pub struct TraceEvent {
 /// Result of streaming one pass through the unit.
 #[derive(Debug, Clone)]
 pub struct PassTrace {
-    axis: Axis,
     line_len: usize,
-    /// `commands[k]` = shifts issued at scan position `k`.
-    commands: Vec<Vec<LocalShift>>,
+    /// The shift-commands buffer: wave `k` is the set of lines that
+    /// issued a command at scan position `k`.
+    pass: LocalPass,
     /// Final line contents, in input order.
     out_lines: Vec<(usize, Vec<u64>)>,
     /// Total cycles from first line in to last line retired.
@@ -100,14 +100,13 @@ impl PassTrace {
 
     /// Total shift commands issued.
     pub fn shift_count(&self) -> usize {
-        self.commands.iter().map(Vec::len).sum()
+        self.pass.shift_count()
     }
 
-    /// Converts the command stream into the kernel's [`LocalPass`] form:
-    /// wave `k` holds the commands of scan position `k`, with trailing
-    /// empty waves trimmed (identical to the software kernel).
+    /// The command stream in the kernel's [`LocalPass`] form, identical
+    /// to the software kernel's pass.
     pub fn to_local_pass(&self) -> LocalPass {
-        LocalPass::from_waves(self.axis, self.commands.iter().map(Vec::as_slice))
+        self.pass.clone()
     }
 }
 
@@ -178,7 +177,8 @@ impl ShiftUnit {
     pub fn run(&self, axis: Axis, jobs: &[LineJob]) -> PassTrace {
         let depth = self.line_len;
         let words = bitline::words_for(depth);
-        let mut commands: Vec<Vec<LocalShift>> = vec![Vec::new(); depth];
+        let lines = jobs.iter().map(|job| job.line + 1).max().unwrap_or(0);
+        let mut pass = LocalPass::new(axis, lines, depth);
         let mut out_lines: Vec<(usize, Vec<u64>)> = Vec::with_capacity(jobs.len());
         let mut events = Vec::new();
 
@@ -202,10 +202,7 @@ impl ShiftUnit {
                 let atoms_above = bitline::highest_one(&fl.reg).is_some_and(|t| t >= 1);
                 let fire = fl.enabled && k >= floor && k < limit && !occupied && atoms_above;
                 if fire {
-                    commands[k].push(LocalShift {
-                        line: fl.line,
-                        hole: k,
-                    });
+                    pass.fire(k, fl.line);
                     // Suffix shift: position k takes the old k+1 value;
                     // the valid span k..depth is unchanged (top fills 0).
                     shift_reg(&mut fl.reg);
@@ -255,9 +252,8 @@ impl ShiftUnit {
         }
 
         PassTrace {
-            axis,
             line_len: depth,
-            commands,
+            pass,
             out_lines,
             cycles,
             issue_cycles: jobs.len() as u64,
@@ -392,8 +388,10 @@ mod tests {
         }];
         let trace = ShiftUnit::new(6).run(Axis::Row, &jobs);
         let pass = trace.to_local_pass();
-        for s in pass.waves().flatten() {
-            assert!((3..6).contains(&s.hole));
+        for (hole, wave) in pass.waves().enumerate() {
+            if wave.iter().any(|&m| m != 0) {
+                assert!((3..6).contains(&hole), "fired at {hole}");
+            }
         }
         // atom at 2 must not have moved
         assert!(bitline::get(&trace.out_lines()[0].1, 2));

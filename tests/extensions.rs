@@ -136,8 +136,10 @@ fn sen_masking_blocks_selected_lines_globally() {
     cfg.col_enable = Some(vec![false; 10]);
     let out = ShiftKernel::new(cfg).run(&quadrant).unwrap();
     for pass in &out.passes {
-        for shift in pass.waves().flatten() {
-            assert!(mask[shift.line], "masked line {} fired", shift.line);
+        for wave in pass.waves() {
+            qrm_core::bitline::for_each_one(wave, |line| {
+                assert!(mask[line], "masked line {line} fired");
+            });
         }
     }
     // masked rows' atoms did not move at all (columns disabled too)
