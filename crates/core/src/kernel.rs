@@ -86,7 +86,8 @@ pub struct LocalPass {
 
 impl LocalPass {
     /// An empty pass over `lines` lines of `len` scan positions each.
-    /// The buffer is sized for `len` waves, so firing never reallocates.
+    /// The buffer is sized for `len` waves, so firing at a hole on the
+    /// line never reallocates.
     pub fn new(axis: Axis, lines: usize, len: usize) -> Self {
         let words = bitline::words_for(lines).max(1);
         LocalPass {
