@@ -688,7 +688,8 @@ const KERNELS: [(&str, usize); 4] = [
 /// * `bitline_suffix_shift`: the lowest-hole search and one suffix
 ///   shift on the quadrant's first row;
 /// * `kernel_row_pass_25`: one greedy row pass ([`run_pass`]) including
-///   its grid clone;
+///   its grid clone and its two transposes (a row pass's bit planes are
+///   the grid's columns);
 /// * `kernel_run_25`: one whole [`ShiftKernel::run`] under the paper
 ///   config (greedy, four iterations with early exit), the unit
 ///   [`fig7a`]'s 50x50 `cpu_kernel_us` runs four of;

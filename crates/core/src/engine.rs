@@ -45,22 +45,23 @@
 //! * an empty batch returns immediately.
 //!
 //! Planning allocates. A one-shot 50x50 `plan_batch` under
-//! [`QrmConfig::paper`] makes about 228 heap allocations (counted with a
-//! counting global allocator at `workers` 1, mean over 64 shots at 50 %
-//! load; about 242 on the pool, whose jobs are boxed):
+//! [`QrmConfig::paper`] makes about 212 heap allocations (counted with a
+//! counting global allocator at `workers` 1, mean over the 128 seed-1
+//! shots of the `analysis-50` workload at 55 % load):
 //!
-//! * about 170 in the merge: one per emitted move (its tone buffer;
-//!   ≈157 moves) plus a constant ≈12 buffers per call, a budget
+//! * about one per emitted move in the merge (its tone buffer; ≈145
+//!   moves) plus a constant ≈12 buffers per call, a budget
 //!   `crates/core/tests/merge_alloc.rs` pins;
-//! * about 13 in each of the four quadrant kernels: each pass's one
-//!   wave-mask buffer, each row pass's windows, and a constant set per
-//!   run (the working grid and transposed view, the column windows, the
-//!   pass list), a per-pass budget the same test file pins;
+//! * 12 to 17 in each of the four quadrant kernels: each pass's one
+//!   wave-mask buffer, and a constant set per run (the working grid and
+//!   its transposed planes, the column windows and their masks, the
+//!   reused row windows, row masks and plane scratch, the pass list), a
+//!   per-pass budget the same test file pins;
 //! * the rest in decomposition and validation (the four quadrant grids,
 //!   the plan).
 //!
 //! The same test file pins the whole: at most one allocation per move
-//! plus 80 for each of the `analysis-50` workload's 128 seed-1 shots.
+//! plus 76 for each of those shots.
 //!
 //! ## Determinism
 //!

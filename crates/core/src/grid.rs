@@ -453,6 +453,14 @@ impl AtomGrid {
         &mut self.words[row * self.stride..(row + 1) * self.stride]
     }
 
+    /// Mutable word view of every row, back to back, `width.div_ceil(64)`
+    /// words per row, for the shift kernel's plane passes. Callers must
+    /// keep the bits at or above `width` zero, as for
+    /// [`row_bits_mut`](Self::row_bits_mut).
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
     /// Extracts a copy of the sites inside `rect`.
     ///
     /// # Errors
@@ -546,12 +554,15 @@ fn transpose_block(block: &mut [u64; WORD_BITS]) {
     let mut size = WORD_BITS / 2;
     let mut low = u64::MAX >> size;
     while size != 0 {
-        let mut k = 0;
-        while k < WORD_BITS {
-            let swap = ((block[k] >> size) ^ block[k + size]) & low;
-            block[k] ^= swap << size;
-            block[k + size] ^= swap;
-            k = (k + size + 1) & !size;
+        // Each pair of `size`-word runs swaps as a whole, so the inner
+        // loop compiles to vector operations.
+        for pair in block.chunks_exact_mut(2 * size) {
+            let (low_rows, high_rows) = pair.split_at_mut(size);
+            for (a, b) in low_rows.iter_mut().zip(high_rows) {
+                let swap = ((*a >> size) ^ *b) & low;
+                *a ^= swap << size;
+                *b ^= swap;
+            }
         }
         size >>= 1;
         low ^= low << size;

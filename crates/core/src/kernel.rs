@@ -28,28 +28,37 @@
 //!
 //! ## Computing a pass
 //!
-//! The hardware scans position by position, but within a pass each
-//! line's shifts depend only on that line's bits when the pass starts,
-//! so the software computes them in closed form. After `s` shifts, scan
-//! position `k` holds original position `k + s`, and a shift fires at
-//! `k` exactly when that original position is empty, lies below the
-//! line's top atom, and `k` is inside the line's `(floor, limit)`
-//! window. One walk per line therefore skips each run of atoms in one
-//! step and, inside each gap, fires at every other original position,
-//! removing `ceil(len / 2)` of the gap's empty sites with one word-level
-//! [`bitline::suffix_shift_by`]. The balanced window planner simulates
-//! each row with the same walk.
+//! The hardware scans position by position, and so does the software,
+//! but for every line of the quadrant at once. A pass holds the quadrant
+//! as *bit planes*: plane `p` is `words_for(lines)` words whose bit `l`
+//! is set when line `l` holds an atom at position `p`. A column pass's
+//! planes are the quadrant's own rows; a row pass's are the rows of its
+//! transpose, so a [`ShiftKernel::run`] still makes one 64×64-block
+//! transpose per pass, and the two passes only swap which form they
+//! read. Step `k` is a few word operations per plane:
 //!
-//! A pass stores one line mask per wave, back to back in one buffer
-//! (see [`LocalPass`]): when line `l`'s walk fires at hole `k`, it sets
-//! bit `l` of wave `k`'s mask, so no step groups shifts into waves.
-//! That is the paper's shift-command buffer, one command bit per line
-//! and scan position, and the unit the merge combines across quadrants.
+//! * `fire = window[k] & !plane[k] & (plane[k + 1] | … | plane[len - 1])`,
+//!   where `window[k]` holds the enabled lines whose `(floor, limit)`
+//!   window contains `k`;
+//! * for `p ≥ k`, `plane[p] = (plane[p] & !fire) | (plane[p + 1] & fire)`,
+//!   and the top plane clears the fired lines.
+//!
+//! `fire` *is* wave `k`: the set of lines that fired at scan position
+//! `k`, which the pass writes whole into its mask buffer (see
+//! [`LocalPass`]). That is the paper's shift-command buffer, one command
+//! bit per line and scan position, and the unit the merge combines
+//! across quadrants. The steps stop once no line that may fire holds an
+//! empty site under an atom at or above `k`. The window masks are built
+//! once per pass (row passes) or per run (column passes) with one toggle
+//! at each end of every line's window and a running XOR over positions.
+//! The balanced window planner still simulates each row with a
+//! closed-form walk, because its column supply updates row by row.
+//!
 //! A pass allocates only its mask buffer, sized once for the line
 //! length; a [`ShiftKernel::run`] adds its working grid and transposed
-//! view, the windows and the pass list. The per-position scan survives
-//! as the test-only `reference` module the equivalence tests compare
-//! against.
+//! planes, the windows and their masks, the plane scratch and the pass
+//! list. The per-position scan survives as the test-only `reference`
+//! module the equivalence tests compare against.
 
 use crate::bitline;
 use crate::error::Error;
@@ -68,9 +77,11 @@ mod reference;
 /// Combination Unit merges (§IV-C).
 ///
 /// The masks live back to back in one buffer, `words_for(lines)` words
-/// each. Interior empty waves are kept, so wave `k` stays at scan
-/// position `k`; trailing empty waves never exist, so two passes with
-/// the same shifts compare equal however they were built.
+/// each. The kernel's plane steps write each wave whole; the reference
+/// scan and the FPGA shift unit fire one line at a time through
+/// [`fire`](Self::fire). Interior empty waves are kept, so wave `k`
+/// stays at scan position `k`; trailing empty waves never exist, so two
+/// passes with the same shifts compare equal however they were built.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LocalPass {
     /// Scan axis: [`Axis::Row`] compresses columns westward (toward local
@@ -109,6 +120,22 @@ impl LocalPass {
             self.masks.resize(end, 0);
         }
         bitline::set(&mut self.masks[end - self.words..end], line, true);
+    }
+
+    /// Records that every line set in `mask` fired at scan position
+    /// `hole`: [`fire`](Self::fire) for a whole wave at once. A zero mask
+    /// writes nothing, so it never adds a trailing empty wave.
+    fn fire_wave(&mut self, hole: usize, mask: &[u64]) {
+        if mask.iter().all(|&word| word == 0) {
+            return;
+        }
+        let end = (hole + 1) * self.words;
+        if self.masks.len() < end {
+            self.masks.resize(end, 0);
+        }
+        for (wave, &word) in self.masks[end - self.words..end].iter_mut().zip(mask) {
+            *wave |= word;
+        }
     }
 
     /// Number of waves, interior empty ones included.
@@ -287,11 +314,21 @@ impl ShiftKernel {
         let (qh, qw) = quadrant.dims();
         let (th, tw) = (self.config.target_height, self.config.target_width);
         let target = corner_target((qh, qw), th, tw)?;
-        let col_limits = plan_col_windows(self.config.strategy, qh, qw, th, tw);
+        let mut col_gates = Gates::default();
+        col_gates.build(
+            qw,
+            qh,
+            &plan_col_windows(self.config.strategy, qh, qw, th, tw),
+            self.config.col_enable.as_deref(),
+        );
+        let mut row_limits = Vec::with_capacity(qh);
+        let mut row_gates = Gates::default();
+        let mut scratch = Vec::new();
+        // A column pass's planes are the grid's own rows; a row pass's
+        // are the rows of this transposed view (the hardware "column
+        // stream to row stream" trick).
         let mut grid = quadrant.clone();
-        // Column passes scan this transposed view in place of the grid
-        // (the hardware "column stream to row stream" trick).
-        let mut view = AtomGrid::new(qw, qh)?;
+        let mut planes = AtomGrid::new(qw, qh)?;
         let mut passes = Vec::new();
         let mut iterations = 0;
         while iterations < self.config.max_iterations {
@@ -299,21 +336,12 @@ impl ShiftKernel {
                 break;
             }
             iterations += 1;
-            let row_limits = plan_row_windows(&grid, self.config.strategy, th, tw);
-            let row_pass = pass_over_lines(
-                &mut grid,
-                Axis::Row,
-                &row_limits,
-                self.config.row_enable.as_deref(),
-            );
-            grid.transpose_into(&mut view);
-            let col_pass = pass_over_lines(
-                &mut view,
-                Axis::Col,
-                &col_limits,
-                self.config.col_enable.as_deref(),
-            );
-            view.transpose_into(&mut grid);
+            plan_row_windows_into(&grid, self.config.strategy, th, tw, &mut row_limits);
+            row_gates.build(qh, qw, &row_limits, self.config.row_enable.as_deref());
+            grid.transpose_into(&mut planes);
+            let row_pass = pass_over_planes(&mut planes, Axis::Row, &row_gates, &mut scratch);
+            planes.transpose_into(&mut grid);
+            let col_pass = pass_over_planes(&mut grid, Axis::Col, &col_gates, &mut scratch);
             let progressed = row_pass.shift_count() + col_pass.shift_count() > 0;
             passes.push(row_pass);
             passes.push(col_pass);
@@ -377,33 +405,47 @@ pub fn plan_row_windows(
     th: usize,
     tw: usize,
 ) -> Vec<(usize, usize)> {
+    let mut windows = Vec::new();
+    plan_row_windows_into(grid, strategy, th, tw, &mut windows);
+    windows
+}
+
+/// [`plan_row_windows`] into a buffer the kernel reuses from pass to
+/// pass.
+fn plan_row_windows_into(
+    grid: &AtomGrid,
+    strategy: KernelStrategy,
+    th: usize,
+    tw: usize,
+    windows: &mut Vec<(usize, usize)>,
+) {
     let (qh, qw) = grid.dims();
+    windows.clear();
     match strategy {
-        KernelStrategy::Greedy => vec![(0, qw); qh],
-        KernelStrategy::GreedyTargetOnly => vec![(0, tw); qh],
+        KernelStrategy::Greedy => windows.resize(qh, (0, qw)),
+        KernelStrategy::GreedyTargetOnly => windows.resize(qh, (0, tw)),
         KernelStrategy::Balanced => {
             // Live supply per target column: every atom already in
             // column c can be drained into the target band by the
             // vertical pass, so a column is satisfied once its total
             // supply reaches the target height.
             let mut supply: Vec<usize> = (0..tw).map(|c| grid.col_count(c)).collect();
-            let mut limits = vec![(0, tw); qh];
             let mut line = vec![0u64; bitline::words_for(qw)];
-            for (r, window) in limits.iter_mut().enumerate() {
+            for r in 0..qh {
                 let before = grid.row_bits(r);
                 let floor = best_floor(before, &supply, th, tw);
                 let limit = if r < th { tw } else { qw };
-                *window = (floor.min(limit), limit);
+                let window = (floor.min(limit), limit);
+                windows.push(window);
                 // Simulate this row's pass to keep the supply projection
                 // accurate for the remaining rows.
                 line.copy_from_slice(before);
-                compact_line(&mut line, qw, *window, |_| {});
+                compact_line(&mut line, qw, window);
                 for (c, column) in supply.iter_mut().enumerate() {
                     *column = *column + usize::from(bitline::get(&line, c))
                         - usize::from(bitline::get(before, c));
                 }
             }
-            limits
         }
     }
 }
@@ -477,9 +519,10 @@ pub fn plan_col_windows(
 /// fires and scanning proceeds to `k + 1`. At most one shift fires per
 /// position per line, so the emission time of every shift command is
 /// statically known — the property the paper's Row Combination Unit
-/// exploits (§IV-C). The software finds each line's shifts with one
-/// closed-form walk (see the module docs) instead of probing every
-/// position.
+/// exploits (§IV-C). The software takes each scan position for every
+/// line at once, one word step over the pass's bit planes (see the
+/// module docs): a column pass's planes are the grid's rows, so it runs
+/// in place, and a row pass transposes the grid into planes and back.
 ///
 /// The returned pass holds one line mask per wave: wave `k` is the set
 /// of lines that fired at scan position `k` (interior empty waves are
@@ -495,46 +538,163 @@ pub fn run_pass(
     limits: &[(usize, usize)],
     enable: Option<&[bool]>,
 ) -> LocalPass {
-    // Work on lines along the pass axis: rows directly in place, or
-    // columns via a transposed view (the hardware "column stream to row
-    // stream" trick).
+    let (lines, len) = match axis {
+        Axis::Row => (grid.height(), grid.width()),
+        Axis::Col => (grid.width(), grid.height()),
+    };
+    let mut gates = Gates::default();
+    gates.build(lines, len, limits, enable);
+    let mut scratch = Vec::new();
     match axis {
-        Axis::Row => pass_over_lines(grid, axis, limits, enable),
-        Axis::Col => {
-            let mut view = grid.transpose();
-            let pass = pass_over_lines(&mut view, axis, limits, enable);
-            view.transpose_into(grid);
+        Axis::Row => {
+            let mut planes = grid.transpose();
+            let pass = pass_over_planes(&mut planes, axis, &gates, &mut scratch);
+            planes.transpose_into(grid);
             pass
         }
+        Axis::Col => pass_over_planes(grid, axis, &gates, &mut scratch),
     }
 }
 
-/// The pass of [`run_pass`] over the rows of `view`, shifting them in
-/// place: one [`compact_line`] walk per enabled line, each fired hole
-/// setting the line's bit in that hole's wave.
-fn pass_over_lines(
-    view: &mut AtomGrid,
-    axis: Axis,
-    limits: &[(usize, usize)],
-    enable: Option<&[bool]>,
-) -> LocalPass {
-    let (nlines, linelen) = (view.height(), view.width());
-    let mut pass = LocalPass::new(axis, nlines, linelen);
-    for line in 0..nlines {
-        if enable.is_some_and(|en| !en.get(line).copied().unwrap_or(true)) {
-            continue;
+/// The gates of a pass as line masks of `words` words each, in one
+/// buffer rebuilt in place: first the lines that may fire at all
+/// (enabled, with a nonempty window), then for each scan position `k`
+/// those whose window contains `k`. No window reaches `reach`.
+#[derive(Debug, Default)]
+struct Gates {
+    words: usize,
+    reach: usize,
+    masks: Vec<u64>,
+}
+
+impl Gates {
+    /// Builds the gates of a pass over `lines` lines of `len` positions,
+    /// under [`run_pass`]'s rules for `limits` and `enable`.
+    fn build(
+        &mut self,
+        lines: usize,
+        len: usize,
+        limits: &[(usize, usize)],
+        enable: Option<&[bool]>,
+    ) {
+        let words = bitline::words_for(lines);
+        self.words = words;
+        self.reach = 0;
+        self.masks.clear();
+        self.masks.resize((1 + len) * words, 0);
+        let (live, windows) = self.masks.split_at_mut(words);
+        for line in 0..lines {
+            if enable.is_some_and(|en| !en.get(line).copied().unwrap_or(true)) {
+                continue;
+            }
+            let (floor, limit) = limits.get(line).copied().unwrap_or((0, len));
+            let limit = limit.min(len);
+            if floor >= limit {
+                continue;
+            }
+            let (word, bit) = (line / bitline::WORD_BITS, 1 << (line % bitline::WORD_BITS));
+            live[word] |= bit;
+            // Toggle the line at both ends of its window; the running
+            // XOR below then holds it from `floor` up to `limit`.
+            windows[floor * words + word] ^= bit;
+            if limit < len {
+                windows[limit * words + word] ^= bit;
+            }
+            self.reach = self.reach.max(limit);
         }
-        let window = limits.get(line).copied().unwrap_or((0, linelen));
-        compact_line(view.row_bits_mut(line), linelen, window, |hole| {
-            pass.fire(hole, line);
-        });
+        for i in words..self.reach * words {
+            windows[i] ^= windows[i - words];
+        }
+    }
+
+    /// The lines that may fire at all.
+    fn live(&self) -> &[u64] {
+        &self.masks[..self.words]
+    }
+
+    /// The lines whose window contains scan position `k`.
+    fn window(&self, k: usize) -> &[u64] {
+        &self.masks[(1 + k) * self.words..(2 + k) * self.words]
+    }
+}
+
+/// The pass of [`run_pass`] over bit planes, shifting them in place:
+/// row `p` of `planes` is plane `p`, whose bit `l` is site `p` of line
+/// `l`. Step `k` fires every line at once: the lines gated at `k` whose
+/// site `k` is empty and which hold an atom above it. Each fired line's
+/// planes from `k` up take the plane above, and the step's fire mask is
+/// wave `k`. The steps stop past the last window, or once no line that
+/// may fire holds an atom above `k` or an empty site under one.
+///
+/// The steps run on a copy of the planes in `scratch`, stored a word
+/// column at a time (the planes' word `j`, for lines `64 j ..`, back to
+/// back), so each step's loops read one column contiguously.
+fn pass_over_planes(
+    planes: &mut AtomGrid,
+    axis: Axis,
+    gates: &Gates,
+    scratch: &mut Vec<u64>,
+) -> LocalPass {
+    let (len, lines) = planes.dims();
+    let words = gates.words;
+    let mut pass = LocalPass::new(axis, lines, len);
+    scratch.clear();
+    scratch.resize((1 + len) * words, 0);
+    let (fire, columns) = scratch.split_at_mut(words);
+    for (p, plane) in planes.words_mut().chunks_exact(words).enumerate() {
+        for (j, &word) in plane.iter().enumerate() {
+            columns[j * len + p] = word;
+        }
+    }
+    let live = gates.live();
+    // One past the highest plane where a line that may fire holds an
+    // atom: atoms only move down, and no other line's planes change.
+    let mut top = len;
+    for k in 0..gates.reach {
+        while top > k + 1 && (0..words).all(|j| columns[j * len + top - 1] & live[j] == 0) {
+            top -= 1;
+        }
+        if top <= k + 1 {
+            break;
+        }
+        let mut waiting = 0;
+        for ((column, fired), (&gate, &live)) in columns
+            .chunks_exact_mut(len)
+            .zip(&mut *fire)
+            .zip(gates.window(k).iter().zip(live))
+        {
+            let span = &mut column[k..top];
+            // The lines with an atom above `k`, and those with an empty
+            // site under an atom from `k` up: only these can still fire.
+            let (above, holes) = span.windows(2).fold((0, 0), |(above, holes), pair| {
+                (above | pair[1], holes | (pair[1] & !pair[0]))
+            });
+            waiting |= holes & live;
+            let f = gate & !span[0] & above;
+            if f != 0 {
+                for i in 0..span.len() - 1 {
+                    span[i] = (span[i] & !f) | (span[i + 1] & f);
+                }
+                span[span.len() - 1] &= !f;
+            }
+            *fired = f;
+        }
+        if waiting == 0 {
+            break;
+        }
+        pass.fire_wave(k, fire);
+    }
+    for (p, plane) in planes.words_mut().chunks_exact_mut(words).enumerate() {
+        for (j, word) in plane.iter_mut().enumerate() {
+            *word = columns[j * len + p];
+        }
     }
     pass
 }
 
 /// One line's pass in closed form: shifts `line` (of `width` sites) as
-/// the per-position scan would and reports each fired hole, in
-/// ascending order, to `fired`.
+/// the per-position scan would. The balanced window planner simulates
+/// each row with it.
 ///
 /// Each step finds the lowest hole at or above the scan position and
 /// the lowest atom above it. Without an atom above, nothing more fires.
@@ -543,12 +703,7 @@ fn pass_over_lines(
 /// to the window, which delete the gap's lowest sites. The site each
 /// shift pulls down is skipped, so a gap of odd length lands its atom
 /// on the last scan position and an even one leaves a hole there.
-fn compact_line(
-    line: &mut [u64],
-    width: usize,
-    (floor, limit): (usize, usize),
-    mut fired: impl FnMut(usize),
-) {
+fn compact_line(line: &mut [u64], width: usize, (floor, limit): (usize, usize)) {
     let limit = limit.min(width);
     let mut k = floor;
     while let Some(hole) = bitline::lowest_zero_in(line, k, limit) {
@@ -557,7 +712,6 @@ fn compact_line(
         };
         let fires = (atom - hole).div_ceil(2).min(limit - hole);
         bitline::suffix_shift_by(line, hole, fires, width);
-        (hole..hole + fires).for_each(&mut fired);
         k = hole + fires;
     }
 }
@@ -865,6 +1019,14 @@ mod tests {
             again.fire(hole, line);
         }
         assert_eq!(again, pass);
+        // So do the same waves written whole, in another order, with a
+        // zero mask past the end that adds no wave.
+        let mut whole = LocalPass::new(Axis::Col, 130, 6);
+        for hole in [2, 0, 1, 5] {
+            let empty = mask(&[]);
+            whole.fire_wave(hole, waves.get(hole).unwrap_or(&empty));
+        }
+        assert_eq!(whole, pass);
         let mut g = AtomGrid::parse("#.#\n.#.").unwrap();
         let empty = run_pass(&mut g, Axis::Row, &[(0, 0), (0, 0)], None);
         assert_eq!(empty, LocalPass::new(Axis::Row, 2, 3));
@@ -902,6 +1064,44 @@ mod tests {
             (None, _) => (0..rng.gen_range(0..lines + 2))
                 .map(|_| (rng.gen_range(0..len + 2), rng.gen_range(0..len + 2)))
                 .collect(),
+        }
+    }
+
+    #[test]
+    fn plane_words_match_the_scan_on_both_sides_of_each_boundary() {
+        // Line counts on both sides of one and two plane words, each
+        // line length from one site to three words, every strategy's
+        // windows and random ones, and enables shorter than, as long as
+        // and longer than the pass.
+        let mut rng = seeded_rng(64);
+        for lines in [63, 64, 65, 127, 128, 129] {
+            for len in [1, 63, 64, 65, 130] {
+                for axis in [Axis::Row, Axis::Col] {
+                    let (height, width) = match axis {
+                        Axis::Row => (lines, len),
+                        Axis::Col => (len, lines),
+                    };
+                    let grid = AtomGrid::random(height, width, 0.5, &mut rng);
+                    let target = (height.div_ceil(2), width.div_ceil(2));
+                    for strategy in STRATEGIES.map(Some).into_iter().chain([None]) {
+                        let windows = windows_for(&grid, axis, strategy, target, &mut rng);
+                        for enables in [lines - 1, lines, lines + 1] {
+                            let enable: Vec<bool> =
+                                (0..enables).map(|_| rng.gen_bool(0.8)).collect();
+                            let mut fast = grid.clone();
+                            let pass = run_pass(&mut fast, axis, &windows, Some(&enable));
+                            let mut slow = grid.clone();
+                            let expect =
+                                reference::run_pass(&mut slow, axis, &windows, Some(&enable));
+                            let case = format!(
+                                "{lines} lines of {len} {axis:?} {strategy:?} enable {enables}"
+                            );
+                            assert_eq!(pass, expect, "{case}");
+                            assert_eq!(fast, slow, "{case}");
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -2,8 +2,8 @@
 //! and a whole one-shot plan.
 //!
 //! A `ShiftKernel::run` may allocate a constant number of buffers per
-//! pass (the pass's one mask buffer, and each row pass's windows) plus
-//! a constant set it reuses across passes.
+//! pass (the pass's one mask buffer, and each balanced row plan's
+//! scratch) plus a constant set it reuses across passes.
 //! `merge_outcomes` may allocate the one tone buffer of each move it
 //! emits, plus a constant set of buffers it reuses from wave to wave and
 //! the schedule's amortised growth. A one-shot `plan_batch` adds the
@@ -116,14 +116,16 @@ fn merge_allocates_one_tone_buffer_per_move_plus_a_constant() {
 
 /// Allocations a kernel run may make per pass: the pass's one mask
 /// buffer (sized once, so it never grows, and with no wave offsets
-/// beside it), plus, once per iteration, the row windows (and under the
-/// balanced strategy its supply counts and line buffer).
-const KERNEL_PER_PASS: usize = 3;
+/// beside it), plus, once per iteration under the balanced strategy,
+/// the row planner's supply counts and line buffer. The row windows and
+/// their masks are rebuilt in buffers reused from pass to pass.
+const KERNEL_PER_PASS: usize = 2;
 
 /// Allocations a kernel run may make once: the working grid, its
-/// transposed view, the column windows and the pass list with a few
-/// growth steps. Waves need no sort, so there is no sort scratch.
-const KERNEL_CONSTANT: usize = 12;
+/// transposed planes, the column windows and their masks, the reused
+/// row windows, row masks and plane scratch, and the pass list with a
+/// few growth steps. Waves need no sort, so there is no sort scratch.
+const KERNEL_CONSTANT: usize = 11;
 
 #[test]
 fn kernel_allocates_a_constant_per_pass() {
@@ -157,9 +159,9 @@ fn kernel_allocates_a_constant_per_pass() {
 
 /// Allocations a one-shot 50x50 `plan_batch` may make besides its
 /// moves' tone buffers: the four quadrant grids, four kernel runs (one
-/// mask buffer per pass, no wave offsets, no sort scratch), the merge's
-/// constant set and the plan.
-const PLAN_SURPLUS: usize = 80;
+/// mask buffer per pass plus each run's constant set, no wave offsets,
+/// no sort scratch), the merge's constant set and the plan.
+const PLAN_SURPLUS: usize = 76;
 
 #[test]
 fn one_shot_plan_allocates_one_buffer_per_move_plus_a_bounded_surplus() {
