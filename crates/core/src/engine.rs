@@ -45,23 +45,23 @@
 //! * an empty batch returns immediately.
 //!
 //! Planning allocates. A one-shot 50x50 `plan_batch` under
-//! [`QrmConfig::paper`] makes about 212 heap allocations (counted with a
+//! [`QrmConfig::paper`] makes about 200 heap allocations (counted with a
 //! counting global allocator at `workers` 1, mean over the 128 seed-1
 //! shots of the `analysis-50` workload at 55 % load):
 //!
 //! * about one per emitted move in the merge (its tone buffer; ≈145
 //!   moves) plus a constant ≈12 buffers per call, a budget
 //!   `crates/core/tests/merge_alloc.rs` pins;
-//! * 12 to 17 in each of the four quadrant kernels: each pass's one
+//! * 9 to 14 in each of the four quadrant kernels: each pass's one
 //!   wave-mask buffer, and a constant set per run (the working grid and
-//!   its transposed planes, the column windows and their masks, the
-//!   reused row windows, row masks and plane scratch, the pass list), a
-//!   per-pass budget the same test file pins;
+//!   its transposed planes, the reused row windows, one buffer shared by
+//!   the window masks and the plane scratch, the pass list), a per-pass
+//!   budget the same test file pins;
 //! * the rest in decomposition and validation (the four quadrant grids,
 //!   the plan).
 //!
 //! The same test file pins the whole: at most one allocation per move
-//! plus 76 for each of those shots.
+//! plus 62 for each of those shots.
 //!
 //! ## Determinism
 //!

@@ -56,9 +56,10 @@
 //!
 //! A pass allocates only its mask buffer, sized once for the line
 //! length; a [`ShiftKernel::run`] adds its working grid and transposed
-//! planes, the windows and their masks, the plane scratch and the pass
-//! list. The per-position scan survives as the test-only `reference`
-//! module the equivalence tests compare against.
+//! planes, the row windows, one buffer shared by both passes' window
+//! masks and the plane scratch, and the pass list. The per-position
+//! scan survives as the test-only `reference` module the equivalence
+//! tests compare against.
 
 use crate::bitline;
 use crate::error::Error;
@@ -314,16 +315,20 @@ impl ShiftKernel {
         let (qh, qw) = quadrant.dims();
         let (th, tw) = (self.config.target_height, self.config.target_width);
         let target = corner_target((qh, qw), th, tw)?;
-        let mut col_gates = Gates::default();
-        col_gates.build(
+        // One buffer holds the column masks, the row masks (rebuilt
+        // every row pass) and the plane scratch of either pass.
+        let (col_size, row_size) = (Gates::size(qw, qh), Gates::size(qh, qw));
+        let mut buffer = vec![0; col_size + row_size + col_size.max(row_size)];
+        let (col_masks, rest) = buffer.split_at_mut(col_size);
+        let (row_masks, scratch) = rest.split_at_mut(row_size);
+        let col_gates = Gates::build(
+            col_masks,
             qw,
             qh,
-            &plan_col_windows(self.config.strategy, qh, qw, th, tw),
+            |col| col_window(self.config.strategy, col, qh, th, tw),
             self.config.col_enable.as_deref(),
         );
         let mut row_limits = Vec::with_capacity(qh);
-        let mut row_gates = Gates::default();
-        let mut scratch = Vec::new();
         // A column pass's planes are the grid's own rows; a row pass's
         // are the rows of this transposed view (the hardware "column
         // stream to row stream" trick).
@@ -337,11 +342,17 @@ impl ShiftKernel {
             }
             iterations += 1;
             plan_row_windows_into(&grid, self.config.strategy, th, tw, &mut row_limits);
-            row_gates.build(qh, qw, &row_limits, self.config.row_enable.as_deref());
+            let row_gates = Gates::build(
+                row_masks,
+                qh,
+                qw,
+                |row| row_limits[row],
+                self.config.row_enable.as_deref(),
+            );
             grid.transpose_into(&mut planes);
-            let row_pass = pass_over_planes(&mut planes, Axis::Row, &row_gates, &mut scratch);
+            let row_pass = pass_over_planes(&mut planes, Axis::Row, &row_gates, scratch);
             planes.transpose_into(&mut grid);
-            let col_pass = pass_over_planes(&mut grid, Axis::Col, &col_gates, &mut scratch);
+            let col_pass = pass_over_planes(&mut grid, Axis::Col, &col_gates, scratch);
             let progressed = row_pass.shift_count() + col_pass.shift_count() > 0;
             passes.push(row_pass);
             passes.push(col_pass);
@@ -497,16 +508,28 @@ pub fn plan_col_windows(
     th: usize,
     tw: usize,
 ) -> Vec<(usize, usize)> {
+    (0..qw)
+        .map(|col| col_window(strategy, col, qh, th, tw))
+        .collect()
+}
+
+/// Column `col`'s entry of [`plan_col_windows`].
+fn col_window(
+    strategy: KernelStrategy,
+    col: usize,
+    qh: usize,
+    th: usize,
+    tw: usize,
+) -> (usize, usize) {
     match strategy {
-        KernelStrategy::Greedy => vec![(0, qh); qw],
+        KernelStrategy::Greedy => (0, qh),
         // Only fill holes inside the target band of rows; atoms above
         // still ride the suffix down into them.
-        KernelStrategy::GreedyTargetOnly => vec![(0, th); qw],
+        KernelStrategy::GreedyTargetOnly => (0, th),
         // Drain only target columns; columns right of the band keep
         // their parked reserve for later horizontal passes.
-        KernelStrategy::Balanced => (0..qw)
-            .map(|c| if c < tw { (0, th) } else { (0, 0) })
-            .collect(),
+        KernelStrategy::Balanced if col < tw => (0, th),
+        KernelStrategy::Balanced => (0, 0),
     }
 }
 
@@ -542,52 +565,60 @@ pub fn run_pass(
         Axis::Row => (grid.height(), grid.width()),
         Axis::Col => (grid.width(), grid.height()),
     };
-    let mut gates = Gates::default();
-    gates.build(lines, len, limits, enable);
-    let mut scratch = Vec::new();
+    let size = Gates::size(lines, len);
+    let mut buffer = vec![0; 2 * size];
+    let (masks, scratch) = buffer.split_at_mut(size);
+    let window = |line| limits.get(line).copied().unwrap_or((0, len));
+    let gates = Gates::build(masks, lines, len, window, enable);
     match axis {
         Axis::Row => {
             let mut planes = grid.transpose();
-            let pass = pass_over_planes(&mut planes, axis, &gates, &mut scratch);
+            let pass = pass_over_planes(&mut planes, axis, &gates, scratch);
             planes.transpose_into(grid);
             pass
         }
-        Axis::Col => pass_over_planes(grid, axis, &gates, &mut scratch),
+        Axis::Col => pass_over_planes(grid, axis, &gates, scratch),
     }
 }
 
-/// The gates of a pass as line masks of `words` words each, in one
-/// buffer rebuilt in place: first the lines that may fire at all
+/// The gates of a pass as line masks of `words` words each, built in
+/// place in a caller's buffer: first the lines that may fire at all
 /// (enabled, with a nonempty window), then for each scan position `k`
 /// those whose window contains `k`. No window reaches `reach`.
-#[derive(Debug, Default)]
-struct Gates {
+#[derive(Debug)]
+struct Gates<'a> {
     words: usize,
     reach: usize,
-    masks: Vec<u64>,
+    masks: &'a [u64],
 }
 
-impl Gates {
-    /// Builds the gates of a pass over `lines` lines of `len` positions,
-    /// under [`run_pass`]'s rules for `limits` and `enable`.
+impl<'a> Gates<'a> {
+    /// The words the gates of a pass over `lines` lines of `len`
+    /// positions take, which is also that pass's plane scratch.
+    fn size(lines: usize, len: usize) -> usize {
+        (1 + len) * bitline::words_for(lines)
+    }
+
+    /// Builds, in `masks` (at least [`size`](Self::size) words), the
+    /// gates of a pass over `lines` lines of `len` positions, under
+    /// [`run_pass`]'s rules for `enable` and each line's `window`.
     fn build(
-        &mut self,
+        masks: &'a mut [u64],
         lines: usize,
         len: usize,
-        limits: &[(usize, usize)],
+        window: impl Fn(usize) -> (usize, usize),
         enable: Option<&[bool]>,
-    ) {
+    ) -> Gates<'a> {
         let words = bitline::words_for(lines);
-        self.words = words;
-        self.reach = 0;
-        self.masks.clear();
-        self.masks.resize((1 + len) * words, 0);
-        let (live, windows) = self.masks.split_at_mut(words);
+        let masks = &mut masks[..Self::size(lines, len)];
+        masks.fill(0);
+        let mut reach = 0;
+        let (live, windows) = masks.split_at_mut(words);
         for line in 0..lines {
             if enable.is_some_and(|en| !en.get(line).copied().unwrap_or(true)) {
                 continue;
             }
-            let (floor, limit) = limits.get(line).copied().unwrap_or((0, len));
+            let (floor, limit) = window(line);
             let limit = limit.min(len);
             if floor >= limit {
                 continue;
@@ -600,10 +631,15 @@ impl Gates {
             if limit < len {
                 windows[limit * words + word] ^= bit;
             }
-            self.reach = self.reach.max(limit);
+            reach = reach.max(limit);
         }
-        for i in words..self.reach * words {
+        for i in words..reach * words {
             windows[i] ^= windows[i - words];
+        }
+        Gates {
+            words,
+            reach,
+            masks,
         }
     }
 
@@ -626,21 +662,20 @@ impl Gates {
 /// wave `k`. The steps stop past the last window, or once no line that
 /// may fire holds an atom above `k` or an empty site under one.
 ///
-/// The steps run on a copy of the planes in `scratch`, stored a word
-/// column at a time (the planes' word `j`, for lines `64 j ..`, back to
-/// back), so each step's loops read one column contiguously.
+/// The steps run on a copy of the planes in `scratch` (at least as
+/// long as the gates' masks), stored a word column at a time (the
+/// planes' word `j`, for lines `64 j ..`, back to back), so each step's
+/// loops read one column contiguously.
 fn pass_over_planes(
     planes: &mut AtomGrid,
     axis: Axis,
-    gates: &Gates,
-    scratch: &mut Vec<u64>,
+    gates: &Gates<'_>,
+    scratch: &mut [u64],
 ) -> LocalPass {
     let (len, lines) = planes.dims();
     let words = gates.words;
     let mut pass = LocalPass::new(axis, lines, len);
-    scratch.clear();
-    scratch.resize((1 + len) * words, 0);
-    let (fire, columns) = scratch.split_at_mut(words);
+    let (fire, columns) = scratch[..Gates::size(lines, len)].split_at_mut(words);
     for (p, plane) in planes.words_mut().chunks_exact(words).enumerate() {
         for (j, &word) in plane.iter().enumerate() {
             columns[j * len + p] = word;

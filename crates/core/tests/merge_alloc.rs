@@ -122,10 +122,11 @@ fn merge_allocates_one_tone_buffer_per_move_plus_a_constant() {
 const KERNEL_PER_PASS: usize = 2;
 
 /// Allocations a kernel run may make once: the working grid, its
-/// transposed planes, the column windows and their masks, the reused
-/// row windows, row masks and plane scratch, and the pass list with a
-/// few growth steps. Waves need no sort, so there is no sort scratch.
-const KERNEL_CONSTANT: usize = 11;
+/// transposed planes, the reused row windows, the one buffer holding
+/// both passes' window masks and the plane scratch, and the pass list
+/// with a few growth steps. Waves need no sort, so there is no sort
+/// scratch.
+const KERNEL_CONSTANT: usize = 8;
 
 #[test]
 fn kernel_allocates_a_constant_per_pass() {
@@ -161,7 +162,7 @@ fn kernel_allocates_a_constant_per_pass() {
 /// moves' tone buffers: the four quadrant grids, four kernel runs (one
 /// mask buffer per pass plus each run's constant set, no wave offsets,
 /// no sort scratch), the merge's constant set and the plan.
-const PLAN_SURPLUS: usize = 76;
+const PLAN_SURPLUS: usize = 62;
 
 #[test]
 fn one_shot_plan_allocates_one_buffer_per_move_plus_a_bounded_surplus() {

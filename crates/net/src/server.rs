@@ -11,20 +11,22 @@
 //!
 //! ```text
 //! KeepAliveIdle ──first byte──▶ ReadingHead ──▶ ReadingBody
-//!       ▲                                           │ complete request
-//!       │                                           ▼
-//!       └────────── response drained ◀── Writing ◀── Deferred (pool job
-//!                                                    or handler thread)
+//!       ▲                                           │ complete request:
+//!       │                                           ▼ the route table
+//!       │                                   answered now ──▶ Deferred (pool job
+//!       │                                           │         or handler thread)
+//!       │                                           ▼              │
+//!       └────────── response drained ◀───────── Writing ◀──────────┘
 //! ```
 //!
-//! — driven entirely by readiness events. Only a **complete** request
-//! leaves the loop, and it goes to the loop's route table ([`Routes`]),
-//! which answers in one of two ways ([`Answer`]): inline on the loop
-//! (stats, healthz, errors), or through a handler run off the loop — a
-//! job on the planning worker pool ([`Server`]'s `POST /v1/batch`) or a
-//! thread of its own (the [`Router`](crate::Router)'s relays, which
-//! block on backend sockets). A deferred handler pushes its finished
-//! response into a completion queue and wakes the loop via
+//! — driven entirely by readiness events. A **complete** request goes
+//! to the loop's route table ([`Routes`]), which answers in one of two
+//! ways ([`Answer`]): inline on the loop (stats, healthz, errors, and
+//! [`Server`]'s response-cache hits), or through a handler run off the
+//! loop — a job on the planning worker pool ([`Server`]'s cache misses)
+//! or a thread of its own (the [`Router`](crate::Router)'s relays,
+//! which block on backend sockets). A deferred handler pushes its
+//! finished response into a completion queue and wakes the loop via
 //! [`Poller::notify`]. Responses stream back as writability allows.
 //!
 //! The loop never branches on which front end it serves: [`Server`]
@@ -268,7 +270,7 @@ impl Server {
     ) -> std::io::Result<Server> {
         let routes = ServiceRoutes {
             service,
-            config: Arc::new(config.clone()),
+            config: config.clone(),
         };
         Ok(Server {
             frontend: Frontend::bind(addr, config, routes)?,
@@ -1000,12 +1002,22 @@ impl<R: Routes> EventLoop<R> {
     }
 }
 
-/// [`Server`]'s route table: bearer auth, then `POST /v1/batch` as one
-/// planning-pool job, `GET /v1/stats` with the loop's [`NetStats`]
-/// spliced in, `GET /v1/healthz`, and typed 404/405s.
+/// [`Server`]'s route table: bearer auth, then `POST /v1/batch`,
+/// `GET /v1/stats` with the loop's [`NetStats`] spliced in,
+/// `GET /v1/healthz`, and typed 404/405s.
+///
+/// `POST /v1/batch` is decoded once, on the loop ([`decode`]). An
+/// invalid body and a response-cache hit ([`PlanService::try_hit`])
+/// are answered right there; only a miss becomes a planning-pool job,
+/// which takes the decoded submission with it. A hit costs the loop
+/// its decode, lookup and encode (≈ 0.9 + 0.5 + 7 µs in process for a
+/// 16x16 two-shot spec on a 2-vCPU Xeon) and no thread hand-off. The
+/// decode is bounded by [`NetConfig::max_body_bytes`]: a 1 MiB body
+/// held the loop for up to ≈ 25 ms on the same host
+/// (`docs/ARCHITECTURE.md`, "The readiness event loop").
 struct ServiceRoutes {
     service: Arc<PlanService>,
-    config: Arc<NetConfig>,
+    config: NetConfig,
 }
 
 impl Routes for ServiceRoutes {
@@ -1022,11 +1034,16 @@ impl Routes for ServiceRoutes {
             }
         }
         let (status, body) = match (request.method.as_str(), request.path.as_str()) {
-            ("POST", "/v1/batch") => {
-                let service = Arc::clone(&self.service);
-                let config = Arc::clone(&self.config);
-                return Answer::Pool(Box::new(move || submit(&request, &service, &config)));
-            }
+            ("POST", "/v1/batch") => match decode(&request.body, &self.config) {
+                Ok(submission) => match self.service.try_hit(&submission) {
+                    Some(report) => (200, report.to_json()),
+                    None => {
+                        let service = Arc::clone(&self.service);
+                        return Answer::Pool(Box::new(move || run(&submission, &service)));
+                    }
+                },
+                Err(reply) => reply,
+            },
             ("GET", "/v1/stats") => {
                 let mut stats = self.service.stats();
                 stats.net = net.snapshot();
@@ -1097,11 +1114,16 @@ fn framing_error_reply(err: &HttpError) -> (u16, ErrorReply) {
     (status, ErrorReply::new(code, err.to_string()))
 }
 
-/// Validates and executes one `POST /v1/batch` submission. Infallible
-/// by construction: every failure path is a `(status, ErrorReply)`.
-fn submit(request: &Request, service: &PlanService, config: &NetConfig) -> (u16, String) {
-    let Ok(text) = std::str::from_utf8(&request.body) else {
-        return error(400, "bad_json", "request body is not UTF-8".to_string());
+/// Decodes and validates one `POST /v1/batch` body: UTF-8, the JSON
+/// limits, the spec caps and the fill range. Every failure is the
+/// `(status, ErrorReply)` to answer with.
+fn decode(body: &[u8], config: &NetConfig) -> Result<SubmitBatch, (u16, String)> {
+    let Ok(text) = std::str::from_utf8(body) else {
+        return Err(error(
+            400,
+            "bad_json",
+            "request body is not UTF-8".to_string(),
+        ));
     };
     let limits = JsonLimits {
         max_bytes: config.max_body_bytes,
@@ -1109,11 +1131,11 @@ fn submit(request: &Request, service: &PlanService, config: &NetConfig) -> (u16,
     };
     let submission = match SubmitBatch::from_json_with_limits(text, &limits) {
         Ok(submission) => submission,
-        Err(WireError::Json(err)) => return error(400, "bad_json", err.to_string()),
-        Err(WireError::Decode(err)) => return error(400, "bad_request", err.to_string()),
+        Err(WireError::Json(err)) => return Err(error(400, "bad_json", err.to_string())),
+        Err(WireError::Decode(err)) => return Err(error(400, "bad_request", err.to_string())),
     };
     if submission.spec.shots > config.max_shots || submission.spec.size > config.max_size {
-        return error(
+        return Err(error(
             422,
             "spec_too_large",
             format!(
@@ -1124,23 +1146,30 @@ fn submit(request: &Request, service: &PlanService, config: &NetConfig) -> (u16,
                 config.max_size,
                 config.max_shots
             ),
-        );
+        ));
     }
     // `fill` is a probability: the workload generator *asserts* it is
     // within [0, 1], so an unchecked remote value would panic a pool
     // job instead of producing a typed reply. (NaN fails this range
     // check too.)
     if !(0.0..=1.0).contains(&submission.spec.fill) {
-        return error(
+        return Err(error(
             422,
             "spec_invalid",
             format!(
                 "spec fill={} is not a probability in [0, 1]",
                 submission.spec.fill
             ),
-        );
+        ));
     }
-    match service.submit(&submission) {
+    Ok(submission)
+}
+
+/// Serves one decoded submission that missed the cache (on the
+/// planning pool). Infallible by construction: every failure path is a
+/// `(status, ErrorReply)`.
+fn run(submission: &SubmitBatch, service: &PlanService) -> (u16, String) {
+    match service.submit(submission) {
         Ok(report) => (200, report.to_json()),
         Err(err) => {
             let status = match &err {

@@ -94,6 +94,21 @@ struct Inner {
 }
 
 impl Inner {
+    /// Counts a lookup and a hit if `key` is resident, refreshing it to
+    /// most-recently-used; an absent key touches no counter.
+    fn hit(&mut self, key: &[u8]) -> Option<Arc<Vec<PipelineReport>>> {
+        let reports = Arc::clone(&self.entries.get(key)?.reports);
+        self.lookups += 1;
+        self.hits += 1;
+        self.touch(key);
+        Some(reports)
+    }
+
+    fn count_miss(&mut self) {
+        self.lookups += 1;
+        self.misses += 1;
+    }
+
     /// Moves `key`'s entry to most-recently-used.
     fn touch(&mut self, key: &[u8]) {
         let stamp = self.next_stamp;
@@ -176,16 +191,25 @@ impl ResponseCache {
     /// shared payload.
     pub fn lookup(&self, key: &[u8]) -> Option<Arc<Vec<PipelineReport>>> {
         let mut inner = self.lock();
-        inner.lookups += 1;
-        if let Some(entry) = inner.entries.get(key) {
-            let reports = Arc::clone(&entry.reports);
-            inner.hits += 1;
-            inner.touch(key);
-            Some(reports)
-        } else {
-            inner.misses += 1;
-            None
+        let reports = inner.hit(key);
+        if reports.is_none() {
+            inner.count_miss();
         }
+        reports
+    }
+
+    /// [`lookup`](Self::lookup) for a hit only: a resident `key` counts
+    /// a lookup and a hit and refreshes the entry, while an absent key
+    /// touches no counter, so a caller that goes on to compute the
+    /// payload counts its miss then, through
+    /// [`count_miss`](Self::count_miss).
+    pub fn hit(&self, key: &[u8]) -> Option<Arc<Vec<PipelineReport>>> {
+        self.lock().hit(key)
+    }
+
+    /// Counts a lookup that missed: the other half of [`hit`](Self::hit).
+    pub fn count_miss(&self) {
+        self.lock().count_miss();
     }
 
     /// Stores `reports` under `key` as the most-recently-used entry,
@@ -302,6 +326,19 @@ mod tests {
         assert_eq!(stats.lookups, 2);
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.bytes, entry_cost(&[7], &reports) as u64);
+    }
+
+    #[test]
+    fn hit_counts_only_hits_and_count_miss_only_misses() {
+        let cache = ResponseCache::new(1 << 20);
+        let reports = payload(1);
+        cache.insert(vec![7], Arc::clone(&reports));
+        assert_eq!(cache.hit(&[8]), None);
+        assert_eq!(cache.stats().lookups, 0, "an absent key counts nothing");
+        assert_eq!(cache.hit(&[7]).as_deref(), Some(reports.as_ref()));
+        cache.count_miss();
+        let stats = cache.stats();
+        assert_eq!((stats.lookups, stats.hits, stats.misses), (2, 1, 1));
     }
 
     #[test]

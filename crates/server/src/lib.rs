@@ -40,7 +40,9 @@
 //! its payload, repeated submissions are answered from a
 //! content-addressed LRU cache in O(1), byte-identical to a recompute —
 //! and cache hits bypass the admission gate entirely, so cached answers
-//! never queue behind planning work.
+//! never queue behind planning work. [`PlanService::try_hit`] is that
+//! hit path on its own: it never blocks, so the HTTP front end answers
+//! hits on its event loop.
 //!
 //! ## Quickstart
 //!

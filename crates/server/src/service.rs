@@ -295,18 +295,35 @@ impl PlanService {
         self.regs.keys().map(String::as_str)
     }
 
+    /// Serves one batch submission from the response cache, if it can
+    /// without planning or blocking: the non-blocking hit path. Returns
+    /// `None`, touching no counter, when the submission is traced, the
+    /// cache is disabled, the planner is unknown or the key is absent;
+    /// [`submit`](Self::submit) then serves it (and counts the miss).
+    ///
+    /// A hit is counted exactly as `submit` counts one, because `submit`
+    /// takes this same path: one cache lookup and hit, one served batch
+    /// and one latency sample for the registration. It takes no
+    /// admission ticket, so it never waits behind queued planning work.
+    /// The HTTP front end calls it on its event-loop thread, which is
+    /// why a hit never reaches the worker pool.
+    pub fn try_hit(&self, request: &SubmitBatch) -> Option<BatchReport> {
+        let reg = self.regs.get(&request.planner)?;
+        self.serve_hit(reg, request, &self.cache_key(request)?)
+    }
+
     /// Serves one batch submission to completion and returns its
     /// report.
     ///
-    /// Callable concurrently from any number of threads. When the
-    /// response cache is enabled and holds this submission's canonical
-    /// key, the cached payload is returned immediately — byte-identical
-    /// to a recompute (the spec fully determines it), **without taking
-    /// an admission ticket**, so cached answers neither wait behind nor
-    /// reorder queued planning work. Otherwise the submission expands
-    /// its workload (cheap, unthrottled), waits for an admission slot if
-    /// the service is at `max_inflight`, and runs the batched pipeline
-    /// on the worker pool via the registration's long-lived planner.
+    /// Callable concurrently from any number of threads. A submission
+    /// the response cache holds is served by [`try_hit`](Self::try_hit)'s
+    /// path — byte-identical to a recompute (the spec fully determines
+    /// it), **without taking an admission ticket**, so cached answers
+    /// neither wait behind nor reorder queued planning work. Otherwise
+    /// the lookup counts a miss, the submission expands its workload
+    /// (cheap, unthrottled), waits for an admission slot if the service
+    /// is at `max_inflight`, and runs the batched pipeline on the worker
+    /// pool via the registration's long-lived planner.
     ///
     /// # Errors
     ///
@@ -320,22 +337,12 @@ impl PlanService {
             .get(&request.planner)
             .ok_or_else(|| ServiceError::UnknownPlanner(request.planner.clone()))?;
 
-        // Traced submissions bypass the cache in both directions: their
-        // payload carries the (potentially huge) trace, which the cache
-        // neither stores nor should serve to untraced requests.
-        let key = (!request.trace && self.cache.enabled()).then(|| request.cache_key());
+        let key = self.cache_key(request);
         if let Some(key) = &key {
-            let t0 = Instant::now();
-            if let Some(reports) = self.cache.lookup(key) {
-                let wall_us = t0.elapsed().as_secs_f64() * 1e6;
-                self.record_served(reg, reports.len(), wall_us);
-                return Ok(BatchReport {
-                    planner: request.planner.clone(),
-                    reports: reports.as_ref().clone(),
-                    wall_us,
-                    trace: None,
-                });
+            if let Some(report) = self.serve_hit(reg, request, key) {
+                return Ok(report);
             }
+            self.cache.count_miss();
         }
 
         let workload = request.spec.workload()?;
@@ -385,6 +392,34 @@ impl PlanService {
             reports,
             wall_us,
             trace: run.traces,
+        })
+    }
+
+    /// The submission's cache key, or `None` when the cache is off for
+    /// it. Traced submissions bypass the cache in both directions: their
+    /// payload carries the (potentially huge) trace, which the cache
+    /// neither stores nor should serve to untraced requests.
+    fn cache_key(&self, request: &SubmitBatch) -> Option<Vec<u8>> {
+        (!request.trace && self.cache.enabled()).then(|| request.cache_key())
+    }
+
+    /// The one hit path: serves `key`'s cached payload and counts it as
+    /// a served batch, or returns `None` having counted nothing.
+    fn serve_hit(
+        &self,
+        reg: &Registration,
+        request: &SubmitBatch,
+        key: &[u8],
+    ) -> Option<BatchReport> {
+        let t0 = Instant::now();
+        let reports = self.cache.hit(key)?;
+        let wall_us = t0.elapsed().as_secs_f64() * 1e6;
+        self.record_served(reg, reports.len(), wall_us);
+        Some(BatchReport {
+            planner: request.planner.clone(),
+            reports: reports.as_ref().clone(),
+            wall_us,
+            trace: None,
         })
     }
 
@@ -597,6 +632,46 @@ mod tests {
         assert_eq!(stats.planners[0].latency.count(), 2);
         // The hit bypassed the gate: only the miss took a ticket.
         assert_eq!(service.gate.lock().next_ticket, 0); // unlimited gate issues none
+    }
+
+    #[test]
+    fn try_hit_counts_a_hit_as_submit_does_and_nothing_else() {
+        let service = PlanService::builder()
+            .cache_bytes(1 << 20)
+            .register_default("qrm", PlannerChoice::Software(QrmConfig::default()), 1)
+            .build();
+        let request = SubmitBatch::new("qrm", BatchSpec::new(2, 12, 9));
+        // Absent key, unknown planner, traced: no hit, no counter.
+        assert!(service.try_hit(&request).is_none());
+        assert!(service
+            .try_hit(&SubmitBatch::new("nope", BatchSpec::new(2, 12, 9)))
+            .is_none());
+        assert!(service.try_hit(&request.clone().with_trace(true)).is_none());
+        let untouched = service.stats();
+        assert_eq!(untouched.cache.lookups, 0);
+        assert_eq!(untouched.batches_served, 0);
+        assert_eq!(untouched.planners[0].latency.count(), 0);
+
+        let miss = service.submit(&request).unwrap();
+        let hit = service.try_hit(&request).expect("resident after the miss");
+        assert_eq!(hit.reports, miss.reports);
+        assert_eq!(hit.planner, "qrm");
+        assert!(hit.trace.is_none());
+
+        // The same counts as `cache_hit_returns_identical_reports_and_counts`,
+        // whose hit went through `submit`.
+        let stats = service.stats();
+        assert_eq!((stats.cache.lookups, stats.cache.hits), (2, 1));
+        assert_eq!(stats.cache.misses, 1);
+        assert_eq!((stats.batches_served, stats.shots_served), (2, 4));
+        assert_eq!(stats.planners[0].batches, 2);
+        assert_eq!(stats.planners[0].latency.count(), 2);
+
+        // A disabled cache never hits.
+        let uncached = small_service(0);
+        uncached.submit(&request).unwrap();
+        assert!(uncached.try_hit(&request).is_none());
+        assert_eq!(uncached.stats().batches_served, 1);
     }
 
     #[test]

@@ -34,7 +34,11 @@ fn serve_all_with(workers: usize, config: NetConfig) -> (Server, Arc<PlanService
         workers,
         ..ServeConfig::default()
     };
-    let service = Arc::new(build_service(&serve));
+    serve_configured(&serve, config)
+}
+
+fn serve_configured(serve: &ServeConfig, config: NetConfig) -> (Server, Arc<PlanService>) {
+    let service = Arc::new(build_service(serve));
     let server = Server::bind("127.0.0.1:0", Arc::clone(&service), config).expect("bind loopback");
     (server, service)
 }
@@ -146,6 +150,35 @@ fn stats_endpoint_reports_served_work() {
     assert_eq!(tetris.batches, 1);
     assert_eq!(tetris.latency.count(), 1);
     assert!(tetris.latency.mean_us() > 0.0);
+
+    // With the response cache on, hits (answered on the event loop)
+    // count exactly as in-process ones: one spec sent as a miss, two
+    // hits, then traced, which bypasses the cache but is still served.
+    let serve = ServeConfig {
+        workers: 1,
+        cache_bytes: 1 << 20,
+        ..ServeConfig::default()
+    };
+    let (server, _service) = serve_configured(&serve, NetConfig::default());
+    let mut client = Client::connect(server.addr().to_string());
+    let request = SubmitBatch::new("tetris", BatchSpec::new(2, 12, 3));
+    let miss = client.submit(&request).expect("miss");
+    for _ in 0..2 {
+        let hit = client.submit(&request).expect("hit");
+        assert_eq!(hit.reports, miss.reports);
+    }
+    let traced = client
+        .submit(&request.clone().with_trace(true))
+        .expect("traced");
+    assert_eq!(traced.reports, miss.reports);
+    assert!(traced.trace.is_some());
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.cache.lookups, 3);
+    assert_eq!(stats.cache.hits, 2);
+    assert_eq!(stats.cache.misses, 1);
+    assert_eq!(stats.batches_served, 4);
+    let tetris = stats.planners.iter().find(|p| p.name == "tetris").unwrap();
+    assert_eq!(tetris.latency.count(), 4);
 }
 
 /// The dataflow-scheduler counters added in PR 7 survive the wire:
