@@ -132,7 +132,10 @@ impl Client {
 
     /// Replaces the per-response read timeout (default 60 s — batch
     /// planning is CPU-bound server-side and can take a while under
-    /// load).
+    /// load). A response that does not arrive in time fails the call
+    /// with [`ClientError::Io`] of kind
+    /// [`TimedOut`](std::io::ErrorKind::TimedOut), and the request is
+    /// never resubmitted.
     #[must_use]
     pub fn with_read_timeout(mut self, timeout: Duration) -> Client {
         self.read_timeout = timeout;
@@ -337,7 +340,7 @@ impl Client {
             }
             // A read error (e.g. timeout) proves nothing — the server
             // may be mid-plan. Never retry on this path.
-            Err(err) => return Err(Attempt::taken(err.into())),
+            Err(err) => return Err(Attempt::read_failed(err)),
             Ok(_) => {}
         }
         let mut parts = status_line.trim_end().splitn(3, ' ');
@@ -366,7 +369,7 @@ impl Client {
                         "truncated headers".to_string(),
                     )))
                 }
-                Err(err) => return Err(Attempt::taken(err.into())),
+                Err(err) => return Err(Attempt::read_failed(err)),
                 Ok(_) => {}
             }
             let line = line.trim_end();
@@ -407,9 +410,7 @@ impl Client {
                 ))));
             }
             let mut body = vec![0u8; length];
-            reader
-                .read_exact(&mut body)
-                .map_err(|err| Attempt::taken(err.into()))?;
+            reader.read_exact(&mut body).map_err(Attempt::read_failed)?;
             body
         };
         let body = String::from_utf8(body).map_err(|_| {
@@ -433,7 +434,7 @@ impl Client {
             let mut line = String::new();
             match reader.read_line(&mut line) {
                 Ok(0) => return Err(protocol("truncated chunked body")),
-                Err(err) => return Err(Attempt::taken(err.into())),
+                Err(err) => return Err(Attempt::read_failed(err)),
                 Ok(_) => {}
             }
             let size_str = line.trim_end().split(';').next().unwrap_or("");
@@ -447,15 +448,13 @@ impl Client {
                 body.resize(start + size, 0);
                 reader
                     .read_exact(&mut body[start..])
-                    .map_err(|err| Attempt::taken(err.into()))?;
+                    .map_err(Attempt::read_failed)?;
             }
             // Chunk data (and the final size line) end with CRLF; after
             // the zero-size chunk this doubles as the trailer-section
             // terminator (the server sends no trailers).
             let mut crlf = [0u8; 2];
-            reader
-                .read_exact(&mut crlf)
-                .map_err(|err| Attempt::taken(err.into()))?;
+            reader.read_exact(&mut crlf).map_err(Attempt::read_failed)?;
             if &crlf != b"\r\n" {
                 return Err(protocol("missing chunk terminator"));
             }
@@ -489,6 +488,19 @@ impl Attempt {
             error,
             request_not_taken: false,
         }
+    }
+
+    /// A read of the response failed: the request was taken. The socket
+    /// blocks with `SO_RCVTIMEO` set, so a `WouldBlock` (the platform's
+    /// `EAGAIN`) can only mean the read timeout expired, and is reported
+    /// as `TimedOut`.
+    fn read_failed(err: std::io::Error) -> Attempt {
+        let err = if err.kind() == std::io::ErrorKind::WouldBlock {
+            std::io::Error::new(std::io::ErrorKind::TimedOut, "response read timed out")
+        } else {
+            err
+        };
+        Attempt::taken(err.into())
     }
 }
 

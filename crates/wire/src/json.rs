@@ -1,24 +1,43 @@
-//! The JSON text codec: a writer and a recursive-descent parser over
-//! the [`serde::Value`] data model.
+//! The JSON text codec: a streaming writer and a streaming
+//! recursive-descent reader behind the vendored serde stub's
+//! [`Sink`] and [`Source`] traits.
+//!
+//! The derived `Serialize` code of a wire type writes straight into the
+//! writer's one output buffer, and its derived `Deserialize` code reads
+//! straight from the reader: no [`serde::Value`] tree is built on
+//! either side. Keys are matched against field names where they lie in
+//! the text (an escaped key is unescaped into one reused buffer), and a
+//! value the target does not keep — an unknown field, a duplicate key,
+//! the rest of a value that failed — is checked for syntax and skipped
+//! without building anything. [`write`] and [`parse`] are the same
+//! writer and reader with [`Value`] as the target type.
 //!
 //! Dependency-free (std only) and deliberately strict:
 //!
-//! * the parser enforces a **size limit** up front and a **depth
+//! * the reader enforces a **size limit** up front and a **depth
 //!   limit** during descent ([`JsonLimits`]), so hostile input cannot
-//!   exhaust the stack or memory before a single value is built;
+//!   exhaust the stack or memory;
 //! * malformed input — truncation, bad escapes, bare control
 //!   characters, leading zeros, trailing data — produces a typed
-//!   [`JsonError`] carrying the byte offset, never a panic;
+//!   [`JsonError`] carrying the byte offset, never a panic. A syntax
+//!   error anywhere in the text wins over any schema error, so a typed
+//!   decode reports the same error whichever field it reached first;
 //! * the writer emits numbers via Rust's shortest round-trip float
 //!   formatting, so every finite `f64` survives a write→parse cycle
 //!   **bit-identically** (the foundation of the service's wire-level
 //!   determinism contract; non-finite floats encode as `null`).
 
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::ops::Range;
 
-use serde::Value;
+use serde::{Decoded, Deserialize, Serialize, Sink, Source, Token, Value};
 
-/// Resource limits the parser enforces before and during descent.
+#[cfg(test)]
+mod parity;
+#[cfg(test)]
+mod reference;
+
+/// Resource limits the reader enforces before and during descent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JsonLimits {
     /// Maximum input length in bytes (checked before parsing starts).
@@ -38,7 +57,7 @@ impl Default for JsonLimits {
     }
 }
 
-/// What went wrong while parsing.
+/// What went wrong while reading.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum JsonErrorKind {
@@ -63,7 +82,7 @@ pub enum JsonErrorKind {
     TrailingData,
 }
 
-/// A typed parse error with the byte offset it occurred at.
+/// A typed syntax error with the byte offset it occurred at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JsonError {
     /// The failure category.
@@ -101,80 +120,151 @@ impl std::error::Error for JsonError {}
 /// bit-identical); NaN and infinities — which JSON cannot represent —
 /// encode as `null`, matching `serde_json`'s lossy default.
 pub fn write(value: &Value) -> String {
-    let mut out = String::new();
-    write_into(value, &mut out);
-    out
+    encode(value)
 }
 
-fn write_into(value: &Value, out: &mut String) {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::I64(v) => {
-            out.push_str(&v.to_string());
+/// Compact JSON text of any [`Serialize`] value, written straight from
+/// its derived code.
+pub(crate) fn encode<T: Serialize + ?Sized>(value: &T) -> String {
+    let mut writer = Writer {
+        out: String::with_capacity(512),
+        first: true,
+    };
+    value.serialize_into(&mut writer);
+    writer.out
+}
+
+/// The [`Sink`] that appends compact JSON text to one buffer.
+struct Writer {
+    out: String,
+    /// Nothing written yet in the innermost open container, so the next
+    /// element or key takes no comma.
+    first: bool,
+}
+
+impl Writer {
+    fn separate(&mut self) {
+        if !self.first {
+            self.out.push(',');
         }
-        Value::U64(v) => {
-            out.push_str(&v.to_string());
-        }
-        Value::F64(v) => {
-            if v.is_finite() {
-                // Rust's float Display is the shortest decimal string
-                // that parses back to the identical bits, and it never
-                // produces exponent notation or non-JSON tokens.
-                out.push_str(&v.to_string());
-            } else {
-                out.push_str("null");
+        self.first = false;
+    }
+
+    /// `v`'s decimal digits, as `Display` writes them.
+    fn digits(&mut self, mut v: u64) {
+        let mut buf = [0u8; 20];
+        let mut at = buf.len();
+        loop {
+            at -= 1;
+            buf[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
             }
         }
-        Value::Str(s) => write_string(s, out),
-        Value::Seq(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_into(item, out);
-            }
-            out.push(']');
-        }
-        Value::Map(pairs) => {
-            out.push('{');
-            for (i, (key, item)) in pairs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_string(key, out);
-                out.push(':');
-                write_into(item, out);
-            }
-            out.push('}');
-        }
+        self.out
+            .push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
     }
 }
 
+impl Sink for Writer {
+    fn null(&mut self) {
+        self.out.push_str("null");
+    }
+
+    fn bool(&mut self, v: bool) {
+        self.out.push_str(if v { "true" } else { "false" });
+    }
+
+    fn i64(&mut self, v: i64) {
+        if v < 0 {
+            self.out.push('-');
+        }
+        self.digits(v.unsigned_abs());
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.digits(v);
+    }
+
+    fn f64(&mut self, v: f64) {
+        if v.is_finite() {
+            // Rust's float Display is the shortest decimal string that
+            // parses back to the identical bits, and it never produces
+            // exponent notation or non-JSON tokens.
+            write!(self.out, "{v}").expect("writing to a String cannot fail");
+        } else {
+            self.out.push_str("null");
+        }
+    }
+
+    fn str(&mut self, v: &str) {
+        write_string(v, &mut self.out);
+    }
+
+    fn begin_seq(&mut self) {
+        self.out.push('[');
+        self.first = true;
+    }
+
+    fn element(&mut self) {
+        self.separate();
+    }
+
+    fn end_seq(&mut self) {
+        self.out.push(']');
+        self.first = false;
+    }
+
+    fn begin_map(&mut self) {
+        self.out.push('{');
+        self.first = true;
+    }
+
+    fn key(&mut self, key: &str) {
+        self.separate();
+        write_string(key, &mut self.out);
+        self.out.push(':');
+    }
+
+    fn end_map(&mut self) {
+        self.out.push('}');
+        self.first = false;
+    }
+}
+
+/// Writes `s` as a JSON string literal, copying the runs between the
+/// characters that need an escape whole.
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (at, byte) in s.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0c => "\\f",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // Every escaped byte is ASCII, so `run..at` is whole chars.
+        out.push_str(&s[run..at]);
+        if escape.is_empty() {
+            write!(out, "\\u{byte:04x}").expect("writing to a String cannot fail");
+        } else {
+            out.push_str(escape);
         }
+        run = at + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
 // ---------------------------------------------------------------------
-// Parser
+// Reader
 // ---------------------------------------------------------------------
 
 /// Parses JSON text into a [`Value`] with the default [`JsonLimits`].
@@ -192,33 +282,53 @@ pub fn parse(text: &str) -> Result<Value, JsonError> {
 ///
 /// Returns a typed [`JsonError`] for malformed or over-limit input.
 pub fn parse_with_limits(text: &str, limits: &JsonLimits) -> Result<Value, JsonError> {
+    decode::<Value>(text, limits).map(|tree| tree.expect("a Value holds any JSON"))
+}
+
+/// Reads one `T` from the whole of `text`, straight into its derived
+/// code. The outer error is the text's first syntax error (or its size);
+/// the inner one the schema error a well-formed document gives.
+pub(crate) fn decode<T: Deserialize>(
+    text: &str,
+    limits: &JsonLimits,
+) -> Result<Decoded<T>, JsonError> {
     if text.len() > limits.max_bytes {
         return Err(JsonError {
             kind: JsonErrorKind::TooLarge,
             offset: limits.max_bytes,
         });
     }
-    let mut parser = Parser {
-        bytes: text.as_bytes(),
+    let mut reader = Reader {
+        text,
         pos: 0,
+        depth: 0,
         max_depth: limits.max_depth,
+        first: true,
+        scratch: String::new(),
     };
-    parser.skip_whitespace();
-    let value = parser.value(0)?;
-    parser.skip_whitespace();
-    if parser.pos != parser.bytes.len() {
-        return Err(parser.error(JsonErrorKind::TrailingData));
+    let decoded = T::deserialize_from(&mut reader)?;
+    reader.skip_whitespace();
+    if reader.pos != text.len() {
+        return Err(reader.error(JsonErrorKind::TrailingData));
     }
-    Ok(value)
+    Ok(decoded)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// The [`Source`] that reads JSON text in one forward pass.
+struct Reader<'a> {
+    text: &'a str,
     pos: usize,
+    /// Containers open around the current position.
+    depth: usize,
     max_depth: usize,
+    /// The innermost open container has yielded no element or key yet.
+    first: bool,
+    /// The unescaped text of the last string that held an escape, when
+    /// its value was wanted.
+    scratch: String,
 }
 
-impl Parser<'_> {
+impl<'a> Reader<'a> {
     fn error(&self, kind: JsonErrorKind) -> JsonError {
         JsonError {
             kind,
@@ -227,175 +337,182 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_whitespace(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
+        self.skip_while(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'));
     }
 
-    /// The byte at `pos` interpreted as the start of a char, for error
-    /// messages (input is valid UTF-8 by construction: it came in as
-    /// `&str`).
+    /// Moves `pos` past the bytes that satisfy `keep`.
+    fn skip_while(&mut self, keep: impl Fn(u8) -> bool) {
+        let rest = &self.text.as_bytes()[self.pos..];
+        self.pos += rest.iter().position(|&b| !keep(b)).unwrap_or(rest.len());
+    }
+
+    /// The char at `pos`, for error messages.
     fn current_char(&self) -> char {
-        std::str::from_utf8(&self.bytes[self.pos..])
-            .ok()
-            .and_then(|s| s.chars().next())
+        self.text
+            .get(self.pos..)
+            .and_then(|rest| rest.chars().next())
             .unwrap_or('\u{fffd}')
     }
 
-    fn expect_literal(&mut self, literal: &str) -> Result<(), JsonError> {
-        if self.bytes[self.pos..].starts_with(literal.as_bytes()) {
+    fn unexpected(&self) -> JsonError {
+        match self.peek() {
+            Some(_) => self.error(JsonErrorKind::UnexpectedChar(self.current_char())),
+            None => self.error(JsonErrorKind::UnexpectedEof),
+        }
+    }
+
+    /// Moves to the next value's first byte, checking its depth.
+    fn start_value(&mut self) -> Result<u8, JsonError> {
+        self.skip_whitespace();
+        if self.depth > self.max_depth {
+            return Err(self.error(JsonErrorKind::TooDeep));
+        }
+        self.peek()
+            .ok_or_else(|| self.error(JsonErrorKind::UnexpectedEof))
+    }
+
+    fn literal(&mut self, literal: &str) -> Result<(), JsonError> {
+        if self.text.as_bytes()[self.pos..].starts_with(literal.as_bytes()) {
             self.pos += literal.len();
             Ok(())
-        } else if self.bytes.len() - self.pos < literal.len() {
+        } else if self.text.len() - self.pos < literal.len() {
             Err(self.error(JsonErrorKind::UnexpectedEof))
         } else {
             Err(self.error(JsonErrorKind::UnexpectedChar(self.current_char())))
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Value, JsonError> {
-        if depth > self.max_depth {
-            return Err(self.error(JsonErrorKind::TooDeep));
+    fn open(&mut self) {
+        self.pos += 1;
+        self.depth += 1;
+        self.first = true;
+    }
+
+    fn close(&mut self) {
+        self.pos += 1;
+        self.depth -= 1;
+        self.first = false;
+    }
+
+    /// Reads past the comma before an open container's next item, or its
+    /// closing bracket `end` (`false`).
+    fn next_item(&mut self, end: u8) -> Result<bool, JsonError> {
+        self.skip_whitespace();
+        if std::mem::take(&mut self.first) {
+            if self.peek() == Some(end) {
+                self.close();
+                return Ok(false);
+            }
+            return Ok(true);
         }
         match self.peek() {
-            None => Err(self.error(JsonErrorKind::UnexpectedEof)),
-            Some(b'n') => self.expect_literal("null").map(|()| Value::Null),
-            Some(b't') => self.expect_literal("true").map(|()| Value::Bool(true)),
-            Some(b'f') => self.expect_literal("false").map(|()| Value::Bool(false)),
-            Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(_) => Err(self.error(JsonErrorKind::UnexpectedChar(self.current_char()))),
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            Some(b) if b == end => {
+                self.close();
+                Ok(false)
+            }
+            _ => Err(self.unexpected()),
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Value, JsonError> {
-        self.pos += 1; // consume '['
-        let mut items = Vec::new();
+    /// Reads the open map's next key and its colon, or the map's closing
+    /// brace (`None`). The key is `Some(range)` of the text when it holds
+    /// no escape; otherwise it is in `scratch` if `keep` is set.
+    fn next_entry(&mut self, keep: bool) -> Result<Option<Option<Range<usize>>>, JsonError> {
+        if !self.next_item(b'}')? {
+            return Ok(None);
+        }
         self.skip_whitespace();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Seq(items));
+        if self.peek() != Some(b'"') {
+            return Err(self.unexpected());
         }
-        loop {
-            self.skip_whitespace();
-            items.push(self.value(depth + 1)?);
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Seq(items));
-                }
-                Some(_) => {
-                    return Err(self.error(JsonErrorKind::UnexpectedChar(self.current_char())))
-                }
-                None => return Err(self.error(JsonErrorKind::UnexpectedEof)),
-            }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Value, JsonError> {
-        self.pos += 1; // consume '{'
-        let mut pairs = Vec::new();
+        let key = self.string(keep)?;
         self.skip_whitespace();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Map(pairs));
+        if self.peek() != Some(b':') {
+            return Err(self.unexpected());
         }
-        loop {
-            self.skip_whitespace();
-            if self.peek() != Some(b'"') {
-                return Err(match self.peek() {
-                    Some(_) => self.error(JsonErrorKind::UnexpectedChar(self.current_char())),
-                    None => self.error(JsonErrorKind::UnexpectedEof),
-                });
-            }
-            let key = self.string()?;
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b':') => self.pos += 1,
-                Some(_) => {
-                    return Err(self.error(JsonErrorKind::UnexpectedChar(self.current_char())))
-                }
-                None => return Err(self.error(JsonErrorKind::UnexpectedEof)),
-            }
-            self.skip_whitespace();
-            pairs.push((key, self.value(depth + 1)?));
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Map(pairs));
-                }
-                Some(_) => {
-                    return Err(self.error(JsonErrorKind::UnexpectedChar(self.current_char())))
-                }
-                None => return Err(self.error(JsonErrorKind::UnexpectedEof)),
-            }
-        }
+        self.pos += 1;
+        Ok(Some(key))
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// Reads a string literal from its opening quote. Returns the range
+    /// of its text when it holds no escape; otherwise its unescaped text
+    /// is left in `scratch` if `keep` is set, and built nowhere if not.
+    fn string(&mut self, keep: bool) -> Result<Option<Range<usize>>, JsonError> {
         self.pos += 1; // consume '"'
-        let mut out = String::new();
+        let start = self.pos;
+        let mut escaped = false;
         loop {
-            let start = self.pos;
-            // Copy the raw run up to the next quote, escape, or control
-            // character in one slice.
+            let run = self.pos;
             while let Some(b) = self.peek() {
                 if b == b'"' || b == b'\\' || b < 0x20 {
                     break;
                 }
                 self.pos += 1;
             }
-            // Input came in as &str, so any byte run is valid UTF-8.
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .expect("parser input is valid UTF-8"),
-            );
+            if escaped && keep {
+                self.scratch.push_str(&self.text[run..self.pos]);
+            }
             match self.peek() {
                 None => return Err(self.error(JsonErrorKind::UnexpectedEof)),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok((!escaped).then(|| start..self.pos - 1));
                 }
                 Some(b'\\') => {
+                    if !escaped && keep {
+                        self.scratch.clear();
+                        self.scratch.push_str(&self.text[start..self.pos]);
+                    }
+                    escaped = true;
                     self.pos += 1;
-                    self.escape(&mut out)?;
+                    let c = self.escape()?;
+                    if keep {
+                        self.scratch.push(c);
+                    }
                 }
                 Some(_) => return Err(self.error(JsonErrorKind::ControlCharacter)),
             }
         }
     }
 
-    fn escape(&mut self, out: &mut String) -> Result<(), JsonError> {
+    /// The text of a string [`string`](Self::string) kept.
+    fn kept(&self, key: Option<Range<usize>>) -> &str {
+        match key {
+            Some(range) => &self.text[range],
+            None => &self.scratch,
+        }
+    }
+
+    fn escape(&mut self) -> Result<char, JsonError> {
         let Some(b) = self.peek() else {
             return Err(self.error(JsonErrorKind::UnexpectedEof));
         };
         self.pos += 1;
-        match b {
-            b'"' => out.push('"'),
-            b'\\' => out.push('\\'),
-            b'/' => out.push('/'),
-            b'b' => out.push('\u{08}'),
-            b'f' => out.push('\u{0c}'),
-            b'n' => out.push('\n'),
-            b'r' => out.push('\r'),
-            b't' => out.push('\t'),
+        Ok(match b {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'b' => '\u{08}',
+            b'f' => '\u{0c}',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
             b'u' => {
                 let high = self.hex4()?;
                 let code = if (0xd800..0xdc00).contains(&high) {
                     // High surrogate: a low surrogate must follow.
-                    if self.expect_literal("\\u").is_err() {
+                    if !self.text.as_bytes()[self.pos..].starts_with(b"\\u") {
                         return Err(self.error(JsonErrorKind::BadUnicodeEscape));
                     }
+                    self.pos += 2;
                     let low = self.hex4()?;
                     if !(0xdc00..0xe000).contains(&low) {
                         return Err(self.error(JsonErrorKind::BadUnicodeEscape));
@@ -408,7 +525,7 @@ impl Parser<'_> {
                     high
                 };
                 match char::from_u32(code) {
-                    Some(c) => out.push(c),
+                    Some(c) => c,
                     None => return Err(self.error(JsonErrorKind::BadUnicodeEscape)),
                 }
             }
@@ -416,8 +533,7 @@ impl Parser<'_> {
                 self.pos -= 1;
                 return Err(self.error(JsonErrorKind::BadEscape));
             }
-        }
-        Ok(())
+        })
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
@@ -438,8 +554,9 @@ impl Parser<'_> {
         Ok(code)
     }
 
-    fn number(&mut self) -> Result<Value, JsonError> {
-        let start = self.pos;
+    /// Reads past a number literal's grammar, returning whether it is
+    /// negative and whether it has a fraction or exponent.
+    fn scan_number(&mut self) -> Result<(bool, bool), JsonError> {
         let negative = self.peek() == Some(b'-');
         if negative {
             self.pos += 1;
@@ -448,11 +565,7 @@ impl Parser<'_> {
         // (JSON forbids leading zeros).
         match self.peek() {
             Some(b'0') => self.pos += 1,
-            Some(b'1'..=b'9') => {
-                while matches!(self.peek(), Some(b'0'..=b'9')) {
-                    self.pos += 1;
-                }
-            }
+            Some(b'1'..=b'9') => self.digits(),
             Some(_) | None => return Err(self.error(JsonErrorKind::BadNumber)),
         }
         let mut is_float = false;
@@ -462,9 +575,7 @@ impl Parser<'_> {
             if !matches!(self.peek(), Some(b'0'..=b'9')) {
                 return Err(self.error(JsonErrorKind::BadNumber));
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits();
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             is_float = true;
@@ -475,32 +586,109 @@ impl Parser<'_> {
             if !matches!(self.peek(), Some(b'0'..=b'9')) {
                 return Err(self.error(JsonErrorKind::BadNumber));
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits();
         }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("parser input is valid UTF-8");
+        Ok((negative, is_float))
+    }
+
+    fn digits(&mut self) {
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+    }
+
+    /// Reads a number literal as an `I64`, `U64` or `F64` token.
+    fn number(&mut self) -> Result<Token<'a>, JsonError> {
+        let start = self.pos;
+        let (negative, is_float) = self.scan_number()?;
+        let text = &self.text[start..self.pos];
         if !is_float {
             if let Ok(v) = text.parse::<i64>() {
                 // "-0" is a distinct float (negative zero), not the
-                // integer 0 — keep it a float so a written -0.0 parses
+                // integer 0 — keep it a float so a written -0.0 reads
                 // back bit-identical.
                 if v != 0 || !negative {
-                    return Ok(Value::I64(v));
+                    return Ok(Token::I64(v));
                 }
             } else if let Ok(v) = text.parse::<u64>() {
-                return Ok(Value::U64(v));
+                return Ok(Token::U64(v));
             }
             // Integers beyond u64 range fall through to f64 (the only
             // way the writer produces such digits is float formatting).
         }
         match text.parse::<f64>() {
-            Ok(v) => Ok(Value::F64(v)),
+            Ok(v) => Ok(Token::F64(v)),
             Err(_) => Err(JsonError {
                 kind: JsonErrorKind::BadNumber,
                 offset: start,
             }),
+        }
+    }
+}
+
+impl Source for Reader<'_> {
+    type Fatal = JsonError;
+
+    fn token(&mut self) -> Result<Token<'_>, JsonError> {
+        Ok(match self.start_value()? {
+            b'n' => self.literal("null").map(|()| Token::Null)?,
+            b't' => self.literal("true").map(|()| Token::Bool(true))?,
+            b'f' => self.literal("false").map(|()| Token::Bool(false))?,
+            b'"' => {
+                let text = self.string(true)?;
+                Token::Str(self.kept(text))
+            }
+            b'[' => {
+                self.open();
+                Token::Seq
+            }
+            b'{' => {
+                self.open();
+                Token::Map
+            }
+            b'-' | b'0'..=b'9' => self.number()?,
+            _ => return Err(self.unexpected()),
+        })
+    }
+
+    fn null(&mut self) -> Result<bool, JsonError> {
+        if self.start_value()? != b'n' {
+            return Ok(false);
+        }
+        self.literal("null")?;
+        Ok(true)
+    }
+
+    fn next_element(&mut self) -> Result<bool, JsonError> {
+        self.next_item(b']')
+    }
+
+    fn next_key<R>(&mut self, read: impl FnOnce(&str) -> R) -> Result<Option<R>, JsonError> {
+        Ok(self.next_entry(true)?.map(|key| read(self.kept(key))))
+    }
+
+    fn skip(&mut self) -> Result<(), JsonError> {
+        match self.start_value()? {
+            b'n' => self.literal("null"),
+            b't' => self.literal("true"),
+            b'f' => self.literal("false"),
+            b'"' => self.string(false).map(drop),
+            b'[' => {
+                self.open();
+                while self.next_item(b']')? {
+                    self.skip()?;
+                }
+                Ok(())
+            }
+            b'{' => {
+                self.open();
+                while self.next_entry(false)?.is_some() {
+                    self.skip()?;
+                }
+                Ok(())
+            }
+            b'-' | b'0'..=b'9' => self.scan_number().map(drop),
+            _ => Err(self.unexpected()),
         }
     }
 }

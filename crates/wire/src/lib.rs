@@ -3,10 +3,13 @@
 //! The serialization layer between [`qrm_server`]'s typed
 //! request/response surface and any network transport (the workspace's
 //! HTTP front end lives in `qrm-net`). It is **dependency-free**: the
-//! [`json`] module implements the JSON writer and a strict
-//! recursive-descent parser with depth/size limits from scratch, over
-//! the vendored serde subset's self-describing
-//! [`Value`](serde::Value) data model.
+//! [`json`] module implements a JSON writer and a strict
+//! recursive-descent reader with depth/size limits from scratch, as the
+//! vendored serde subset's streaming `Sink` and `Source`. Encoding runs
+//! a type's derived code straight into one output buffer, and decoding
+//! runs it straight over the text: no [`Value`](serde::Value) tree is
+//! built in between, and a field the type does not know is checked and
+//! skipped without building anything.
 //!
 //! Every type that crosses the wire — [`PlannerChoice`],
 //! [`BatchSpec`], [`SubmitBatch`], [`BatchReport`], [`ServiceStats`],
@@ -14,8 +17,11 @@
 //! implements [`ToJson`] /
 //! [`FromJson`] (blanket impls over the derived `serde` traits), so
 //! encoding is one method call and decoding returns typed errors,
-//! never panics. The exact schemas are documented field-by-field in
-//! `docs/PROTOCOL.md`.
+//! never panics. A syntax error anywhere in the text wins over a schema
+//! error ([`WireError::Json`] before [`WireError::Decode`]), and among
+//! schema errors the first failing field in declaration order is the
+//! one reported, whatever order the keys were written in. The exact
+//! schemas are documented field-by-field in `docs/PROTOCOL.md`.
 //!
 //! ## Determinism
 //!
@@ -116,7 +122,7 @@ impl<T: serde::Serialize + ?Sized> ToJson for T {
     }
 
     fn to_json(&self) -> String {
-        json::write(&self.serialize())
+        json::encode(self)
     }
 }
 
@@ -141,7 +147,8 @@ pub trait FromJson: Sized {
     }
 
     /// Parses and decodes under explicit limits (servers cap attacker-
-    /// controlled input tighter than the defaults).
+    /// controlled input tighter than the defaults). The text is read
+    /// once, straight into `Self`.
     ///
     /// # Errors
     ///
@@ -155,8 +162,7 @@ impl<T: serde::Deserialize> FromJson for T {
     }
 
     fn from_json_with_limits(text: &str, limits: &JsonLimits) -> Result<Self, WireError> {
-        let value = json::parse_with_limits(text, limits)?;
-        Ok(T::deserialize(&value)?)
+        Ok(json::decode(text, limits)??)
     }
 }
 
